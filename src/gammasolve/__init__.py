@@ -98,11 +98,9 @@ from .materials import (
     resolve_parameter,
 )
 from .solver import (
-    NonConvergenceError,
     Problem,
     ResonanceError,
     SolveResult,
-    assemble_problem,
     dense_operator,
     operator_norm_estimate,
     residual_functional,

@@ -28,22 +28,13 @@ from .materials import (
     _per_point,
     acoustic_source,
     block_source,
-    brinkman_source,
     build_material,
     build_schrodinger,
     default_projector,
+    physics_family,
     resolve_parameter,
 )
-from .projectors import (
-    apply_projector,
-    gamma_brinkman,
-    gamma_elastic,
-    gamma_helmholtz,
-    gamma_maxwell,
-    gamma_schrodinger,
-    gamma_surface,
-    gamma_thermoacoustic,
-)
+from .projectors import FAMILIES, apply_projector
 from .solver import Problem, solve
 from .quasiperiodic import effective_tensors
 from .fermionic import ground_state, perturbation_solve
@@ -140,25 +131,14 @@ def _parse_material(node, path="material"):
     return MaterialSpec(physics, omega, params, options)
 
 
-_FORCE_BLOCK = {
-    "elastodynamics": 1,
-    "oseen": 1,
-    "ns_perturbation": 1,
-    "maxwell": 0,
-    "love": 1,
-    "schrodinger": 1,
-    "thermoacoustic": 1,
-}
-
-
-def _force_to_source(force_vals, grid, L, physics):
-    if physics == "acoustics":
-        return acoustic_source(L, force_vals, grid)
-    if physics == "brinkman":
-        return brinkman_source(L, force_vals, grid)
-    if physics in _FORCE_BLOCK:
-        return block_source(grid, L.layout, _FORCE_BLOCK[physics], force_vals)
-    raise ConfigError(f"no force mapping registered for physics '{physics}'")
+def _parse_problem(cfg):
+    """Grid, material, projector and physics name of a config's
+    ``grid`` and ``material`` sections."""
+    grid = _parse_grid(_require(cfg, "grid", ""))
+    spec = _parse_material(_require(cfg, "material", ""))
+    L = build_material(spec, grid)
+    k1 = float(np.real(spec.params.get("k1", 0.0)))
+    return grid, L, default_projector(spec.physics, grid, k1=k1), spec.physics
 
 
 def _parse_source(node, grid, L, physics, path="source"):
@@ -205,21 +185,24 @@ def _parse_source(node, grid, L, physics, path="source"):
         f = np.asarray(_scalar_list(_require(node, "force", path), f"{path}.force"),
                        dtype=np.complex128)
         env = envelope_plane(_require(node, "mode", path))
-        return _force_to_source(env[:, None] * f[None, :], grid, L, physics)
+        return physics_family(physics).force_source(L, env[:, None] * f[None, :], grid)
     if kind == "force_constant":
         _check_unknown(node, {"type", "force"}, path)
         f = np.asarray(_scalar_list(_require(node, "force", path), f"{path}.force"),
                        dtype=np.complex128)
-        return _force_to_source(np.broadcast_to(f, (grid.npoints, len(f))).copy(),
-                                grid, L, physics)
+        return physics_family(physics).force_source(
+            L, np.broadcast_to(f, (grid.npoints, len(f))).copy(), grid)
     if kind == "uplf":
         _check_unknown(node, {"type", "path"}, path)
         return read_uplf(_require(node, "path", path))
     raise ConfigError(f"unknown source type '{kind}' at '{path}'")
 
 
-def _parse_solver(node, path="solver"):
-    _check_unknown(node, {"tol", "max_iter", "method", "shift", "history_csv"}, path)
+_SOLVER_KEYS = {"tol", "max_iter", "method", "shift", "history_csv"}
+
+
+def _parse_solver(node, allowed=_SOLVER_KEYS, path="solver"):
+    _check_unknown(node, allowed, path)
     out = {}
     if "tol" in node:
         out["tol"] = float(node["tol"])
@@ -270,12 +253,8 @@ def _outdir(args):
 def _cmd_solve(args):
     cfg = _load_config(args)
     _check_unknown(cfg, {"grid", "material", "source", "solver"}, "")
-    grid = _parse_grid(_require(cfg, "grid", ""))
-    spec = _parse_material(_require(cfg, "material", ""))
-    L = build_material(spec, grid)
-    k1 = spec.params.get("k1", 0.0)
-    gamma = default_projector(spec.physics, grid, k1=float(np.real(k1)))
-    source = _parse_source(_require(cfg, "source", ""), grid, L, spec.physics)
+    grid, L, gamma, physics = _parse_problem(cfg)
+    source = _parse_source(_require(cfg, "source", ""), grid, L, physics)
     opts, history_csv = _parse_solver(cfg.get("solver", {}))
     if args.tol is not None:
         opts["tol"] = args.tol
@@ -293,9 +272,10 @@ def _cmd_solve(args):
             for i, r in enumerate(result.residual_history):
                 fh.write(f"{i},{r:.16e}\n")
     summary = {
-        "physics": spec.physics,
+        "physics": physics,
         "grid": {"dims": list(grid.dims), "lengths": list(grid.lengths)},
         "converged": bool(result.converged),
+        "stop_reason": result.stop_reason,
         "iterations": int(result.iterations),
         "residual": float(result.residual),
         "elapsed_s": elapsed,
@@ -313,11 +293,7 @@ def _cmd_solve(args):
 def _cmd_effective(args):
     cfg = _load_config(args)
     _check_unknown(cfg, {"grid", "material", "bloch", "solver"}, "")
-    grid = _parse_grid(_require(cfg, "grid", ""))
-    spec = _parse_material(_require(cfg, "material", ""))
-    L = build_material(spec, grid)
-    gamma = default_projector(spec.physics, grid,
-                              k1=float(np.real(spec.params.get("k1", 0.0))))
+    grid, L, gamma, _ = _parse_problem(cfg)
     bloch = _require(cfg, "bloch", "")
     _check_unknown(bloch, {"k0", "modulation"}, "bloch")
     k0 = np.asarray([float(v) for v in _require(bloch, "k0", "bloch")])
@@ -327,7 +303,7 @@ def _cmd_effective(args):
         modulation = np.asarray(
             resolve_parameter(desc, grid, ()) * np.ones(grid.npoints)
         )
-    opts, _ = _parse_solver(cfg.get("solver", {}))
+    opts, _ = _parse_solver(cfg.get("solver", {}), {"tol", "max_iter"})
     tol = opts.get("tol", 1e-12)
     if args.tol is not None:
         tol = args.tol
@@ -415,7 +391,7 @@ def _cmd_schrodinger(args):
     potential = _parse_param(_require(cfg, "potential", ""), "potential")
     vprime_desc = _parse_param(_require(cfg, "perturbation", ""), "perturbation")
     state_index = int(cfg.get("state_index", 0))
-    opts, _ = _parse_solver(cfg.get("solver", {}))
+    opts, _ = _parse_solver(cfg.get("solver", {}), {"tol", "max_iter"})
     tol = opts.get("tol", 1e-10)
     if args.tol is not None:
         tol = args.tol
@@ -447,17 +423,6 @@ def _cmd_schrodinger(args):
     return 0 if result.converged else 2
 
 
-_PROJECTOR_FAMILIES = {
-    "helmholtz": lambda d, k1: gamma_helmholtz(d),
-    "elastic": lambda d, k1: gamma_elastic(d),
-    "maxwell": lambda d, k1: gamma_maxwell(),
-    "brinkman": lambda d, k1: gamma_brinkman(d),
-    "thermoacoustic": lambda d, k1: gamma_thermoacoustic(),
-    "schrodinger": lambda d, k1: gamma_schrodinger(d),
-    "surface": lambda d, k1: gamma_surface(k1),
-}
-
-
 def _cmd_project(args):
     cfg = _load_config(args)
     _check_unknown(cfg, {"input", "output", "projector", "which", "shift"}, "")
@@ -465,11 +430,11 @@ def _cmd_project(args):
     pnode = _require(cfg, "projector", "")
     _check_unknown(pnode, {"family", "dimension", "k1"}, "projector")
     family = _require(pnode, "family", "projector")
-    if family not in _PROJECTOR_FAMILIES:
+    if family not in FAMILIES:
         raise ConfigError(f"unknown projector family '{family}'")
     dim = int(pnode.get("dimension", field.grid.ndim))
     k1 = float(pnode.get("k1", 0.0))
-    projector = _PROJECTOR_FAMILIES[family](dim, k1)
+    projector = FAMILIES[family](dim, k1)
     which = int(cfg.get("which", 1))
     shift = cfg.get("shift")
     if shift is not None:
@@ -519,14 +484,10 @@ def _verify_checks(seed):
         same = open(p1, "rb").read() == open(p2, "rb").read()
     checks.append(("uplf_roundtrip", same, "byte-identical" if same else "differs"))
 
-    builders = [
-        (P.gamma_helmholtz(3), 3), (P.gamma_elastic(3), 3),
-        (P.gamma_maxwell(), 3), (P.gamma_brinkman(3), 3),
-        (P.gamma_thermoacoustic(), 3), (P.gamma_schrodinger(2), 2),
-        (P.gamma_surface(0.7), 1),
-    ]
     worst = 0.0
-    for proj, ndim in builders:
+    for family, make in P.FAMILIES.items():
+        ndim = {"schrodinger": 2, "surface": 1}.get(family, 3)
+        proj = make(ndim, 0.7)
         K = rng.normal(scale=3.0, size=(25, ndim))
         G = proj.symbols(K)
         Gh = np.conj(np.swapaxes(G, -1, -2))

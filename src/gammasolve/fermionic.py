@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Block, BlockLayout, Field, Grid, scalar_layout
-from .solver import _CanonicalOperator, _fftn, _ifftn  # shared spectral helpers
-import scipy.sparse.linalg
+from .fields import Field, Grid, scalar_layout, transform
+from .solver import _CanonicalOperator, _krylov
 
 __all__ = [
     "MultiElectronGrid",
@@ -350,8 +349,8 @@ def ground_state(grid, kinetic, potential, nstates=1):
     K = grid.wavevectors()
     quad = np.einsum("pi,ij,pj->p", K, A, K)
     eye = np.eye(npts, dtype=np.complex128)
-    hat = _fftn(eye, grid)
-    H = _ifftn(quad[:, None] * hat, grid)
+    hat = transform(eye, grid)
+    H = transform(quad[:, None] * hat, grid, False)
     H += np.diag(V.astype(np.complex128))
     H = (H + np.conj(H.T)) / 2.0
     energies, vecs = np.linalg.eigh(H)
@@ -448,15 +447,7 @@ def perturbation_solve(material, psi, vprime, tol=1e-10, max_iter=2000):
     if b_norm <= 1e-13 * max(scale, 1e-300):
         zero = Field.zeros(grid, scalar_layout())
         return PerturbationResult(e_prime, zero, 0.0, 0, True)
-    n = grid.npoints * (nd + 1)
-    linop = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=np.complex128)
-    restart = min(40, n)
-    history = []
-    x, _ = scipy.sparse.linalg.gmres(
-        linop, b.ravel(), rtol=0.25 * tol, atol=0.0, restart=restart,
-        maxiter=max(1, math.ceil(max_iter / restart)),
-        callback=lambda pr: history.append(float(pr)), callback_type="pr_norm",
-    )
+    x, history, _ = _krylov(matvec, b.ravel(), tol, max_iter)
     e_hat = op.project(x.reshape(-1, nd + 1))
     residual = op.residual(e_hat, s_hat, b_norm)
     efield = Field(grid, layout, e_hat, "fourier").to_real()

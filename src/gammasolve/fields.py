@@ -37,6 +37,7 @@ __all__ = [
     "sym_unpack",
     "read_uplf",
     "write_uplf",
+    "transform",
     "set_fft_workers",
     "get_fft_workers",
 ]
@@ -248,27 +249,30 @@ class Field:
         """View of one block's components, shape (npoints, block.ncomp)."""
         return self.values[:, self.layout.block_slice(i)]
 
-    def _transformed(self, forward):
-        shaped = self.values.reshape(*self.grid.dims, self.layout.ncomp)
-        fn = scipy.fft.fftn if forward else scipy.fft.ifftn
-        out = fn(
-            shaped,
-            axes=tuple(range(self.grid.ndim)),
-            norm="ortho",
-            workers=_fft_workers,
-        )
-        return out.reshape(self.grid.npoints, self.layout.ncomp)
-
     def to_fourier(self):
         """Unitary DFT along all grid axes; no-op if already in Fourier form."""
         if self.representation == "fourier":
             return self
-        return Field(self.grid, self.layout, self._transformed(True), "fourier")
+        return Field(self.grid, self.layout, transform(self.values, self.grid), "fourier")
 
     def to_real(self):
         if self.representation == "real":
             return self
-        return Field(self.grid, self.layout, self._transformed(False), "real")
+        vals = transform(self.values, self.grid, False)
+        return Field(self.grid, self.layout, vals, "real")
+
+
+def transform(values, grid, forward=True):
+    """Unitary DFT (or its inverse) along the grid axes of a raw
+    (npoints, c) array; the one FFT entry point of the package."""
+    fn = scipy.fft.fftn if forward else scipy.fft.ifftn
+    out = fn(
+        values.reshape(*grid.dims, values.shape[-1]),
+        axes=tuple(range(grid.ndim)),
+        norm="ortho",
+        workers=_fft_workers,
+    )
+    return out.reshape(values.shape)
 
 
 def _check_compatible(a, b):

@@ -15,6 +15,10 @@ block matrix together with an orientation flag:
 Material parameters may be scalars, per-point arrays, small constant
 matrices, callables of the point coordinates, or the descriptor classes
 (:class:`Constant`, :class:`Layered`, :class:`Checkerboard`, :class:`Voxel`).
+
+:data:`PHYSICS` holds one :class:`Physics` record per family (builder,
+projector family, force-to-source map); it is the only place a family is
+declared.
 """
 
 from __future__ import annotations
@@ -50,6 +54,9 @@ __all__ = [
     "build_thermoacoustic",
     "build_love",
     "build_schrodinger",
+    "Physics",
+    "PHYSICS",
+    "physics_family",
     "build_material",
     "default_projector",
     "acoustic_source",
@@ -753,51 +760,6 @@ class MaterialSpec:
     options: dict = dc_field(default_factory=dict)
 
 
-_BUILDERS = {
-    "acoustics": build_acoustics,
-    "elastodynamics": build_elastodynamics,
-    "maxwell": build_maxwell,
-    "brinkman": build_brinkman,
-    "oseen": build_oseen_inverse,
-    "ns_perturbation": build_ns_perturbation,
-    "thermoacoustic": build_thermoacoustic,
-    "love": build_love,
-    "schrodinger": build_schrodinger,
-}
-
-
-def build_material(spec, grid):
-    """Dispatch a MaterialSpec to the family builder."""
-    if spec.physics not in _BUILDERS:
-        raise ValueError(
-            f"unknown physics {spec.physics!r}; known: {sorted(_BUILDERS)}"
-        )
-    builder = _BUILDERS[spec.physics]
-    kwargs = dict(spec.params)
-    kwargs.update(spec.options)
-    return builder(grid, spec.omega, **kwargs)
-
-
-def default_projector(physics, grid, k1=0.0):
-    """The projector family canonically paired with a physics name."""
-    d = grid.ndim
-    if physics == "acoustics":
-        return proj.gamma_helmholtz(d)
-    if physics in ("elastodynamics", "oseen", "ns_perturbation"):
-        return proj.gamma_elastic(d)
-    if physics == "maxwell":
-        return proj.gamma_maxwell()
-    if physics == "brinkman":
-        return proj.gamma_brinkman(d)
-    if physics == "thermoacoustic":
-        return proj.gamma_thermoacoustic()
-    if physics == "love":
-        return proj.gamma_surface(k1)
-    if physics == "schrodinger":
-        return proj.gamma_schrodinger(d)
-    raise ValueError(f"no projector registered for physics {physics!r}")
-
-
 def block_source(grid, layout, block_index, values, representation="real"):
     """Source field with one populated block (values: (npoints, bc) or (bc,))."""
     f = Field.zeros(grid, layout, representation)
@@ -824,6 +786,65 @@ def brinkman_source(L, force, grid):
     fvals = np.zeros((grid.npoints, L.layout.ncomp), dtype=np.complex128)
     fvals[:, -d:] = np.asarray(force, dtype=np.complex128)
     return Field(grid, L.layout, -Lc.apply(fvals), "real")
+
+
+def _force_in_block(index):
+    def force_source(L, force, grid):
+        return block_source(grid, L.layout, index, force)
+
+    return force_source
+
+
+@dataclass(frozen=True)
+class Physics:
+    """One physics family.
+
+    Attributes
+    ----------
+    builder : callable
+        ``builder(grid, omega, **params) -> LField``.
+    projector : str
+        Key of :data:`projectors.FAMILIES` naming the paired projector.
+    force_source : callable
+        ``force_source(L, force, grid) -> Field``: the canonical source of
+        a body force density of shape (npoints, nforce).
+    """
+
+    builder: object
+    projector: str
+    force_source: object
+
+
+PHYSICS = {
+    "acoustics": Physics(build_acoustics, "helmholtz", acoustic_source),
+    "elastodynamics": Physics(build_elastodynamics, "elastic", _force_in_block(1)),
+    "maxwell": Physics(build_maxwell, "maxwell", _force_in_block(0)),
+    "brinkman": Physics(build_brinkman, "brinkman", brinkman_source),
+    "oseen": Physics(build_oseen_inverse, "elastic", _force_in_block(1)),
+    "ns_perturbation": Physics(build_ns_perturbation, "elastic", _force_in_block(1)),
+    "thermoacoustic": Physics(build_thermoacoustic, "thermoacoustic", _force_in_block(1)),
+    "love": Physics(build_love, "surface", _force_in_block(1)),
+    "schrodinger": Physics(build_schrodinger, "schrodinger", _force_in_block(1)),
+}
+
+
+def physics_family(physics):
+    """The :class:`Physics` record registered under a family name."""
+    if physics not in PHYSICS:
+        raise ValueError(f"unknown physics {physics!r}; known: {sorted(PHYSICS)}")
+    return PHYSICS[physics]
+
+
+def build_material(spec, grid):
+    """Build the material of a MaterialSpec with its family's builder."""
+    kwargs = dict(spec.params)
+    kwargs.update(spec.options)
+    return physics_family(spec.physics).builder(grid, spec.omega, **kwargs)
+
+
+def default_projector(physics, grid, k1=0.0):
+    """The projector family canonically paired with a physics name."""
+    return proj.FAMILIES[physics_family(physics).projector](grid.ndim, k1)
 
 
 # ---------------------------------------------------------------------------

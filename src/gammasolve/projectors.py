@@ -10,6 +10,8 @@ Fourier space) with pointwise material maps in real space.
 Builders return a :class:`Projector`; use :func:`apply_projector` to act on
 fields, optionally with a constant shift of the wavevector grid (Bloch
 boundary conditions) or taking the complementary projector instead.
+:data:`FAMILIES` names every family, as a factory of the dimension and the
+propagation wavenumber k1.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ __all__ = [
     "gamma_thermoacoustic",
     "gamma_schrodinger",
     "gamma_surface",
+    "FAMILIES",
+    "projector_symbols",
     "apply_projector",
-    "clear_symbol_cache",
 ]
 
 
@@ -46,23 +49,17 @@ class Projector:
     name : str
     layout : BlockLayout
         Canonical block layout of the fields the symbol acts on.
-    cache_key : tuple
-        Hashable identity used by the symbol cache.
     """
 
-    def __init__(self, name, layout, fn, params=()):
+    def __init__(self, name, layout, fn):
         self.name = name
         self.layout = layout
         self._fn = fn
-        self.params = tuple(params)
+        self._grid_symbols = None  # ((grid, shift), symbols) of the last grid
 
     @property
     def ncomp(self):
         return self.layout.ncomp
-
-    @property
-    def cache_key(self):
-        return (self.name,) + self.params
 
     def symbols(self, K):
         """Evaluate at wavevectors K of shape (npts, D) -> (npts, c, c)."""
@@ -85,20 +82,15 @@ class DOperator:
     range(D(ik)).
     """
 
-    def __init__(self, name, layout, npot, fn, params=()):
+    def __init__(self, name, layout, npot, fn):
         self.name = name
         self.layout = layout
         self.npot = npot
         self._fn = fn
-        self.params = tuple(params)
 
     @property
     def ncomp(self):
         return self.layout.ncomp
-
-    @property
-    def cache_key(self):
-        return (self.name,) + self.params
 
     def matrices(self, K):
         K = np.atleast_2d(np.asarray(K, dtype=float))
@@ -123,9 +115,7 @@ def gamma_from_D(dop, cutoff=PINV_CUTOFF):
         Ur = U * keep[:, None, :]
         return Ur @ np.conj(np.swapaxes(Ur, -1, -2))
 
-    return Projector(
-        f"from_D[{dop.name}]", dop.layout, fn, dop.params + (float(cutoff),)
-    )
+    return Projector(f"from_D[{dop.name}]", dop.layout, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +134,7 @@ def helmholtz_D(d):
         D[:, d, 0] = 1.0
         return D
 
-    return DOperator("helmholtz_D", layout, 1, fn, (d,))
+    return DOperator("helmholtz_D", layout, 1, fn)
 
 
 def gradient_D(d):
@@ -162,7 +152,7 @@ def gradient_D(d):
             D[:, d * d + j, j] = 1.0
         return D
 
-    return DOperator("gradient_D", layout, d, fn, (d,))
+    return DOperator("gradient_D", layout, d, fn)
 
 
 def _sym_pairs(d):
@@ -185,7 +175,7 @@ def sym_gradient_D(d=3):
             D[:, d + row, i] += 1j * K[:, j] / np.sqrt(2.0)
         return D
 
-    return DOperator("sym_gradient_D", layout, d, fn, (d,))
+    return DOperator("sym_gradient_D", layout, d, fn)
 
 
 def _cross_matrices(K):
@@ -235,14 +225,14 @@ def gamma_helmholtz(d):
     """Projector fixing scalar-gradient pairs (ik c, c) on a
     (vector(d), scalar) layout; at k = 0 only the scalar slot survives."""
     layout = BlockLayout((Block("vector", d), Block("scalar")))
-    return Projector("helmholtz", layout, _helmholtz_symbols, (d,))
+    return Projector("helmholtz", layout, _helmholtz_symbols)
 
 
 def gamma_schrodinger(ndim):
     """Scalar-gradient-pair projector over an ndim-coordinate grid
     (multi-particle configuration spaces use ndim = particles * space dims)."""
     layout = BlockLayout((Block("vector", ndim), Block("scalar")))
-    return Projector("schrodinger", layout, _helmholtz_symbols, (ndim,))
+    return Projector("schrodinger", layout, _helmholtz_symbols)
 
 
 def gamma_elastic(d):
@@ -265,7 +255,7 @@ def gamma_elastic(d):
             G[np.ix_(np.arange(npts), rows, rows)] = Z
         return G
 
-    return Projector("elastic", layout, fn, (d,))
+    return Projector("elastic", layout, fn)
 
 
 def gamma_maxwell():
@@ -316,7 +306,7 @@ def gamma_brinkman(d=3):
         G2 = T @ np.linalg.solve(Gram, Th)
         return np.eye(nsym + d) - G2
 
-    return Projector("brinkman", layout, fn, (d,))
+    return Projector("brinkman", layout, fn)
 
 
 def gamma_thermoacoustic():
@@ -353,7 +343,7 @@ def gamma_surface(k1=0.0, base=None):
         def fn(K):
             return _helmholtz_symbols(K)
 
-        return Projector("surface", layout, fn, (float(k1),))
+        return Projector("surface", layout, fn)
 
     def fn(K):
         npts = K.shape[0]
@@ -362,39 +352,45 @@ def gamma_surface(k1=0.0, base=None):
         K3[:, 2] = K[:, 0]
         return base.symbols(K3)
 
-    return Projector(
-        f"surface[{base.name}]", base.layout, fn, (float(k1),) + base.cache_key
-    )
+    return Projector(f"surface[{base.name}]", base.layout, fn)
+
+
+FAMILIES = {
+    "helmholtz": lambda d, k1: gamma_helmholtz(d),
+    "elastic": lambda d, k1: gamma_elastic(d),
+    "maxwell": lambda d, k1: gamma_maxwell(),
+    "brinkman": lambda d, k1: gamma_brinkman(d),
+    "thermoacoustic": lambda d, k1: gamma_thermoacoustic(),
+    "schrodinger": lambda d, k1: gamma_schrodinger(d),
+    "surface": lambda d, k1: gamma_surface(k1),
+}
 
 
 # ---------------------------------------------------------------------------
-# Application to fields, with a small symbol cache
+# Application to fields
 # ---------------------------------------------------------------------------
 
-_SYMBOL_CACHE = {}
-_SYMBOL_CACHE_MAX = 32
 
-
-def clear_symbol_cache():
-    _SYMBOL_CACHE.clear()
-
-
-def projector_symbols(projector, grid, shift=None):
+def projector_symbols(projector, grid, shift=None, keep=True):
     """Symbols of ``projector`` on the grid's wavevectors (plus optional
-    constant shift), cached per (projector, grid, shift)."""
+    constant shift).
+
+    The projector keeps the array of its last (grid, shift), so repeated
+    solves with one projector build it once.  With ``keep=False`` a kept
+    array is still reused, but a new one is not stored on the projector.
+    """
     shift_key = None if shift is None else tuple(float(s) for s in np.atleast_1d(shift))
-    key = (projector.cache_key, grid, shift_key)
-    G = _SYMBOL_CACHE.get(key)
-    if G is None:
-        K = grid.wavevectors()
-        if shift_key is not None:
-            if len(shift_key) != grid.ndim:
-                raise ValueError("shift must have one entry per grid axis")
-            K = K + np.asarray(shift_key)
-        G = projector.symbols(K)
-        if len(_SYMBOL_CACHE) >= _SYMBOL_CACHE_MAX:
-            _SYMBOL_CACHE.pop(next(iter(_SYMBOL_CACHE)))
-        _SYMBOL_CACHE[key] = G
+    key = (grid, shift_key)
+    if projector._grid_symbols is not None and projector._grid_symbols[0] == key:
+        return projector._grid_symbols[1]
+    K = grid.wavevectors()
+    if shift_key is not None:
+        if len(shift_key) != grid.ndim:
+            raise ValueError("shift must have one entry per grid axis")
+        K = K + np.asarray(shift_key)
+    G = projector.symbols(K)
+    if keep:
+        projector._grid_symbols = (key, G)
     return G
 
 
@@ -411,7 +407,8 @@ def apply_projector(field, projector, shift=None, which=1):
             f"{projector.ncomp}"
         )
     hat = field.to_fourier()
-    G = projector_symbols(projector, field.grid, shift)
+    # A one-off application does not pin the symbols to the projector.
+    G = projector_symbols(projector, field.grid, shift, keep=False)
     vals = np.einsum("pij,pj->pi", G, hat.values)
     if which == 2:
         vals = hat.values - vals

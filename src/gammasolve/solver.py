@@ -9,6 +9,9 @@ iterates E <- E + (1/c) Gamma1 (s - L E) against a reference constant c;
 and a brute-force dense assembly of A is provided as an oracle for small
 grids.  A separate resolvent path solves (z - D^dagger B D) psi = f for
 scalar-potential families.
+
+:func:`_krylov` is the one GMRES entry point: the canonical solve, the
+resolvent solve and the fermionic perturbation solve all go through it.
 """
 
 from __future__ import annotations
@@ -17,35 +20,28 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.fft
 import scipy.sparse.linalg
 
 from . import fields
-from .fields import Block, BlockLayout, Field, scalar_layout
-from .materials import canonical_material, build_material, default_projector
+from .fields import Block, BlockLayout, Field, scalar_layout, transform
+from .materials import canonical_material
 from .projectors import projector_symbols
 
 __all__ = [
     "Problem",
     "SolveResult",
     "solve",
-    "assemble_problem",
     "dense_operator",
     "solve_dense",
     "operator_norm_estimate",
     "solve_resolvent",
     "ResonanceError",
-    "NonConvergenceError",
     "residual_functional",
 ]
 
 
 class ResonanceError(RuntimeError):
     """The resolvent was evaluated too close to the operator spectrum."""
-
-
-class NonConvergenceError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -91,6 +87,14 @@ class Problem:
 
 @dataclass
 class SolveResult:
+    """Fields and convergence record of one solve.
+
+    ``stop_reason`` is ``"converged"`` (residual <= tol, including a zero
+    projected source), ``"max_iter"`` (the iteration budget ran out),
+    ``"diverged"`` (the fixed-point scheme blew up) or ``"stalled"`` (the
+    iteration stopped early with residual > tol).
+    """
+
     E: object
     J: object
     residual: float
@@ -98,32 +102,33 @@ class SolveResult:
     converged: bool
     method: str
     residual_history: list = dc_field(default_factory=list)
+    stop_reason: str = "converged"
 
 
-def assemble_problem(spec, grid, source, **opts):
-    """Build a Problem from a MaterialSpec, grid and source field."""
-    L = build_material(spec, grid)
-    k1 = spec.params.get("k1", 0.0)
-    gamma = default_projector(spec.physics, grid, k1=k1)
-    return Problem(grid=grid, L=L, gamma=gamma, source=source, **opts)
+def _krylov(matvec, b, tol, max_iter, restart=None):
+    """Restarted GMRES on a flat complex right-hand side ``b``.
 
-
-def _fftn(vals, grid):
-    shaped = vals.reshape(*grid.dims, vals.shape[-1])
-    out = scipy.fft.fftn(
-        shaped, axes=tuple(range(grid.ndim)), norm="ortho",
-        workers=fields.get_fft_workers(),
+    Stops at scipy's residual estimate 0.25 * tol (relative to |b|) or after
+    about ``max_iter`` inner iterations; the restart length is
+    min(40, n) unless given.  Returns ``(x, history, info)``: the solution,
+    the residual estimate after each inner iteration, and GMRES's exit code
+    (> 0 when the iteration budget ran out).
+    """
+    n = b.size
+    restart = min(40 if restart is None else restart, n)
+    linop = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=np.complex128)
+    history = []
+    x, info = scipy.sparse.linalg.gmres(
+        linop,
+        b,
+        rtol=0.25 * tol,
+        atol=0.0,
+        restart=restart,
+        maxiter=max(1, math.ceil(max_iter / restart)),
+        callback=lambda pr: history.append(float(pr)),
+        callback_type="pr_norm",
     )
-    return out.reshape(vals.shape)
-
-
-def _ifftn(vals, grid):
-    shaped = vals.reshape(*grid.dims, vals.shape[-1])
-    out = scipy.fft.ifftn(
-        shaped, axes=tuple(range(grid.ndim)), norm="ortho",
-        workers=fields.get_fft_workers(),
-    )
-    return out.reshape(vals.shape)
+    return x, history, info
 
 
 def _project(G, vals):
@@ -146,23 +151,18 @@ class _CanonicalOperator:
     def project(self, vals):
         return _project(self.G, vals)
 
-    def material(self, vals_hat):
-        real = _ifftn(vals_hat, self.grid)
-        mapped = self.Lc.apply(real)
-        return _fftn(mapped, self.grid)
+    def material(self, vals_hat, apply=None):
+        real = transform(vals_hat, self.grid, False)
+        return transform((apply or self.Lc.apply)(real), self.grid)
 
     def apply_hat(self, x):
         self.applications += 1
         gx = self.project(x)
-        lg = self.material(gx)
-        return self.project(lg) + (x - gx)
+        return self.project(self.material(gx)) + (x - gx)
 
     def apply_hat_adjoint(self, x):
         gx = self.project(x)
-        real = _ifftn(gx, self.grid)
-        mapped = self.Lc.apply_adjoint(real)
-        lg = _fftn(mapped, self.grid)
-        return self.project(lg) + (x - gx)
+        return self.project(self.material(gx, self.Lc.apply_adjoint)) + (x - gx)
 
     def matvec(self, flat):
         return self.apply_hat(flat.reshape(-1, self.ncomp)).ravel()
@@ -170,6 +170,36 @@ class _CanonicalOperator:
     def residual(self, e_hat, s_hat, b_norm):
         r = self.project(self.material(e_hat) - s_hat)
         return float(np.linalg.norm(r) / b_norm)
+
+
+def _projected_source(op, problem):
+    """Fourier source s_hat, right-hand side Gamma1 s_hat and its norm."""
+    s = problem.source
+    if s.layout.ncomp != op.ncomp:
+        raise ValueError("source layout does not match material")
+    s_hat = s.to_fourier().values
+    b = op.project(s_hat)
+    return s_hat, b, float(np.linalg.norm(b))
+
+
+def _zero_result(problem, method):
+    """E = 0 and J = -s: the exact solution when Gamma1 s vanishes."""
+    grid, layout = problem.grid, problem.L.layout
+    J = Field(grid, layout, -problem.source.to_real().values)
+    return SolveResult(Field.zeros(grid, layout), J, 0.0, 0, True, method)
+
+
+def _result(op, problem, e_hat, s_hat, b_norm, iterations, method, history=(),
+            stop_reason=None):
+    """SolveResult for a Fourier-space solution e_hat; ``stop_reason``
+    applies only when the residual misses the tolerance."""
+    grid, layout = problem.grid, problem.L.layout
+    residual = op.residual(e_hat, s_hat, b_norm)
+    converged = residual <= problem.tol
+    E = Field(grid, layout, e_hat, "fourier").to_real()
+    J = Field(grid, layout, op.Lc.apply(E.values) - problem.source.to_real().values)
+    return SolveResult(E, J, residual, iterations, converged, method, list(history),
+                       "converged" if converged else stop_reason)
 
 
 def solve(problem):
@@ -180,47 +210,26 @@ def solve(problem):
     the zero field is returned as converged.
     """
     op = _CanonicalOperator(problem)
-    s = problem.source
-    if s.layout.ncomp != op.ncomp:
-        raise ValueError("source layout does not match material")
-    s_hat = s.to_fourier().values
-    b = op.project(s_hat)
-    b_norm = float(np.linalg.norm(b))
-    layout = problem.L.layout
+    s_hat, b, b_norm = _projected_source(op, problem)
     if b_norm == 0.0:
-        E = Field.zeros(problem.grid, layout)
-        J = Field(problem.grid, layout, -s.to_real().values)
-        return SolveResult(E, J, 0.0, 0, True, problem.method)
+        return _zero_result(problem, problem.method)
 
-    history = []
     if problem.method == "krylov":
-        linop = scipy.sparse.linalg.LinearOperator(
-            (op.n, op.n), matvec=op.matvec, dtype=np.complex128
-        )
-        restart = min(40, op.n) if problem.restart is None else min(
-            problem.restart, op.n
-        )
-        maxiter = max(1, math.ceil(problem.max_iter / restart))
-        x, info = scipy.sparse.linalg.gmres(
-            linop,
-            b.ravel(),
-            rtol=0.25 * problem.tol,
-            atol=0.0,
-            restart=restart,
-            maxiter=maxiter,
-            callback=lambda pr: history.append(float(pr)),
-            callback_type="pr_norm",
-        )
+        x, history, info = _krylov(op.matvec, b.ravel(), problem.tol,
+                                   problem.max_iter, problem.restart)
         e_hat = op.project(x.reshape(-1, op.ncomp))
         iterations = len(history)
+        stop_reason = "max_iter" if info > 0 else "stalled"
     elif problem.method == "fixed_point":
         c = problem.reference
         if c is None:
-            M = canonical_material(problem.L).values
+            M = op.Lc.values
             Mm = M if M.ndim == 3 else M[None]
             herm = np.conj(np.swapaxes(Mm, -1, -2)) @ Mm
             c = float(np.sqrt(np.max(np.linalg.eigvalsh(herm))))
         e_hat = np.zeros_like(b)
+        history = []
+        stop_reason = "max_iter"
         iterations = 0
         for iterations in range(1, problem.max_iter + 1):
             r = op.project(s_hat - op.material(e_hat))
@@ -230,15 +239,12 @@ def solve(problem):
             if rel <= problem.tol:
                 break
             if not np.isfinite(rel) or rel > 1e8:
-                break  # diverging; the scheme needs a definite material map
+                stop_reason = "diverged"  # the scheme needs a definite material map
+                break
     else:
         raise ValueError(f"unknown method {problem.method!r}")
-
-    residual = op.residual(e_hat, s_hat, b_norm)
-    converged = residual <= problem.tol
-    E = Field(problem.grid, layout, e_hat, "fourier").to_real()
-    J = Field(problem.grid, layout, op.Lc.apply(E.values) - s.to_real().values)
-    return SolveResult(E, J, residual, iterations, converged, problem.method, history)
+    return _result(op, problem, e_hat, s_hat, b_norm, iterations, problem.method,
+                   history, stop_reason)
 
 
 def dense_operator(problem, limit=4096):
@@ -260,21 +266,12 @@ def solve_dense(problem, limit=4096):
     """Direct dense solve of the canonical problem (oracle for small grids)."""
     op = _CanonicalOperator(problem)
     A = dense_operator(problem, limit)
-    s = problem.source
-    s_hat = s.to_fourier().values
-    b = op.project(s_hat)
-    b_norm = float(np.linalg.norm(b))
-    layout = problem.L.layout
+    s_hat, b, b_norm = _projected_source(op, problem)
     if b_norm == 0.0:
-        E = Field.zeros(problem.grid, layout)
-        J = Field(problem.grid, layout, -s.to_real().values)
-        return SolveResult(E, J, 0.0, 0, True, "dense")
+        return _zero_result(problem, "dense")
     x = np.linalg.solve(A, b.ravel())
     e_hat = op.project(x.reshape(-1, op.ncomp))
-    residual = op.residual(e_hat, s_hat, b_norm)
-    E = Field(problem.grid, layout, e_hat, "fourier").to_real()
-    J = Field(problem.grid, layout, op.Lc.apply(E.values) - s.to_real().values)
-    return SolveResult(E, J, residual, 1, residual <= problem.tol, "dense")
+    return _result(op, problem, e_hat, s_hat, b_norm, 1, "dense", (), "stalled")
 
 
 def operator_norm_estimate(problem, iters=50):
@@ -352,22 +349,11 @@ def solve_resolvent(grid, z, B, f, tol=1e-10, max_iter=2000):
         d_hat = np.empty((grid.npoints, nd + 1), dtype=np.complex128)
         d_hat[:, :nd] = 1j * K * psi_hat[:, None]
         d_hat[:, nd] = psi_hat
-        w = _fftn(B.apply(_ifftn(d_hat, grid)), grid)
+        w = transform(B.apply(transform(d_hat, grid, False)), grid)
         contracted = np.sum(-1j * K * w[:, :nd], axis=1) + w[:, nd]
         return z * psi_hat - contracted
 
-    linop = scipy.sparse.linalg.LinearOperator(
-        (grid.npoints, grid.npoints), matvec=matvec, dtype=np.complex128
-    )
-    restart = min(40, grid.npoints)
-    x, info = scipy.sparse.linalg.gmres(
-        linop,
-        f_hat,
-        rtol=0.25 * tol,
-        atol=0.0,
-        restart=restart,
-        maxiter=max(1, math.ceil(max_iter / restart)),
-    )
+    x, _, _ = _krylov(matvec, f_hat, tol, max_iter)
     rel = float(np.linalg.norm(matvec(x) - f_hat) / np.linalg.norm(f_hat))
     if rel > tol:
         raise ResonanceError(

@@ -10,6 +10,13 @@ from numpy.testing import assert_allclose
 
 from gammasolve import cli
 from gammasolve.fields import Field, get_fft_workers, random_field, read_uplf, set_fft_workers, write_uplf
+from gammasolve.materials import (
+    PHYSICS,
+    MaterialSpec,
+    acoustic_source,
+    brinkman_source,
+    build_material,
+)
 
 
 def _write_config(path, payload):
@@ -36,9 +43,11 @@ def test_solve_outputs_and_summary(tmp_path, capsys):
     assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
     assert "converged=True" in capsys.readouterr().out
     summary = json.loads((out / "summary.json").read_text())
-    assert set(summary) == {"physics", "grid", "converged", "iterations",
-                            "residual", "elapsed_s", "outputs", "config_sha256"}
+    assert set(summary) == {"physics", "grid", "converged", "stop_reason",
+                            "iterations", "residual", "elapsed_s", "outputs",
+                            "config_sha256"}
     assert summary["converged"] is True
+    assert summary["stop_reason"] == "converged"
     assert summary["residual"] <= 1e-9
     assert summary["physics"] == "acoustics"
     assert summary["grid"]["dims"] == [8, 8, 8]
@@ -95,6 +104,9 @@ def test_solve_nonconvergence_exits_2(tmp_path):
         "solver": {"method": "fixed_point", "max_iter": 10},
     })
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["converged"] is False
+    assert summary["stop_reason"] in ("max_iter", "diverged", "stalled")
 
 
 def test_unknown_key_is_named_with_path(tmp_path, capsys):
@@ -102,6 +114,27 @@ def test_unknown_key_is_named_with_path(tmp_path, capsys):
     cfg = _write_config(tmp_path / "bad.json", bad)
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "material.sauce" in capsys.readouterr().err
+
+
+EFFECTIVE_CFG = {"grid": {"dims": [4, 4]},
+                 "material": {"physics": "acoustics", "omega": 0.5,
+                              "params": {"kappa": 1.0, "rho": 1.0}},
+                 "bloch": {"k0": [0.5, 0.0]}}
+SCHRODINGER_CFG = {"grid": {"dims": [8]}, "kinetic": 1.0, "potential": 0.0,
+                   "perturbation": 0.1}
+
+
+@pytest.mark.parametrize("command,payload,key,value", [
+    ("effective", EFFECTIVE_CFG, "shift", [0.1, 0.0]),
+    ("effective", EFFECTIVE_CFG, "method", "fixed_point"),
+    ("schrodinger", SCHRODINGER_CFG, "history_csv", "h.csv"),
+], ids=["effective-shift", "effective-method", "schrodinger-history_csv"])
+def test_solver_keys_a_subcommand_ignores_are_rejected(tmp_path, capsys, command,
+                                                       payload, key, value):
+    cfg = _write_config(tmp_path / "c.json",
+                        dict(payload, solver={"tol": 1e-8, key: value}))
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert f"unknown key 'solver.{key}'" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -266,3 +299,56 @@ def test_threads_flag_sets_fft_workers(tmp_path):
         assert get_fft_workers() == 2
     finally:
         set_fft_workers(before)
+
+
+def _velocity(grid):
+    x = grid.coordinates()
+    return np.stack([0.2 * np.sin(x[:, 1]), 0.1 * np.cos(x[:, 0]),
+                     0.05 * np.ones(grid.npoints)], axis=1)
+
+
+# physics -> (dims, omega, params, where today's mapping puts the force):
+# an int is the block the force fills, a name the source builder applied.
+FORCE_CASES = {
+    "acoustics": ((4, 4), 1.1, dict(kappa=1.5, rho=1.2), "acoustic_source"),
+    "elastodynamics": ((4, 4), 1.1, dict(rho=1.3, bulk=1.0, shear=0.7), 1),
+    "maxwell": ((4, 4, 4), 1.1, dict(epsilon=2.0, mu=1.0), 0),
+    "brinkman": ((4, 4, 4), 1.1, dict(rho=1.0, eta=0.3, permeability=2.0,
+                                      shear_viscosity=0.8), "brinkman_source"),
+    "oseen": ((4, 4, 4), 1.1, dict(rho=1.0, kappa=2.0, eta=0.3, eta_bulk=0.1,
+                                   velocity=_velocity), 1),
+    "ns_perturbation": ((4, 4, 4), 1.1, dict(rho=1.0, eta=0.3,
+                                             background_velocity=_velocity,
+                                             penalty=1e2), 1),
+    "thermoacoustic": ((4, 4, 4), 1.1, dict(rho0=1.1, eta=0.4, eta_bulk=0.2,
+                                            conductivity=0.5, T0=1.0, alpha0=0.3,
+                                            beta_T=0.9, cp=1.2), 1),
+    "love": ((8,), 4.6, dict(k1=3.0, mu=1.0, rho=1.0), 1),
+    "schrodinger": ((4, 4), -0.5, dict(kinetic=1.0, potential=0.5), 1),
+}
+
+
+@pytest.mark.parametrize("physics", sorted(PHYSICS))
+def test_force_source_for_every_registered_family(physics):
+    from gammasolve.fields import Grid
+
+    dims, omega, params, target = FORCE_CASES[physics]
+    grid = Grid(dims, (2 * np.pi,) * len(dims))
+    params = {k: v(grid) if callable(v) else v for k, v in params.items()}
+    L = build_material(MaterialSpec(physics, omega, params), grid)
+    if isinstance(target, int):
+        nforce = L.layout.blocks[target].ncomp
+    else:
+        nforce = grid.ndim
+    force = np.arange(1, nforce + 1) * (1.0 + 0.5j)
+    node = {"type": "force_constant", "force": [[f.real, f.imag] for f in force]}
+    s = cli._parse_source(node, grid, L, physics)
+    assert s.layout == L.layout and s.representation == "real"
+    fvals = np.broadcast_to(force, (grid.npoints, nforce))
+    if isinstance(target, int):
+        expected = np.zeros((grid.npoints, L.layout.ncomp), dtype=complex)
+        expected[:, L.layout.block_slice(target)] = fvals
+    else:
+        expected = {"acoustic_source": acoustic_source,
+                    "brinkman_source": brinkman_source}[target](L, fvals, grid).values
+    assert_allclose(s.values, expected, atol=0.0)

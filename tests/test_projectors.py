@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 
 from gammasolve.fields import Block, BlockLayout, Field, Grid, gradient, random_field
 from gammasolve.projectors import (
+    Projector,
     apply_projector,
-    clear_symbol_cache,
     gamma_brinkman,
     gamma_elastic,
     gamma_from_D,
@@ -197,7 +197,6 @@ def test_gamma_from_D_cutoff_drops_rank_deficiency():
 
 
 def test_projector_symbols_shift_and_cache():
-    clear_symbol_cache()
     g = Grid((4, 4, 4), (2.0 * np.pi,) * 3)
     proj = gamma_helmholtz(3)
     G0 = projector_symbols(proj, g)
@@ -209,6 +208,24 @@ def test_projector_symbols_shift_and_cache():
     assert_allclose(Gs, proj.symbols(K + shift), atol=1e-15)
     with pytest.raises(ValueError):
         projector_symbols(proj, g, np.array([0.1, 0.2]))
+
+
+def test_symbol_memo_is_per_projector_object():
+    # Two projectors sharing a name but not a symbol function must not share
+    # symbols: the zero projector maps every field to zero.
+    g = Grid((4, 4), (2.0 * np.pi,) * 2)
+    layout = BlockLayout((Block("vector", 2), Block("scalar")))
+
+    def identity(K):
+        return np.broadcast_to(np.eye(3, dtype=complex), (K.shape[0], 3, 3))
+
+    f = random_field(g, layout, seed=3)
+    ones = Projector("custom", layout, identity)
+    assert_allclose(apply_projector(f, ones).values, f.values, atol=1e-13)
+    assert_allclose(projector_symbols(ones, g), identity(g.wavevectors()))
+    zero = Projector("custom", layout, lambda K: np.zeros((K.shape[0], 3, 3), complex))
+    assert np.max(np.abs(projector_symbols(zero, g))) == 0.0
+    assert np.max(np.abs(apply_projector(f, zero).values)) == 0.0
 
 
 def test_apply_projector_field_roundtrip():

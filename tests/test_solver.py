@@ -192,6 +192,21 @@ def test_fixed_point_reports_divergence_on_indefinite_material():
                       tol=1e-8, method="fixed_point", max_iter=20000))
     assert not r.converged
     assert r.iterations < 20000  # early divergence exit
+    assert r.stop_reason == "diverged"
+
+
+def test_krylov_reports_iteration_cap():
+    grid = Grid((6, 6), (2.0 * np.pi,) * 2)
+    L = build_acoustics(grid, 1.1, Checkerboard((1.0, 2.0 + 0.5j)), 1.0)
+    s = random_field(grid, L.layout, seed=7)
+    r = solve(Problem(grid=grid, L=L, gamma=gamma_helmholtz(2), source=s,
+                      tol=1e-12, max_iter=3, restart=3))
+    assert not r.converged
+    assert r.iterations == 3
+    assert r.stop_reason == "max_iter"
+    full = solve(Problem(grid=grid, L=L, gamma=gamma_helmholtz(2), source=s,
+                         tol=1e-10))
+    assert full.converged and full.stop_reason == "converged"
 
 
 def test_unknown_method_rejected():
