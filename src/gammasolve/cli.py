@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -24,8 +25,8 @@ from .materials import (
     Checkerboard,
     Layered,
     MaterialSpec,
+    PHYSICS,
     Voxel,
-    _per_point,
     acoustic_source,
     block_source,
     build_material,
@@ -122,11 +123,22 @@ def _parse_grid(node, path="grid"):
 def _parse_material(node, path="material"):
     _check_unknown(node, {"physics", "omega", "params", "options"}, path)
     physics = _require(node, "physics", path)
+    if not isinstance(physics, str) or physics not in PHYSICS:
+        raise ConfigError(f"unknown physics {physics!r} at '{path}.physics'; "
+                          f"known: {', '.join(sorted(PHYSICS))}")
     omega = _scalar(_require(node, "omega", path), f"{path}.omega")
     raw = node.get("params", {})
+    raw_options = node.get("options", {})
+    # The keys are the builder's keyword arguments after (grid, omega).
+    keys = dict(list(inspect.signature(PHYSICS[physics].builder).parameters.items())[2:])
+    _check_unknown(raw, keys, f"{path}.params")
+    _check_unknown(raw_options, keys, f"{path}.options")
+    for name, p in keys.items():
+        if p.default is p.empty and name not in raw and name not in raw_options:
+            raise ConfigError(f"missing key '{path}.params.{name}'")
     params = {k: _parse_param(v, f"{path}.params.{k}") for k, v in raw.items()}
     options = {}
-    for k, v in node.get("options", {}).items():
+    for k, v in raw_options.items():
         options[k] = v if isinstance(v, bool) else _scalar(v, f"{path}.options.{k}")
     return MaterialSpec(physics, omega, params, options)
 
@@ -157,41 +169,49 @@ def _parse_source(node, grid, L, physics, path="source"):
         c = np.asarray(center, dtype=float)
         return np.exp(-np.sum((x - c) ** 2, axis=1) / (2.0 * width**2))
 
-    if kind == "plane_wave":
-        _check_unknown(node, {"type", "mode", "amplitude"}, path)
+    def force_source(envelope):
+        f = np.asarray(_scalar_list(_require(node, "force", path), f"{path}.force"),
+                       dtype=np.complex128)
+        try:
+            return physics_family(physics).force_source(L, envelope[:, None] * f, grid)
+        except np.linalg.LinAlgError:  # a singular material, not a bad force
+            raise
+        except ValueError as exc:  # the force does not fit its block
+            raise ConfigError(f"'{path}.force' does not fit the {physics} force "
+                              f"({len(f)} entries): {exc}")
+
+    def amplitude(size):
         amp = np.asarray(_scalar_list(_require(node, "amplitude", path),
                                       f"{path}.amplitude"), dtype=np.complex128)
-        if amp.shape != (ncomp,):
-            raise ConfigError(f"'{path}.amplitude' must have {ncomp} entries")
+        if amp.shape != (size,):
+            raise ConfigError(f"'{path}.amplitude' must have {size} entries")
+        return amp
+
+    if kind == "plane_wave":
+        _check_unknown(node, {"type", "mode", "amplitude"}, path)
+        amp = amplitude(ncomp)
         env = envelope_plane(_require(node, "mode", path))
         return Field(grid, L.layout, env[:, None] * amp[None, :])
     if kind == "constant":
         _check_unknown(node, {"type", "amplitude"}, path)
-        amp = np.asarray(_scalar_list(_require(node, "amplitude", path),
-                                      f"{path}.amplitude"), dtype=np.complex128)
-        if amp.shape != (ncomp,):
-            raise ConfigError(f"'{path}.amplitude' must have {ncomp} entries")
-        return Field(grid, L.layout, np.broadcast_to(amp, (grid.npoints, ncomp)).copy())
+        return Field(grid, L.layout,
+                     np.broadcast_to(amplitude(ncomp), (grid.npoints, ncomp)).copy())
     if kind == "gaussian":
         _check_unknown(node, {"type", "center", "width", "block", "amplitude"}, path)
         env = envelope_gauss(_require(node, "center", path),
                              float(_require(node, "width", path)))
         block = int(_require(node, "block", path))
-        amp = np.asarray(_scalar_list(_require(node, "amplitude", path),
-                                      f"{path}.amplitude"), dtype=np.complex128)
+        nblocks = len(L.layout.blocks)
+        if not 0 <= block < nblocks:
+            raise ConfigError(f"'{path}.block' must be in 0..{nblocks - 1}")
+        amp = amplitude(L.layout.blocks[block].ncomp)
         return block_source(grid, L.layout, block, env[:, None] * amp[None, :])
     if kind == "force_plane_wave":
         _check_unknown(node, {"type", "mode", "force"}, path)
-        f = np.asarray(_scalar_list(_require(node, "force", path), f"{path}.force"),
-                       dtype=np.complex128)
-        env = envelope_plane(_require(node, "mode", path))
-        return physics_family(physics).force_source(L, env[:, None] * f[None, :], grid)
+        return force_source(envelope_plane(_require(node, "mode", path)))
     if kind == "force_constant":
         _check_unknown(node, {"type", "force"}, path)
-        f = np.asarray(_scalar_list(_require(node, "force", path), f"{path}.force"),
-                       dtype=np.complex128)
-        return physics_family(physics).force_source(
-            L, np.broadcast_to(f, (grid.npoints, len(f))).copy(), grid)
+        return force_source(np.ones(grid.npoints))
     if kind == "uplf":
         _check_unknown(node, {"type", "path"}, path)
         return read_uplf(_require(node, "path", path))
@@ -300,9 +320,7 @@ def _cmd_effective(args):
     modulation = None
     if "modulation" in bloch and bloch["modulation"] is not None:
         desc = _parse_param(bloch["modulation"], "bloch.modulation")
-        modulation = np.asarray(
-            resolve_parameter(desc, grid, ()) * np.ones(grid.npoints)
-        )
+        modulation = np.broadcast_to(resolve_parameter(desc, grid, ()), (grid.npoints,))
     opts, _ = _parse_solver(cfg.get("solver", {}), {"tol", "max_iter"})
     tol = opts.get("tol", 1e-12)
     if args.tol is not None:
@@ -400,7 +418,7 @@ def _cmd_schrodinger(args):
     energy = float(energies[state_index])
     psi = states[state_index]
     material = build_schrodinger(grid, energy, kinetic, potential)
-    vprime = _per_point(resolve_parameter(vprime_desc, grid, ()), grid, ())
+    vprime = np.broadcast_to(resolve_parameter(vprime_desc, grid, ()), (grid.npoints,))
     result = perturbation_solve(material, psi, vprime, tol=tol,
                                 max_iter=opts.get("max_iter", 2000))
     out = _outdir(args)

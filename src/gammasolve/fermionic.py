@@ -336,7 +336,7 @@ def ground_state(grid, kinetic, potential, nstates=1):
     Returns (energies, states): ndarray (nstates,) and a list of
     unit-norm scalar Fields with fixed phase.
     """
-    from .materials import _as_matrix, resolve_parameter, _per_point
+    from .materials import _as_matrix, resolve_parameter
 
     npts = grid.npoints
     if npts > 2048:
@@ -345,7 +345,7 @@ def ground_state(grid, kinetic, potential, nstates=1):
     A = _as_matrix(kinetic, grid, nd)
     if A.ndim == 3:
         raise ValueError("dense stationary-state solve needs constant kinetic matrix")
-    V = _per_point(resolve_parameter(potential, grid, ()), grid, ())
+    V = np.broadcast_to(resolve_parameter(potential, grid, ()), (npts,))
     K = grid.wavevectors()
     quad = np.einsum("pi,ij,pj->p", K, A, K)
     eye = np.eye(npts, dtype=np.complex128)

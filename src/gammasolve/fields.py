@@ -310,17 +310,23 @@ def scale(alpha, x):
     return Field(x.grid, x.layout, alpha * x.values, x.representation)
 
 
+def _pointwise(matrices, values):
+    """The per-point matvec: component vectors (npoints, c) times a constant
+    (c, c) matrix or per-point (npoints, c, c) matrices.  Materials,
+    projector symbols and :func:`pointwise_map` all apply through it."""
+    if matrices.ndim == 2:
+        return values @ matrices.T
+    return np.einsum("pij,pj->pi", matrices, values)
+
+
 def pointwise_map(matrices, field):
     """Apply a (ncomp, ncomp) matrix — constant or per point — at every point."""
     m = np.asarray(matrices)
     c = field.layout.ncomp
-    if m.shape == (c, c):
-        out = field.values @ m.T
-    elif m.shape == (field.grid.npoints, c, c):
-        out = np.einsum("pij,pj->pi", m, field.values)
-    else:
+    if m.shape not in ((c, c), (field.grid.npoints, c, c)):
         raise ValueError(f"matrix shape {m.shape} incompatible with ncomp={c}")
-    return Field(field.grid, field.layout, out, field.representation)
+    return Field(field.grid, field.layout, _pointwise(m, field.values),
+                 field.representation)
 
 
 def gradient(field):

@@ -3,8 +3,8 @@
 Every family is reduced to the same canonical shape: a block field E that a
 Fourier-space projector fixes (Gamma1 E = E), a flux field J it annihilates
 (Gamma1 J = 0), and a pointwise linear map with J = L(x) E - s.  Builders
-here produce :class:`LField` instances holding the per-point (or constant)
-block matrix together with an orientation flag:
+here produce :class:`LField` instances holding the block matrix together
+with an orientation flag:
 
 * ``orientation="direct"``  — the stored matrix is the canonical map
   (multiplies E);
@@ -15,6 +15,14 @@ block matrix together with an orientation flag:
 Material parameters may be scalars, per-point arrays, small constant
 matrices, callables of the point coordinates, or the descriptor classes
 (:class:`Constant`, :class:`Layered`, :class:`Checkerboard`, :class:`Voxel`).
+
+Shape rule: a material is ``(c, c)`` if every parameter is constant and
+``(npoints, c, c)`` as soon as one varies.  Each builder is written once, as
+numpy broadcasting over a parameter's leading shape: a scalar parameter
+enters as ``(1, 1)`` or ``(npoints, 1, 1)``, a matrix one as ``(d, d)`` or
+``(npoints, d, d)``, and the assembled material takes the broadcast of its
+blocks' leading shapes.  :meth:`LField.apply` multiplies through
+:func:`fields._pointwise`, the one per-point matvec.
 
 :data:`PHYSICS` holds one :class:`Physics` record per family (builder,
 projector family, force-to-source map); it is the only place a family is
@@ -27,7 +35,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import Block, BlockLayout, Field, gradient, scalar_layout
+from .fields import Block, BlockLayout, Field, _pointwise, gradient, scalar_layout
 from . import projectors as proj
 
 __all__ = [
@@ -45,6 +53,7 @@ __all__ = [
     "deviatoric_projector",
     "kelvin_hydrostatic",
     "kelvin_deviatoric",
+    "isotropic_stiffness",
     "build_acoustics",
     "build_elastodynamics",
     "build_maxwell",
@@ -138,57 +147,53 @@ class Voxel:
         return v
 
 
+def _evaluate(value, grid):
+    """A descriptor or callable evaluated on the grid; other values as given."""
+    if isinstance(value, Constant):
+        value = value.value
+    if isinstance(value, (Layered, Checkerboard, Voxel)):
+        return value.evaluate(grid)
+    if callable(value):
+        return value(grid.coordinates())
+    return value
+
+
 def resolve_parameter(value, grid, shape=()):
     """Resolve a parameter to a constant of shape ``shape`` or a per-point
     array of shape ``(npoints,) + shape``.
 
     Accepts scalars, arrays (constant, flat per-point, or grid-shaped),
-    callables of the (npoints, ndim) coordinate array, and descriptors.
+    callables of the (npoints, ndim) coordinate array, and descriptors.  A
+    scalar constant comes back as a Python ``complex``, anything else as an
+    ndarray.
     """
-    if isinstance(value, Constant):
-        value = value.value
-    if isinstance(value, (Layered, Checkerboard, Voxel)):
-        out = np.asarray(value.evaluate(grid))
-    elif callable(value):
-        out = np.asarray(value(grid.coordinates()))
-    else:
-        out = np.asarray(value)
-        if out.shape == shape:
-            return out if shape else complex(out)
-        if out.shape[: grid.ndim] == grid.dims and out.shape[grid.ndim :] == shape:
-            out = out.reshape((grid.npoints,) + shape)
+    out = np.asarray(_evaluate(value, grid))
+    if out.shape == shape:
+        return out if shape else complex(out)
+    if out.shape[: grid.ndim] == grid.dims and out.shape[grid.ndim :] == shape:
+        return out.reshape((grid.npoints,) + shape)
     if out.shape == (grid.npoints,) + shape:
         return out
-    if shape == () and out.shape == ():
-        return complex(out)
     raise ValueError(
-        f"cannot interpret parameter of shape {np.shape(value)} as a field of "
+        f"cannot interpret parameter of shape {out.shape} as a field of "
         f"shape {shape} on {grid.npoints} points"
     )
 
 
-def _varying(arr, shape):
-    return isinstance(arr, np.ndarray) and arr.ndim == len(shape) + 1
-
-
-def _per_point(arr, grid, shape):
-    """Broadcast a resolved parameter to (npoints,) + shape."""
-    if _varying(arr, shape):
-        return arr
-    return np.broadcast_to(np.asarray(arr), (grid.npoints,) + shape)
+def _coef(param, grid):
+    """A scalar parameter as (1, 1) if constant or (npoints, 1, 1) per point,
+    so that it scales a block by broadcasting."""
+    return np.asarray(resolve_parameter(param, grid, ()))[..., None, None]
 
 
 def _as_matrix(param, grid, d):
-    """Resolve a scalar-or-matrix parameter to a constant (d, d) matrix or a
-    per-point (npoints, d, d) array."""
+    """A scalar-or-matrix parameter as (d, d) or (npoints, d, d), evaluated
+    once; a scalar is a multiple of the identity."""
+    value = _evaluate(param, grid)
     try:
-        m = resolve_parameter(param, grid, (d, d))
-        return m
+        return resolve_parameter(value, grid, (d, d))
     except ValueError:
-        s = resolve_parameter(param, grid, ())
-        if _varying(s, ()):
-            return s[:, None, None] * np.eye(d)
-        return complex(s) * np.eye(d)
+        return _coef(value, grid) * np.eye(d)
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +223,7 @@ class LField:
             raise ValueError(f"unknown orientation {orientation!r}")
         values = np.asarray(values, dtype=np.complex128)
         c = layout.ncomp
-        if values.shape != (c, c) and not (
-            values.ndim == 3 and values.shape[1:] == (c, c)
-        ):
+        if values.ndim not in (2, 3) or values.shape[-2:] != (c, c):
             raise ValueError(f"values shape {values.shape} incompatible with ncomp={c}")
         self.layout = layout
         self.values = values
@@ -238,20 +241,10 @@ class LField:
 
     def apply(self, values):
         """Pointwise matrix action on component vectors (npoints, c)."""
-        if self.is_constant:
-            return values @ self.values.T
-        return np.einsum("pij,pj->pi", self.values, values)
+        return _pointwise(self.values, values)
 
     def apply_adjoint(self, values):
-        if self.is_constant:
-            return values @ np.conj(self.values)
-        return np.einsum("pji,pj->pi", np.conj(self.values), values)
-
-    def matrices(self, npoints):
-        """Per-point matrices as a (npoints, c, c) view/array."""
-        if self.is_constant:
-            return np.broadcast_to(self.values, (npoints,) + self.values.shape)
-        return self.values
+        return _pointwise(np.conj(np.swapaxes(self.values, -1, -2)), values)
 
     def __repr__(self):
         kind = "constant" if self.is_constant else "varying"
@@ -320,28 +313,20 @@ def kelvin_deviatoric(d=3):
 # ---------------------------------------------------------------------------
 
 
-def _assemble(grid, layout, entries, varying):
-    """Build (c, c) or (npoints, c, c) from {(bi, bj): block} entries."""
+def _assemble(layout, entries):
+    """Build (c, c) or (npoints, c, c) from {(bi, bj): block} entries; the
+    leading shape is the broadcast of the blocks' leading shapes."""
     c = layout.ncomp
     sl = layout.slices()
-    if varying:
-        out = np.zeros((grid.npoints, c, c), dtype=np.complex128)
-    else:
-        out = np.zeros((c, c), dtype=np.complex128)
-    for (bi, bj), blk in entries.items():
-        if blk is None:
-            continue
-        blk = np.asarray(blk, dtype=np.complex128)
+    blocks = {key: np.asarray(blk, dtype=np.complex128) for key, blk in entries.items()}
+    lead = np.broadcast_shapes(*(blk.shape[:-2] for blk in blocks.values()))
+    out = np.zeros(lead + (c, c), dtype=np.complex128)
+    for (bi, bj), blk in blocks.items():
         ri, rj = sl[bi], sl[bj]
         nb = (ri.stop - ri.start, rj.stop - rj.start)
-        if varying:
-            if blk.ndim == 2:
-                blk = np.broadcast_to(blk, (grid.npoints,) + blk.shape)
-            out[:, ri, rj] = blk
-        else:
-            if blk.shape != nb:
-                raise ValueError(f"block {(bi, bj)} has shape {blk.shape}, expected {nb}")
-            out[ri, rj] = blk
+        if blk.shape[-2:] != nb:
+            raise ValueError(f"block {(bi, bj)} has shape {blk.shape}, expected {nb}")
+        out[..., ri, rj] = blk
     return out
 
 
@@ -365,31 +350,13 @@ def build_acoustics(grid, omega, kappa, rho, scale_by_omega=False):
     """
     d = grid.ndim
     layout = BlockLayout((Block("vector", d), Block("scalar")))
-    kap = resolve_parameter(kappa, grid, ())
+    kap = _coef(kappa, grid)
     if scale_by_omega:
-        r = resolve_parameter(rho, grid, ())
-        varying = _varying(kap, ()) or _varying(r, ())
-        if varying:
-            kap_p = _per_point(kap, grid, ())
-            r_p = _per_point(r, grid, ())
-            vv = -kap_p[:, None, None] * np.eye(d)
-            ss = (omega**2 * r_p)[:, None, None]
-        else:
-            vv = -kap * np.eye(d)
-            ss = np.array([[omega**2 * r]])
-        vals = _assemble(grid, layout, {(0, 0): vv, (1, 1): ss}, varying)
+        vals = _assemble(layout, {(0, 0): -kap * np.eye(d),
+                                  (1, 1): omega**2 * _coef(rho, grid)})
         return LField(layout, vals, omega, "direct", "acoustics")
-    r = _as_matrix(rho, grid, d)
-    varying = _varying(kap, ()) or _varying(r, (d, d))
-    if varying:
-        r_p = _per_point(r, grid, (d, d))
-        kap_p = _per_point(kap, grid, ())
-        vv = omega * r_p
-        ss = (-kap_p / omega)[:, None, None]
-    else:
-        vv = omega * r
-        ss = np.array([[-kap / omega]])
-    vals = _assemble(grid, layout, {(0, 0): vv, (1, 1): ss}, varying)
+    vals = _assemble(layout, {(0, 0): omega * _as_matrix(rho, grid, d),
+                              (1, 1): -kap / omega})
     return LField(layout, vals, omega, "inverse", "acoustics")
 
 
@@ -416,33 +383,15 @@ def build_elastodynamics(
     if stiffness is None:
         if bulk is None or shear is None:
             raise ValueError("need stiffness or both bulk and shear")
-        b = resolve_parameter(bulk, grid, ())
-        s = resolve_parameter(shear, grid, ())
-        if _varying(b, ()) or _varying(s, ()):
-            b_p = _per_point(b, grid, ())[:, None, None]
-            s_p = _per_point(s, grid, ())[:, None, None]
-            C = d * b_p * hydrostatic_projector(d) + 2.0 * s_p * deviatoric_projector(d)
-        else:
-            C = isotropic_stiffness(d, b, s)
+        C = isotropic_stiffness(d, _coef(bulk, grid), _coef(shear, grid))
     else:
         C = resolve_parameter(stiffness, grid, (d * d, d * d))
-    r = _as_matrix(rho, grid, d)
-    D = None if coupling is None else resolve_parameter(coupling, grid, (d * d, d))
-    varying = any(_varying(a, sh) for a, sh in
-                  ((C, (d * d, d * d)), (r, (d, d)))) or (
-        D is not None and _varying(D, (d * d, d))
-    )
-    if varying:
-        C = _per_point(C, grid, (d * d, d * d))
-        r = _per_point(r, grid, (d, d))
-        if D is not None:
-            D = _per_point(D, grid, (d * d, d))
-    entries = {(0, 0): -C / omega, (1, 1): omega * r}
-    if D is not None:
+    entries = {(0, 0): -C / omega, (1, 1): omega * _as_matrix(rho, grid, d)}
+    if coupling is not None:
+        D = resolve_parameter(coupling, grid, (d * d, d))
         entries[(0, 1)] = D
         entries[(1, 0)] = np.conj(np.swapaxes(D, -1, -2))
-    vals = _assemble(grid, layout, entries, varying)
-    return LField(layout, vals, omega, "direct", "elastodynamics")
+    return LField(layout, _assemble(layout, entries), omega, "direct", "elastodynamics")
 
 
 def build_maxwell(grid, omega, epsilon, mu):
@@ -455,18 +404,10 @@ def build_maxwell(grid, omega, epsilon, mu):
     if grid.ndim != 3:
         raise ValueError("electromagnetic build requires a 3-D grid")
     layout = BlockLayout((Block("vector", 3), Block("vector", 3)))
-    eps = _as_matrix(epsilon, grid, 3)
-    m = _as_matrix(mu, grid, 3)
-    varying = _varying(eps, (3, 3)) or _varying(m, (3, 3))
-    if varying:
-        eps = _per_point(eps, grid, (3, 3))
-        m = _per_point(m, grid, (3, 3))
-    vals = _assemble(
-        grid,
-        layout,
-        {(0, 0): omega * eps, (1, 1): -np.linalg.inv(omega * m)},
-        varying,
-    )
+    vals = _assemble(layout, {
+        (0, 0): omega * _as_matrix(epsilon, grid, 3),
+        (1, 1): -np.linalg.inv(omega * _as_matrix(mu, grid, 3)),
+    })
     return LField(layout, vals, omega, "direct", "maxwell")
 
 
@@ -495,56 +436,27 @@ def build_brinkman(
     if viscosity_matrix is None:
         if shear_viscosity is None:
             raise ValueError("need shear_viscosity or viscosity_matrix")
-        sv = resolve_parameter(shear_viscosity, grid, ())
-        V = (
-            2.0 * _per_point(sv, grid, ())[:, None, None] * kelvin_deviatoric(d)
-            if _varying(sv, ())
-            else 2.0 * sv * kelvin_deviatoric(d)
-        )
+        V = 2.0 * _coef(shear_viscosity, grid) * kelvin_deviatoric(d)
     else:
         V = resolve_parameter(viscosity_matrix, grid, (6, 6))
     H = kelvin_hydrostatic(d)
     scale = max(np.max(np.abs(V)), 1.0)
     if np.max(np.abs(H @ V)) > 1e-10 * scale or np.max(np.abs(V @ H)) > 1e-10 * scale:
         raise ValueError("viscosity matrix must annihilate the hydrostatic subspace")
-    r = _as_matrix(rho, grid, d)
-    e = resolve_parameter(eta, grid, ())
-    kperm = _as_matrix(permeability, grid, d)
-    varying = (
-        _varying(V, (6, 6))
-        or _varying(r, (d, d))
-        or _varying(e, ())
-        or _varying(kperm, (d, d))
+    drag = omega * _as_matrix(rho, grid, d) + 1j * _coef(eta, grid) * np.linalg.inv(
+        _as_matrix(permeability, grid, d)
     )
-    if varying:
-        V = _per_point(V, grid, (6, 6))
-        r = _per_point(r, grid, (d, d))
-        e = _per_point(e, grid, ())[:, None, None]
-        kperm = _per_point(kperm, grid, (d, d))
-    else:
-        e = complex(e)
-    drag = omega * r + 1j * e * np.linalg.inv(kperm)
-    vals = _assemble(
-        grid, layout, {(0, 0): 1j * V, (1, 1): -np.linalg.inv(drag)}, varying
-    )
+    vals = _assemble(layout, {(0, 0): 1j * V, (1, 1): -np.linalg.inv(drag)})
     return LField(layout, vals, omega, "direct", "brinkman")
 
 
 def _first_index_contraction(u, d):
-    """(d, d^2) block contracting a vector with the derivative index of a
-    row-major matrix: out_j = sum_i u_i M_{ij}."""
-    per_point = u.ndim == 2
-    if per_point:
-        npts = u.shape[0]
-        out = np.zeros((npts, d, d * d), dtype=np.complex128)
-        for i in range(d):
-            for j in range(d):
-                out[:, j, i * d + j] = u[:, i]
-    else:
-        out = np.zeros((d, d * d), dtype=np.complex128)
-        for i in range(d):
-            for j in range(d):
-                out[j, i * d + j] = u[i]
+    """(..., d, d^2) block contracting a vector u of shape (..., d) with the
+    derivative index of a row-major matrix: out_j = sum_i u_i M_{ij}."""
+    out = np.zeros(u.shape[:-1] + (d, d * d), dtype=np.complex128)
+    for i in range(d):
+        for j in range(d):
+            out[..., j, i * d + j] = u[..., i]
     return out
 
 
@@ -564,31 +476,16 @@ def build_oseen_inverse(
     """
     d = grid.ndim
     layout = BlockLayout((Block("matrix", d), Block("vector", d)))
-    kap = resolve_parameter(kappa, grid, ())
-    eb = resolve_parameter(eta_bulk, grid, ())
-    e = resolve_parameter(eta, grid, ())
-    r = _as_matrix(rho, grid, d)
-    u = resolve_parameter(velocity, grid, (d,))
-    varying = any(
-        _varying(a, sh)
-        for a, sh in ((kap, ()), (eb, ()), (e, ()), (r, (d, d)), (u, (d,)))
-    )
-    if varying:
-        kap = _per_point(kap, grid, ())[:, None, None]
-        eb = _per_point(eb, grid, ())[:, None, None]
-        e = _per_point(e, grid, ())[:, None, None]
-        r = _per_point(r, grid, (d, d))
-        u = _per_point(u, grid, (d,))
+    kap, eb, e = (_coef(p, grid) for p in (kappa, eta_bulk, eta))
     C = ((kap - 1j * omega * eb) / 3.0) * hydrostatic_projector(d) - (
         2j * omega * e
     ) * deviatoric_projector(d)
     entries = {
         (0, 0): C,
-        (1, 0): _first_index_contraction(np.asarray(u), d),
-        (1, 1): -omega * r,
+        (1, 0): _first_index_contraction(resolve_parameter(velocity, grid, (d,)), d),
+        (1, 1): -omega * _as_matrix(rho, grid, d),
     }
-    vals = _assemble(grid, layout, entries, varying)
-    return LField(layout, vals, omega, "direct", "oseen")
+    return LField(layout, _assemble(layout, entries), omega, "direct", "oseen")
 
 
 def build_ns_perturbation(
@@ -609,35 +506,34 @@ def build_ns_perturbation(
     carries -i*omega*rho*(I + i*(grad v)^T / omega), which for
     ``stationary=True`` degenerates to rho*(grad v)^T; the off-diagonal
     block contracts rho*v with the derivative index (advection).  The
-    background velocity field is differentiated spectrally.
+    background velocity field is differentiated spectrally, so the
+    material is always per point.
     """
     d = grid.ndim
     layout = BlockLayout((Block("matrix", d), Block("vector", d)))
-    e = resolve_parameter(eta, grid, ())
-    r = resolve_parameter(rho, grid, ())
-    v = _per_point(resolve_parameter(background_velocity, grid, (d,)), grid, (d,))
+    e = _coef(eta, grid)
+    r = _coef(rho, grid)
+    v = np.broadcast_to(resolve_parameter(background_velocity, grid, (d,)),
+                        (grid.npoints, d))
     if penalty is None:
-        penalty = 1e8 * float(np.max(np.abs(2.0 * np.atleast_1d(e))))
+        penalty = 1e8 * float(np.max(np.abs(2.0 * e)))
     # grad_v[p, i, j] = d_i v_j, computed spectrally component by component
     grad_v = np.zeros((grid.npoints, d, d), dtype=np.complex128)
     for j in range(d):
         comp = Field(grid, scalar_layout(), v[:, j : j + 1].astype(np.complex128))
         grad_v[:, :, j] = gradient(comp).values
-    e_p = _per_point(e, grid, ())[:, None, None]
-    r_p = _per_point(r, grid, ())[:, None, None]
     gvT = np.swapaxes(grad_v, -1, -2)
     if stationary:
-        vel_block = r_p * gvT
+        vel_block = r * gvT
     else:
-        vel_block = -1j * omega * r_p * np.eye(d) + r_p * gvT
+        vel_block = -1j * omega * r * np.eye(d) + r * gvT
     entries = {
-        (0, 0): 2.0 * e_p * deviatoric_projector(d)
+        (0, 0): 2.0 * e * deviatoric_projector(d)
         + penalty * hydrostatic_projector(d),
-        (1, 0): _first_index_contraction(r_p[:, :, 0] * v, d),
+        (1, 0): _first_index_contraction(r[..., 0] * v, d),
         (1, 1): vel_block,
     }
-    vals = _assemble(grid, layout, entries, True)
-    return LField(layout, vals, omega, "direct", "ns_perturbation")
+    return LField(layout, _assemble(layout, entries), omega, "direct", "ns_perturbation")
 
 
 def build_thermoacoustic(
@@ -658,35 +554,24 @@ def build_thermoacoustic(
     layout = BlockLayout(
         (Block("matrix", d), Block("vector", d), Block("vector", d), Block("scalar"))
     )
-    names = dict(
+    p = {k: _coef(v, grid) for k, v in dict(
         rho0=rho0, eta=eta, eta_bulk=eta_bulk, conductivity=conductivity,
-        T0=T0, alpha0=alpha0, beta_T=beta_T, cp=cp,
-    )
-    res = {k: resolve_parameter(v, grid, ()) for k, v in names.items()}
-    varying = any(_varying(a, ()) for a in res.values())
-    if varying:
-        res = {k: _per_point(a, grid, ())[:, None, None] for k, a in res.items()}
-    p = res
+        T0=T0, alpha0=alpha0, beta_T=beta_T, cp=cp).items()}
     Dv = (p["eta_bulk"] / 3.0) * hydrostatic_projector(d) + 2.0 * p["eta"] * deviatoric_projector(d)
     # tr(.) I on row-major matrix components is d * hydrostatic projector
     trace_I = d * hydrostatic_projector(d)
     coup = 1j * p["alpha0"] * p["T0"] / p["beta_T"]
     eye_col = np.eye(d).reshape(d * d, 1)
-    col = -coup * eye_col
-    row = coup * eye_col.T
     entries = {
         (0, 0): 1j * Dv + trace_I / (omega * p["beta_T"]),
-        (0, 3): col,
-        (3, 0): row,
+        (0, 3): -coup * eye_col,
+        (3, 0): coup * eye_col.T,
         (1, 1): -omega * p["rho0"] * np.eye(d),
         (2, 2): 1j * p["conductivity"] * p["T0"] * np.eye(d),
-        (3, 3): np.reshape(
-            omega * p["T0"] * (p["alpha0"] ** 2 * p["T0"] / p["beta_T"]
-                               - p["rho0"] * p["cp"]),
-            (-1, 1, 1) if varying else (1, 1),
-        ),
+        (3, 3): omega * p["T0"] * (p["alpha0"] ** 2 * p["T0"] / p["beta_T"]
+                                   - p["rho0"] * p["cp"]),
     }
-    vals = _assemble(grid, layout, entries, varying)
+    vals = _assemble(layout, entries)
     # structural self-check: the stress/temperature coupling blocks are
     # negative transposes of each other
     sl = layout.slices()
@@ -707,17 +592,9 @@ def build_love(grid, omega, k1, mu, rho):
     if grid.ndim != 1:
         raise ValueError("layered shear build requires a 1-D grid")
     layout = BlockLayout((Block("vector", 1), Block("scalar")))
-    m = resolve_parameter(mu, grid, ())
-    r = resolve_parameter(rho, grid, ())
-    varying = _varying(m, ()) or _varying(r, ())
-    if varying:
-        m = _per_point(m, grid, ())
-        r = _per_point(r, grid, ())
-        vals = np.zeros((grid.npoints, 2, 2), dtype=np.complex128)
-        vals[:, 0, 0] = m
-        vals[:, 1, 1] = k1**2 * m - omega**2 * r
-    else:
-        vals = np.diag([m, k1**2 * m - omega**2 * r]).astype(np.complex128)
+    m = _coef(mu, grid)
+    vals = _assemble(layout, {(0, 0): m,
+                              (1, 1): k1**2 * m - omega**2 * _coef(rho, grid)})
     return LField(layout, vals, omega, "direct", "love")
 
 
@@ -728,19 +605,8 @@ def build_schrodinger(grid, energy, kinetic, potential):
     potential, E the energy."""
     nd = grid.ndim
     layout = BlockLayout((Block("vector", nd), Block("scalar")))
-    A = _as_matrix(kinetic, grid, nd)
-    V = resolve_parameter(potential, grid, ())
-    varying = _varying(A, (nd, nd)) or _varying(V, ())
-    if varying:
-        A = _per_point(A, grid, (nd, nd))
-        V = _per_point(V, grid, ())
-        vals = np.zeros((grid.npoints, nd + 1, nd + 1), dtype=np.complex128)
-        vals[:, :nd, :nd] = -A
-        vals[:, nd, nd] = energy - V
-    else:
-        vals = np.zeros((nd + 1, nd + 1), dtype=np.complex128)
-        vals[:nd, :nd] = -A
-        vals[nd, nd] = energy - V
+    vals = _assemble(layout, {(0, 0): -_as_matrix(kinetic, grid, nd),
+                              (1, 1): energy - _coef(potential, grid)})
     return LField(layout, vals, energy, "direct", "schrodinger")
 
 
@@ -866,13 +732,13 @@ def passivity_check(L, tol=1e-10):
     """Check positive semidefiniteness of the anti-Hermitian part
     (L - L^dagger)/(2i) at every point; reports the minimum eigenvalue and
     the flat index of the worst point."""
-    M = L.values if not L.is_constant else L.values[None]
+    M = L.values.reshape(-1, L.ncomp, L.ncomp)
     A = (M - np.conj(np.swapaxes(M, -1, -2))) / 2j
     eigs = np.linalg.eigvalsh(A)
     mins = eigs[:, 0]
     worst = int(np.argmin(mins))
     mn = float(mins[worst])
-    return PassivityReport(mn >= -tol, mn, worst if not L.is_constant else 0)
+    return PassivityReport(mn >= -tol, mn, worst)
 
 
 def gibiansky_rotation(L, theta):
@@ -892,7 +758,7 @@ def find_rotation(L, step=1e-3, tol=0.0):
     exp(i*theta) L is positive definite everywhere; returns the midpoint of
     the widest contiguous passing run.  Raises ValueError if no angle
     passes."""
-    M = L.values if not L.is_constant else L.values[None]
+    M = L.values.reshape(-1, L.ncomp, L.ncomp)
     Mh = np.conj(np.swapaxes(M, -1, -2))
     thetas = np.arange(step, np.pi, step)
     ok = np.zeros(len(thetas), dtype=bool)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Block, BlockLayout, Field
+from .fields import Block, BlockLayout, Field, _pointwise
 
 __all__ = [
     "Projector",
@@ -409,7 +409,7 @@ def apply_projector(field, projector, shift=None, which=1):
     hat = field.to_fourier()
     # A one-off application does not pin the symbols to the projector.
     G = projector_symbols(projector, field.grid, shift, keep=False)
-    vals = np.einsum("pij,pj->pi", G, hat.values)
+    vals = _pointwise(G, hat.values)
     if which == 2:
         vals = hat.values - vals
     out = Field(field.grid, field.layout, vals, "fourier")

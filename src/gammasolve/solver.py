@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from . import fields
-from .fields import Block, BlockLayout, Field, scalar_layout, transform
+from .fields import Block, BlockLayout, Field, _pointwise, scalar_layout, transform
 from .materials import canonical_material
 from .projectors import projector_symbols
 
@@ -131,10 +131,6 @@ def _krylov(matvec, b, tol, max_iter, restart=None):
     return x, history, info
 
 
-def _project(G, vals):
-    return np.einsum("pij,pj->pi", G, vals)
-
-
 class _CanonicalOperator:
     """Matrix-free A = Gamma1 L Gamma1 + Gamma2 on flattened Fourier data."""
 
@@ -149,7 +145,7 @@ class _CanonicalOperator:
         self.applications = 0
 
     def project(self, vals):
-        return _project(self.G, vals)
+        return _pointwise(self.G, vals)
 
     def material(self, vals_hat, apply=None):
         real = transform(vals_hat, self.grid, False)
@@ -223,9 +219,8 @@ def solve(problem):
     elif problem.method == "fixed_point":
         c = problem.reference
         if c is None:
-            M = op.Lc.values
-            Mm = M if M.ndim == 3 else M[None]
-            herm = np.conj(np.swapaxes(Mm, -1, -2)) @ Mm
+            M = op.Lc.values.reshape(-1, op.ncomp, op.ncomp)
+            herm = np.conj(np.swapaxes(M, -1, -2)) @ M
             c = float(np.sqrt(np.max(np.linalg.eigvalsh(herm))))
         e_hat = np.zeros_like(b)
         history = []
@@ -386,14 +381,8 @@ def residual_functional(psi, material, source=None):
     energy = material.omega
     psi_r = psi.to_real()
     g = fields.gradient(psi_r)
-    if material.is_constant:
-        A = -vals[:nd, :nd]
-        Ag = g.values @ A.T
-        coeff = np.full(grid.npoints, vals[nd, nd])
-    else:
-        A = -vals[:, :nd, :nd]
-        Ag = np.einsum("pij,pj->pi", A, g.values)
-        coeff = vals[:, nd, nd]
+    Ag = _pointwise(-vals[..., :nd, :nd], g.values)
+    coeff = np.broadcast_to(vals[..., nd, nd], (grid.npoints,))
     flux = Field(grid, fields.vector_layout(nd), Ag)
     p = fields.divergence(flux).values[:, 0]
     # coeff = E - V, so for real V its real part is Re E - V

@@ -116,6 +116,34 @@ def test_unknown_key_is_named_with_path(tmp_path, capsys):
     assert "material.sauce" in capsys.readouterr().err
 
 
+_ACOUSTICS_2D = {"grid": {"dims": [4, 4]},
+                 "material": {"physics": "acoustics", "omega": 1.1,
+                              "params": {"kappa": 1.0, "rho": 1.0}}}
+
+
+@pytest.mark.parametrize("material,source,path", [
+    ({"physics": "phlogiston"}, {"type": "constant", "amplitude": [1.0]},
+     "material.physics"),
+    ({"params": {"kappa": 1.0, "rho": 1.0, "bogus": 2.0}},
+     {"type": "constant", "amplitude": [0.0, 0.0, 1.0]}, "material.params.bogus"),
+    ({"params": {"rho": 1.0}}, {"type": "constant", "amplitude": [0.0, 0.0, 1.0]},
+     "material.params.kappa"),
+    ({}, {"type": "force_constant", "force": [1.0, 0.0, 0.0, 0.0, 0.0]},
+     "source.force"),
+    ({}, {"type": "gaussian", "center": [0.0, 0.0], "width": 1.0, "block": 2,
+          "amplitude": [1.0]}, "source.block"),
+], ids=["unknown-physics", "unknown-param", "missing-param", "force-length",
+        "block-range"])
+def test_config_errors_exit_1_with_path(tmp_path, capsys, material, source, path):
+    cfg = _write_config(tmp_path / "bad.json", dict(
+        _ACOUSTICS_2D, material=dict(_ACOUSTICS_2D["material"], **material),
+        source=source))
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and path in err
+    assert "Traceback" not in err
+
+
 EFFECTIVE_CFG = {"grid": {"dims": [4, 4]},
                  "material": {"physics": "acoustics", "omega": 0.5,
                               "params": {"kappa": 1.0, "rho": 1.0}},

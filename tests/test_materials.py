@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from gammasolve.fields import Block, BlockLayout, Grid
 from gammasolve.materials import (
+    PHYSICS,
     Checkerboard,
     Constant,
     Layered,
@@ -68,6 +69,19 @@ def test_resolve_parameter_per_point_and_grid_shaped():
 def test_resolve_parameter_callable():
     out = resolve_parameter(lambda x: x[:, 0] + 1.0, G2, ())
     assert_allclose(out, G2.coordinates()[:, 0] + 1.0)
+
+
+def test_matrix_parameter_callable_is_evaluated_once():
+    calls = []
+
+    def rho(x):
+        calls.append(len(x))
+        return 1.0 + 0.1 * x[:, 0]
+
+    L = build_acoustics(G2, 1.1, 1.0, rho)
+    assert calls == [G2.npoints]
+    x = G2.coordinates()
+    assert_allclose(L.values[:, 0, 0], 1.1 * (1.0 + 0.1 * x[:, 0]))
 
 
 def test_layered_descriptor():
@@ -330,6 +344,49 @@ def test_build_material_dispatch_and_unknown():
     spec2 = MaterialSpec("acoustics", 2.0, {"kappa": 3.0, "rho": 1.5},
                          {"scale_by_omega": True})
     assert build_material(spec2, G2).orientation == "direct"
+
+
+# physics -> (dims, omega, constant parameters); every parameter except the
+# builder options k1 and penalty is also given per point.
+BROADCAST_CASES = {
+    "acoustics": ((4, 4), 1.1, dict(kappa=1.5 + 0.2j, rho=1.2)),
+    "elastodynamics": ((4, 4), 1.1, dict(rho=1.3, bulk=1.0 + 0.1j, shear=0.7)),
+    "maxwell": ((4, 4, 4), 1.1, dict(epsilon=2.0 + 0.1j, mu=1.3)),
+    "brinkman": ((4, 4, 4), 1.1, dict(rho=1.0, eta=0.3 + 0.1j, permeability=2.0,
+                                      shear_viscosity=0.8)),
+    "oseen": ((4, 4, 4), 1.1, dict(rho=1.0, kappa=2.0 + 0.3j, eta=0.3,
+                                   eta_bulk=0.1, velocity=np.array([0.2, -0.1, 0.05]))),
+    "ns_perturbation": ((4, 4, 4), 1.1, dict(rho=1.1, eta=0.3 + 0.1j, penalty=1e2,
+                                             background_velocity=np.array([0.2, -0.1, 0.05]))),
+    "thermoacoustic": ((4, 4, 4), 1.1, dict(rho0=1.1, eta=0.4, eta_bulk=0.2 + 0.1j,
+                                            conductivity=0.5, T0=1.3, alpha0=0.3,
+                                            beta_T=0.9 + 0.05j, cp=1.2)),
+    "love": ((8,), 4.6, dict(k1=3.0, mu=1.0 + 0.1j, rho=1.7)),
+    "schrodinger": ((4, 4), -0.5, dict(kinetic=1.3, potential=0.5 + 0.2j)),
+}
+
+
+@pytest.mark.parametrize("physics", sorted(PHYSICS))
+def test_builders_broadcast_over_the_parameters_leading_shape(physics):
+    dims, omega, params = BROADCAST_CASES[physics]
+    grid = Grid(dims, (2.0 * np.pi,) * len(dims))
+    n = grid.npoints
+    build = PHYSICS[physics].builder
+    varied = [k for k in params if k not in ("k1", "penalty")]
+
+    def per_point(keys):
+        return {k: np.broadcast_to(v, (n,) + np.shape(v)).copy() if k in keys else v
+                for k, v in params.items()}
+
+    constant = build(grid, omega, **params).values
+    c = constant.shape[-1]
+    if physics != "ns_perturbation":
+        assert constant.shape == (c, c)
+        constant = np.broadcast_to(constant, (n, c, c))
+    for keys in [varied] + [[k] for k in varied]:
+        L = build(grid, omega, **per_point(keys))
+        assert L.values.shape == (n, c, c), keys
+        assert_allclose(L.values, constant, rtol=1e-14, atol=0.0, err_msg=str(keys))
 
 
 def test_default_projector_mapping():
