@@ -3,9 +3,9 @@
 Every physics family comes with an orthogonal projector whose symbol is a
 small Hermitian idempotent matrix at each wavevector; splitting a field
 into its range and complement is what turns a constitutive law into a
-solvable problem.  The closed forms are checked against the generic
-construction that builds the same projector numerically from the symbol of
-a differential operator.
+solvable problem.  Each family is the range projector of a potential
+symbol D(ik), built by QR; it is checked against the generic SVD
+construction of the same range projector (gamma_from_D).
 """
 
 import numpy as np
@@ -48,15 +48,15 @@ for name, proj, ndim in families:
     herm = np.linalg.norm(G - np.conj(np.swapaxes(G, -1, -2))) / scale
     print(f"{name:28s} {proj.ncomp:5d} {idem:12.2e} {herm:12.2e}")
 
-# the same projectors from the symbol of the underlying operator
-print("\nnumerical construction vs closed forms:")
-for name, dop, closed in [
+# the same projectors from an SVD of the underlying operator's symbol
+print("\nSVD construction vs the QR-built families:")
+for name, dop, family in [
     ("helmholtz", helmholtz_D(3), gamma_helmholtz(3)),
     ("elastic", gradient_D(3), gamma_elastic(3)),
     ("maxwell", maxwell_D(), gamma_maxwell()),
 ]:
     K = rng.normal(scale=4.0, size=(500, 3))
-    dev = np.max(np.abs(gamma_from_D(dop).symbols(K) - closed.symbols(K)))
+    dev = np.max(np.abs(gamma_from_D(dop).symbols(K) - family.symbols(K)))
     print(f"  {name:10s} max deviation {dev:.2e}")
 
 # splitting a field: the two parts are orthogonal and sum back exactly

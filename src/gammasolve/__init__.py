@@ -61,7 +61,9 @@ from .projectors import (
     helmholtz_D,
     maxwell_D,
     projector_symbols,
+    stress_D,
     sym_gradient_D,
+    thermoacoustic_D,
 )
 from .materials import (
     Checkerboard,

@@ -31,6 +31,7 @@ from .materials import (
     block_source,
     build_material,
     build_schrodinger,
+    canonical_material,
     default_projector,
     physics_family,
     resolve_parameter,
@@ -143,12 +144,38 @@ def _parse_material(node, path="material"):
     return MaterialSpec(physics, omega, params, options)
 
 
+def _misfit_param_path(spec, grid):
+    """Path of the parameter a builder's ValueError most likely concerns:
+    the one array parameter shaped neither as a constant nor as per-point
+    values on ``grid``; ``material.params`` when there is not exactly one."""
+
+    def misfit(value):
+        value = value.values if isinstance(value, Voxel) else value
+        if not isinstance(value, np.ndarray) or value.ndim == 0:
+            return False
+        shape = value.shape
+        return not (shape[0] == grid.npoints or shape[: grid.ndim] == grid.dims
+                    or (value.ndim == 2 and shape[0] == shape[1]))
+
+    keys = [key for key, value in spec.params.items() if misfit(value)]
+    return f"material.params.{keys[0]}" if len(keys) == 1 else "material.params"
+
+
 def _parse_problem(cfg):
-    """Grid, material, projector and physics name of a config's
-    ``grid`` and ``material`` sections."""
+    """Grid, material (in its canonical direct form), projector and physics
+    name of a config's ``grid`` and ``material`` sections."""
     grid = _parse_grid(_require(cfg, "grid", ""))
     spec = _parse_material(_require(cfg, "material", ""))
-    L = build_material(spec, grid)
+    try:
+        L = build_material(spec, grid)
+    except ValueError as exc:
+        raise ConfigError(f"'{_misfit_param_path(spec, grid)}': {exc}")
+    try:
+        # Every solve needs the direct form; inverting here does it once
+        # and reports a singular material before any solve starts.
+        L = canonical_material(L)
+    except np.linalg.LinAlgError as exc:
+        raise ConfigError(f"'material' is singular at some grid point: {exc}")
     k1 = float(np.real(spec.params.get("k1", 0.0)))
     return grid, L, default_projector(spec.physics, grid, k1=k1), spec.physics
 
@@ -174,8 +201,6 @@ def _parse_source(node, grid, L, physics, path="source"):
                        dtype=np.complex128)
         try:
             return physics_family(physics).force_source(L, envelope[:, None] * f, grid)
-        except np.linalg.LinAlgError:  # a singular material, not a bad force
-            raise
         except ValueError as exc:  # the force does not fit its block
             raise ConfigError(f"'{path}.force' does not fit the {physics} force "
                               f"({len(f)} entries): {exc}")

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, Grid, scalar_layout, transform
+from .fields import Field, Grid, _pointwise, scalar_layout, transform
+from .projectors import helmholtz_D
 from .solver import _CanonicalOperator, _krylov
 
 __all__ = [
@@ -421,14 +422,10 @@ def perturbation_solve(material, psi, vprime, tol=1e-10, max_iter=2000):
     )
     op = _CanonicalOperator(problem)
 
-    # kernel direction: the gradient pair of psi in Fourier form
-    psi_hat = Field(grid, scalar_layout(), psi_r[:, None]).to_fourier().values[:, 0]
-    K = grid.wavevectors()
-    kernel = np.empty((grid.npoints, nd + 1), dtype=np.complex128)
-    kernel[:, :nd] = 1j * K * psi_hat[:, None]
-    kernel[:, nd] = psi_hat
-    kernel_flat = kernel.ravel()
-    kernel_flat = kernel_flat / np.linalg.norm(kernel_flat)
+    # kernel direction: the gradient pair D psi in Fourier form
+    psi_hat = Field(grid, scalar_layout(), psi_r[:, None]).to_fourier().values
+    kernel = _pointwise(helmholtz_D(nd).matrices(grid.wavevectors()), psi_hat).ravel()
+    kernel_flat = kernel / np.linalg.norm(kernel)
     sigma = max(1.0, abs(complex(material.omega)))
 
     def matvec(flat):

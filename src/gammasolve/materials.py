@@ -626,32 +626,43 @@ class MaterialSpec:
     options: dict = dc_field(default_factory=dict)
 
 
+def _block_values(values, size):
+    """Values for a block of ``size`` components, (npoints, size) or (size,).
+
+    Broadcasting over points is allowed; broadcasting a shorter vector over
+    the block's components is not, so a misfit force is an error.
+    """
+    values = np.asarray(values, dtype=np.complex128)
+    if values.shape[-1:] != (size,):
+        raise ValueError(f"expected {size} components per point, got values "
+                         f"of shape {values.shape}")
+    return values
+
+
 def block_source(grid, layout, block_index, values, representation="real"):
     """Source field with one populated block (values: (npoints, bc) or (bc,))."""
     f = Field.zeros(grid, layout, representation)
     sl = layout.block_slice(block_index)
-    f.values[:, sl] = np.asarray(values, dtype=np.complex128)
+    f.values[:, sl] = _block_values(values, layout.blocks[block_index].ncomp)
     return f
 
 
 def acoustic_source(L, force, grid):
     """Canonical source for a body force density f in scalar acoustics:
     the canonical matrix applied pointwise to (f, 0)."""
-    Lc = canonical_material(L)
     d = grid.ndim
     fvals = np.zeros((grid.npoints, d + 1), dtype=np.complex128)
-    fvals[:, :d] = np.asarray(force, dtype=np.complex128)
-    return Field(grid, L.layout, Lc.apply(fvals), "real")
+    fvals[:, :d] = _block_values(force, d)
+    return Field(grid, L.layout, canonical_material(L).apply(fvals), "real")
 
 
 def brinkman_source(L, force, grid):
     """Canonical source for a body force density f in porous viscous flow:
     minus the canonical matrix applied pointwise to (0, f)."""
-    Lc = canonical_material(L)
     d = grid.ndim
     fvals = np.zeros((grid.npoints, L.layout.ncomp), dtype=np.complex128)
-    fvals[:, -d:] = np.asarray(force, dtype=np.complex128)
-    return Field(grid, L.layout, -Lc.apply(fvals), "real")
+    fvals[:, -d:] = _block_values(force, d)
+    return Field(grid, L.layout, -canonical_material(L).apply(fvals), "real")
 
 
 def _force_in_block(index):

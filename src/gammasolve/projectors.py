@@ -1,11 +1,14 @@
 """Fourier-space orthogonal projectors onto constraint-compatible fields.
 
-Each physics family pairs a "derived" block (a gradient, curl, or symmetric
-gradient of some potential) with the potential itself.  At every wavevector k
-the admissible pairs form a small subspace of the component space, and the
-projector onto it is an explicit Hermitian idempotent matrix-valued symbol
-Gamma(k).  Solvers alternate these projectors (applied mode-by-mode in
-Fourier space) with pointwise material maps in real space.
+Each family is declared once, as a potential symbol D(ik) (a
+:class:`DOperator`, the ``*_D`` functions) mapping potentials to the
+admissible pairs: a gradient, curl or divergence paired with the potential
+(or stress) itself.  Every D contains an identity block, so it has full
+column rank at every wavevector k, and the family's projector Gamma(k) is
+the orthogonal projector onto range(D(ik)): Gamma = Q Q^H with Q the
+reduced QR basis of D, built by one routine for every family.  Solvers
+alternate these projectors (applied mode-by-mode in Fourier space) with
+pointwise material maps in real space.
 
 Builders return a :class:`Projector`; use :func:`apply_projector` to act on
 fields, optionally with a constant shift of the wavevector grid (Bloch
@@ -27,7 +30,9 @@ __all__ = [
     "helmholtz_D",
     "gradient_D",
     "sym_gradient_D",
+    "stress_D",
     "maxwell_D",
+    "thermoacoustic_D",
     "gamma_helmholtz",
     "gamma_elastic",
     "gamma_maxwell",
@@ -119,7 +124,7 @@ def gamma_from_D(dop, cutoff=PINV_CUTOFF):
 
 
 # ---------------------------------------------------------------------------
-# D symbols
+# D symbols: one per family, each with full column rank at every k
 # ---------------------------------------------------------------------------
 
 
@@ -138,19 +143,15 @@ def helmholtz_D(d):
 
 
 def gradient_D(d):
-    """Vector-potential symbol: a -> (ik (x) a, a); matrix block stored
+    """Vector-potential symbol: a -> (ik (x) a, a), the scalar pair of
+    :func:`helmholtz_D` once per component of a; matrix block stored
     row-major with the derivative axis first.  Shape (d*d + d, d)."""
     layout = BlockLayout((Block("matrix", d), Block("vector", d)))
+    scalar = helmholtz_D(d)
 
     def fn(K):
-        npts = K.shape[0]
-        D = np.zeros((npts, d * d + d, d), dtype=np.complex128)
-        for i in range(d):
-            for j in range(d):
-                D[:, i * d + j, j] = 1j * K[:, i]
-        for j in range(d):
-            D[:, d * d + j, j] = 1.0
-        return D
+        # row r*d + j, column j holds row r of the scalar pair
+        return np.kron(scalar.matrices(K), np.eye(d))
 
     return DOperator("gradient_D", layout, d, fn)
 
@@ -176,6 +177,24 @@ def sym_gradient_D(d=3):
         return D
 
     return DOperator("sym_gradient_D", layout, d, fn)
+
+
+def stress_D(d=3):
+    """Stress symbol: sigma -> (sigma, div sigma), that is
+    [I; -D_sym(ik)^H] with D_sym from :func:`sym_gradient_D`; its range is
+    the orthogonal complement of the symmetric-gradient pairs
+    (i sym(k (x) a) packed, a).  Shape (d(d+1)/2 + d, d(d+1)/2)."""
+    nsym = d * (d + 1) // 2
+    layout = BlockLayout((Block("sym", d), Block("vector", d)))
+    dsym = sym_gradient_D(d)
+
+    def fn(K):
+        D = np.zeros((K.shape[0], nsym + d, nsym), dtype=np.complex128)
+        D[:, :nsym] = np.eye(nsym)
+        D[:, nsym:] = -np.conj(np.swapaxes(dsym.matrices(K), -1, -2))
+        return D
+
+    return DOperator("stress_D", layout, nsym, fn)
 
 
 def _cross_matrices(K):
@@ -204,128 +223,81 @@ def maxwell_D():
     return DOperator("maxwell_D", layout, 3, fn)
 
 
+def thermoacoustic_D():
+    """Coupled mechanical/thermal symbol: (a, theta) -> the
+    :func:`gradient_D` pair of a and the :func:`helmholtz_D` pair of theta,
+    block-diagonal.  Shape (16, 4)."""
+    mech, heat = gradient_D(3), helmholtz_D(3)
+    layout = BlockLayout(mech.layout.blocks + heat.layout.blocks)
+
+    def fn(K):
+        D = np.zeros((K.shape[0], 16, 4), dtype=np.complex128)
+        D[:, :12, :3] = mech.matrices(K)
+        D[:, 12:, 3:] = heat.matrices(K)
+        return D
+
+    return DOperator("thermoacoustic_D", layout, 4, fn)
+
+
 # ---------------------------------------------------------------------------
-# Closed-form projector families
+# Projector families: the range projector of each family's D
 # ---------------------------------------------------------------------------
 
 
-def _helmholtz_symbols(K):
-    npts, d = K.shape
-    k2 = np.sum(K * K, axis=1)
-    G = np.zeros((npts, d + 1, d + 1), dtype=np.complex128)
-    G[:, :d, :d] = K[:, :, None] * K[:, None, :]
-    G[:, :d, d] = 1j * K
-    G[:, d, :d] = -1j * K
-    G[:, d, d] = 1.0
-    G /= (k2 + 1.0)[:, None, None]
-    return G
+def _range_projector(name, dop):
+    """Gamma1(k) = Q Q^H, with Q the reduced QR basis of D(ik).
+
+    Every family's D contains an identity block, so it has full column rank
+    at every k (k = 0 included) and Q spans exactly range(D(ik)); unlike
+    :func:`gamma_from_D` no singular-value cutoff is involved.
+    """
+
+    def fn(K):
+        Q, _ = np.linalg.qr(dop.matrices(K))
+        return Q @ np.conj(np.swapaxes(Q, -1, -2))
+
+    return Projector(name, dop.layout, fn)
 
 
 def gamma_helmholtz(d):
     """Projector fixing scalar-gradient pairs (ik c, c) on a
     (vector(d), scalar) layout; at k = 0 only the scalar slot survives."""
-    layout = BlockLayout((Block("vector", d), Block("scalar")))
-    return Projector("helmholtz", layout, _helmholtz_symbols)
+    return _range_projector("helmholtz", helmholtz_D(d))
 
 
 def gamma_schrodinger(ndim):
     """Scalar-gradient-pair projector over an ndim-coordinate grid
     (multi-particle configuration spaces use ndim = particles * space dims)."""
-    layout = BlockLayout((Block("vector", ndim), Block("scalar")))
-    return Projector("schrodinger", layout, _helmholtz_symbols)
+    return _range_projector("schrodinger", helmholtz_D(ndim))
 
 
 def gamma_elastic(d):
     """Projector fixing vector-gradient pairs (ik (x) a, a) on a
-    (matrix(d), vector(d)) layout.
-
-    Acts independently on each column c: the scalar-gradient projector
-    couples the matrix components (i, c), i = 0..d-1, with vector
-    component c.
-    """
-    layout = BlockLayout((Block("matrix", d), Block("vector", d)))
-    n = d * d + d
-
-    def fn(K):
-        npts = K.shape[0]
-        Z = _helmholtz_symbols(K)
-        G = np.zeros((npts, n, n), dtype=np.complex128)
-        for c in range(d):
-            rows = np.array([i * d + c for i in range(d)] + [d * d + c])
-            G[np.ix_(np.arange(npts), rows, rows)] = Z
-        return G
-
-    return Projector("elastic", layout, fn)
+    (matrix(d), vector(d)) layout.  It acts on each column c separately, as
+    the scalar-gradient projector on matrix components (i, c) and vector
+    component c."""
+    return _range_projector("elastic", gradient_D(d))
 
 
 def gamma_maxwell():
     """Projector fixing curl pairs (a, i k x a) on two stacked 3-vectors;
     at k = 0 the first vector block survives and the second is removed."""
-    layout = BlockLayout((Block("vector", 3), Block("vector", 3)))
-
-    def fn(K):
-        npts = K.shape[0]
-        k2 = np.sum(K * K, axis=1)
-        M = np.eye(3) + K[:, :, None] * K[:, None, :]
-        M = M / (k2 + 1.0)[:, None, None]
-        ie = 1j * _cross_matrices(K)
-        G = np.zeros((npts, 6, 6), dtype=np.complex128)
-        G[:, :3, :3] = M
-        G[:, :3, 3:] = M @ ie
-        G[:, 3:, :3] = ie @ M
-        G[:, 3:, 3:] = ie @ M @ ie
-        return G
-
-    return Projector("maxwell", layout, fn)
+    return _range_projector("maxwell", maxwell_D())
 
 
 def gamma_brinkman(d=3):
-    """Projector annihilating symmetric-gradient pairs on a
-    (packed-symmetric(d), vector(d)) layout.
-
-    The complement — the projector onto pairs (i sym(k (x) a) packed, a) —
-    is built as the range projector of the always-full-rank augmented symbol
-    [D_sym(ik); I], so no pseudo-inverse cutoff is involved.  Fields fixed
-    by this projector are exactly the (stress, divergence-of-stress) pairs.
-    At k = 0 the packed-symmetric block survives and the vector block is
-    removed.
-    """
-    nsym = d * (d + 1) // 2
-    layout = BlockLayout((Block("sym", d), Block("vector", d)))
-    dsym = sym_gradient_D(d)
-
-    def fn(K):
-        npts = K.shape[0]
-        Dm = dsym.matrices(K)
-        T = np.concatenate(
-            [Dm, np.broadcast_to(np.eye(d), (npts, d, d)).astype(np.complex128)],
-            axis=1,
-        )
-        Th = np.conj(np.swapaxes(T, -1, -2))
-        Gram = Th @ T
-        G2 = T @ np.linalg.solve(Gram, Th)
-        return np.eye(nsym + d) - G2
-
-    return Projector("brinkman", layout, fn)
+    """Projector fixing (stress, divergence-of-stress) pairs on a
+    (packed-symmetric(d), vector(d)) layout, so it annihilates the
+    symmetric-gradient pairs (i sym(k (x) a) packed, a).  At k = 0 the
+    packed-symmetric block survives and the vector block is removed."""
+    return _range_projector("brinkman", stress_D(d))
 
 
 def gamma_thermoacoustic():
     """Block-diagonal projector for coupled mechanical/thermal pairs:
     vector-gradient pairs on (matrix(3), vector(3)) plus scalar-gradient
     pairs on (vector(3), scalar); 16 components total."""
-    layout = BlockLayout(
-        (Block("matrix", 3), Block("vector", 3), Block("vector", 3), Block("scalar"))
-    )
-    elast = gamma_elastic(3)
-
-    def fn(K):
-        npts = K.shape[0]
-        G = np.zeros((npts, 16, 16), dtype=np.complex128)
-        G[:, :12, :12] = elast.symbols(K)
-        G[:, 12:, 12:] = _helmholtz_symbols(K)
-        return G
-
-    return Projector("thermoacoustic", layout, fn)
+    return _range_projector("thermoacoustic", thermoacoustic_D())
 
 
 def gamma_surface(k1=0.0, base=None):
@@ -338,12 +310,7 @@ def gamma_surface(k1=0.0, base=None):
     3-vector (k1, 0, k3).
     """
     if base is None:
-        layout = BlockLayout((Block("vector", 1), Block("scalar")))
-
-        def fn(K):
-            return _helmholtz_symbols(K)
-
-        return Projector("surface", layout, fn)
+        return _range_projector("surface", helmholtz_D(1))
 
     def fn(K):
         npts = K.shape[0]

@@ -25,7 +25,7 @@ import scipy.sparse.linalg
 from . import fields
 from .fields import Block, BlockLayout, Field, _pointwise, scalar_layout, transform
 from .materials import canonical_material
-from .projectors import projector_symbols
+from .projectors import helmholtz_D, projector_symbols
 
 __all__ = [
     "Problem",
@@ -298,24 +298,14 @@ def operator_norm_estimate(problem, iters=50):
 # ---------------------------------------------------------------------------
 
 
-def _resolvent_symbol(z, B, grid):
-    """Per-mode scalar z - k^T B_v k - b_s for a constant coefficient pair."""
-    nd = grid.ndim
-    K = grid.wavevectors()
-    Bv = B.values[:nd, :nd]
-    bs = B.values[nd, nd]
-    quad = np.einsum("pi,ij,pj->p", K, Bv, K)
-    return z - quad - bs
-
-
 def solve_resolvent(grid, z, B, f, tol=1e-10, max_iter=2000):
     """Solve (z - D^dagger B D) psi = f for a scalar potential psi, where
     D c = (grad c, c) and B is a material on the (vector, scalar) layout
     (second-order coefficient matrix in the vector block, zero-order
     coefficient in the scalar slot).
 
-    Constant B uses the exact per-mode inverse; varying B uses GMRES on the
-    scalar unknowns.  Raises ResonanceError if z is (numerically) in the
+    Constant B uses the exact per-mode inverse of z - D(ik)^H B D(ik);
+    varying B uses GMRES on the scalar unknowns.  Raises ResonanceError if z is (numerically) in the
     spectrum: per-mode denominators below 1e-12 of their scale, or a
     Krylov solve that fails to reach tol.
     """
@@ -326,8 +316,10 @@ def solve_resolvent(grid, z, B, f, tol=1e-10, max_iter=2000):
     if B.layout != BlockLayout((Block("vector", nd), Block("scalar"))):
         raise ValueError("B must live on a (vector(ndim), scalar) layout")
 
+    D = helmholtz_D(nd).matrices(grid.wavevectors())
+    Dh = np.conj(np.swapaxes(D, -1, -2))
     if B.is_constant:
-        denom = _resolvent_symbol(z, B, grid)
+        denom = z - (Dh @ B.values @ D)[:, 0, 0]
         scale = max(abs(z), float(np.max(np.abs(denom))))
         if float(np.min(np.abs(denom))) <= 1e-12 * scale:
             raise ResonanceError(
@@ -337,16 +329,10 @@ def solve_resolvent(grid, z, B, f, tol=1e-10, max_iter=2000):
         out = Field(grid, scalar_layout(), psi_hat[:, None], "fourier")
         return out.to_real() if f.representation == "real" else out
 
-    K = grid.wavevectors()
-
-    def matvec(flat):
-        psi_hat = flat
-        d_hat = np.empty((grid.npoints, nd + 1), dtype=np.complex128)
-        d_hat[:, :nd] = 1j * K * psi_hat[:, None]
-        d_hat[:, nd] = psi_hat
-        w = transform(B.apply(transform(d_hat, grid, False)), grid)
-        contracted = np.sum(-1j * K * w[:, :nd], axis=1) + w[:, nd]
-        return z * psi_hat - contracted
+    def matvec(psi_hat):
+        d_real = transform(_pointwise(D, psi_hat[:, None]), grid, False)
+        w = transform(B.apply(d_real), grid)
+        return z * psi_hat - _pointwise(Dh, w)[:, 0]
 
     x, _, _ = _krylov(matvec, f_hat, tol, max_iter)
     rel = float(np.linalg.norm(matvec(x) - f_hat) / np.linalg.norm(f_hat))

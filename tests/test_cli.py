@@ -132,8 +132,13 @@ _ACOUSTICS_2D = {"grid": {"dims": [4, 4]},
      "source.force"),
     ({}, {"type": "gaussian", "center": [0.0, 0.0], "width": 1.0, "block": 2,
           "amplitude": [1.0]}, "source.block"),
+    ({"params": {"kappa": {"type": "array", "values": [1.0, 2.0, 3.0]}, "rho": 1.0}},
+     {"type": "constant", "amplitude": [0.0, 0.0, 1.0]}, "material.params.kappa"),
+    ({}, {"type": "force_constant", "force": [1.0]}, "source.force"),
+    ({"params": {"kappa": 0.0, "rho": 1.0}},
+     {"type": "constant", "amplitude": [0.0, 0.0, 1.0]}, "'material'"),
 ], ids=["unknown-physics", "unknown-param", "missing-param", "force-length",
-        "block-range"])
+        "block-range", "param-array-length", "force-one-entry", "singular-material"])
 def test_config_errors_exit_1_with_path(tmp_path, capsys, material, source, path):
     cfg = _write_config(tmp_path / "bad.json", dict(
         _ACOUSTICS_2D, material=dict(_ACOUSTICS_2D["material"], **material),

@@ -438,6 +438,23 @@ def test_brinkman_source_sign_and_block():
     assert_allclose(s.values[:, 6:], 1.0 / drag)
 
 
+def test_force_sources_require_one_entry_per_force_component():
+    # A force broadcasts over points but never over its own components.
+    La = build_acoustics(G2, 2.0, 3.0, 1.5)
+    Lb = build_brinkman(G3, 2.0, rho=1.5, eta=0.5, permeability=0.25,
+                        shear_viscosity=0.8)
+    lay = BlockLayout((Block("vector", 2), Block("scalar")))
+    cases = [(lambda f: acoustic_source(La, f, G2), G2.npoints, 2),
+             (lambda f: brinkman_source(Lb, f, G3), G3.npoints, 3),
+             (lambda f: block_source(G2, lay, 0, f), G2.npoints, 2)]
+    for source, npoints, size in cases:
+        full = source(np.ones((npoints, size), complex)).values
+        assert_allclose(source(np.ones(size)).values, full)
+        for short in (np.ones(1), np.ones((npoints, 1)), np.ones(size + 1)):
+            with pytest.raises(ValueError, match=f"{size} components"):
+                source(short)
+
+
 # ---------------------------------------------------------------------------
 # Passivity and rotation
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from gammasolve import projectors
 from gammasolve.fields import Block, BlockLayout, Field, Grid, gradient, random_field
 from gammasolve.projectors import (
     Projector,
@@ -22,7 +23,9 @@ from gammasolve.projectors import (
     helmholtz_D,
     maxwell_D,
     projector_symbols,
+    stress_D,
     sym_gradient_D,
+    thermoacoustic_D,
 )
 
 RNG = np.random.default_rng(1234)
@@ -82,6 +85,32 @@ def test_projector_fixes_range_of_D(dop, ndim):
     D = dop.matrices(K)
     G = gamma_from_D(dop).symbols(K)
     assert np.max(np.abs(G @ D - D)) < 1e-11
+
+
+# Each projector family and the potential symbol whose range it projects on.
+FAMILY_D = {
+    "helmholtz": helmholtz_D,
+    "elastic": gradient_D,
+    "maxwell": lambda d: maxwell_D(),
+    "brinkman": stress_D,
+    "thermoacoustic": lambda d: thermoacoustic_D(),
+    "schrodinger": helmholtz_D,
+    "surface": helmholtz_D,
+}
+
+
+@pytest.mark.parametrize("name", sorted(projectors.FAMILIES))
+def test_family_is_range_projector_of_its_D_at_fine_grid_wavevectors(name):
+    # 16 points on a box of side 0.1 reach |k| ~ 870, where a closed form
+    # built from 1/(1 + k^2) loses idempotency.
+    d = 1 if name == "surface" else 3
+    K = Grid((16,) * d, (0.1,) * d).wavevectors()
+    G = projectors.FAMILIES[name](d, 0.8).symbols(K)
+    D = FAMILY_D[name](d).matrices(K)
+    scale = np.linalg.norm(G)
+    assert np.linalg.norm(G @ G - G) <= 1e-12 * scale
+    assert np.linalg.norm(G - np.conj(np.swapaxes(G, -1, -2))) <= 1e-12 * scale
+    assert np.linalg.norm(G @ D - D) <= 1e-12 * np.linalg.norm(D)
 
 
 def test_helmholtz_closed_form_value():

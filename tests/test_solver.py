@@ -305,6 +305,21 @@ def test_resolvent_varying_matches_dense():
     assert_allclose(psi.values[:, 0], expected, atol=1e-10)
 
 
+def test_resolvent_constant_b_keeps_off_diagonal_blocks():
+    # The constant per-mode inverse must apply the whole B, as the varying
+    # path does: B[0, 2] couples the x-derivative to the scalar slot.
+    grid = Grid((8, 8), (2.0 * np.pi,) * 2)
+    B = _second_order_B(grid, 1.0, 0.3)
+    B.values[0, 2] = 0.4
+    per_point = LField(B.layout, np.broadcast_to(B.values, (grid.npoints, 3, 3)).copy())
+    assert B.is_constant and not per_point.is_constant
+    f = random_field(grid, scalar_layout(), seed=4)
+    z = 0.7 + 0.2j
+    const = solve_resolvent(grid, z, B, f, tol=1e-13).values
+    varying = solve_resolvent(grid, z, per_point, f, tol=1e-13).values
+    assert np.linalg.norm(const - varying) <= 1e-10 * np.linalg.norm(varying)
+
+
 def test_resolvent_acoustics_duality():
     # the scalar slot of the canonical acoustic solve is the resolvent
     # applied to the contracted source, at z = rho omega^2, B = diag(kappa I, 0)
