@@ -59,7 +59,7 @@ for physics, dims, omega, params, options in CASES:
         params = dict(params, **{key: background_flow(grid)})
     spec = MaterialSpec(physics, omega, params, options)
     L = build_material(spec, grid)
-    gamma = default_projector(physics, grid, k1=float(params.get("k1", 0.0)))
+    gamma = default_projector(physics, grid)
 
     if physics == "brinkman":
         # drive with a body force: it never excites the constant

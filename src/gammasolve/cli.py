@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: solve, effective, dispersion, schrodinger, project, verify.
-Configuration is JSON; unknown keys are rejected with their JSON path.
+:data:`_COMMANDS` is the table of subcommands: each one's implementation,
+help text and the command-line flags it reads.  Configuration is JSON;
+unknown keys are rejected with their JSON path.
 Exit codes: 0 on success/convergence, 2 on non-convergence (or failed
 verification), 1 on usage or configuration errors.
 """
@@ -176,8 +177,7 @@ def _parse_problem(cfg):
         L = canonical_material(L)
     except np.linalg.LinAlgError as exc:
         raise ConfigError(f"'material' is singular at some grid point: {exc}")
-    k1 = float(np.real(spec.params.get("k1", 0.0)))
-    return grid, L, default_projector(spec.physics, grid, k1=k1), spec.physics
+    return grid, L, default_projector(spec.physics, grid), spec.physics
 
 
 def _parse_source(node, grid, L, physics, path="source"):
@@ -243,21 +243,37 @@ def _parse_source(node, grid, L, physics, path="source"):
     raise ConfigError(f"unknown source type '{kind}' at '{path}'")
 
 
-_SOLVER_KEYS = {"tol", "max_iter", "method", "shift", "history_csv"}
+_METHODS = ("krylov", "fixed_point")
 
 
-def _parse_solver(node, allowed=_SOLVER_KEYS, path="solver"):
-    _check_unknown(node, allowed, path)
-    out = {}
-    if "tol" in node:
-        out["tol"] = float(node["tol"])
+def _parse_solver(cfg, args, default_tol, allowed):
+    """Options of the config's ``solver`` section, whose keys must be in
+    ``allowed``: ``tol`` is ``--tol``, else ``solver.tol``, else
+    ``default_tol``; ``shift`` and ``history_csv`` come back as given."""
+    node = cfg.get("solver", {})
+    _check_unknown(node, allowed, "solver")
+    opts = dict(node)
+    opts["tol"] = float(node.get("tol", default_tol)) if args.tol is None else args.tol
     if "max_iter" in node:
-        out["max_iter"] = int(node["max_iter"])
-    if "method" in node:
-        out["method"] = str(node["method"])
-    if "shift" in node:
-        out["shift"] = np.asarray([float(v) for v in node["shift"]])
-    return out, node.get("history_csv")
+        opts["max_iter"] = int(node["max_iter"])
+    if opts.get("method", _METHODS[0]) not in _METHODS:
+        raise ConfigError(f"'solver.method' must be one of {', '.join(_METHODS)}")
+    return opts
+
+
+def _shift(values, path, grid):
+    """A constant wavevector shift: one number per grid axis."""
+    if not isinstance(values, list) or len(values) != grid.ndim:
+        raise ConfigError(f"'{path}' must be a list of {grid.ndim} numbers")
+    return np.asarray([float(v) for v in values])
+
+
+def _grid_param(node, path, grid):
+    """A scalar parameter resolved on ``grid`` (constant or per point)."""
+    try:
+        return resolve_parameter(_parse_param(node, path), grid, ())
+    except ValueError as exc:
+        raise ConfigError(f"'{path}': {exc}")
 
 
 def _cj(z):
@@ -290,6 +306,12 @@ def _outdir(args):
     return out
 
 
+def _write_json(out, name, payload):
+    with open(os.path.join(out, name), "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
@@ -300,11 +322,12 @@ def _cmd_solve(args):
     _check_unknown(cfg, {"grid", "material", "source", "solver"}, "")
     grid, L, gamma, physics = _parse_problem(cfg)
     source = _parse_source(_require(cfg, "source", ""), grid, L, physics)
-    opts, history_csv = _parse_solver(cfg.get("solver", {}))
-    if args.tol is not None:
-        opts["tol"] = args.tol
-    problem = Problem(grid=grid, L=L, gamma=gamma, source=source,
-                      seed=args.seed, **opts)
+    opts = _parse_solver(cfg, args, 1e-8,
+                         {"tol", "max_iter", "method", "shift", "history_csv"})
+    history_csv = opts.pop("history_csv", None)
+    if "shift" in opts:
+        opts["shift"] = _shift(opts["shift"], "solver.shift", grid)
+    problem = Problem(grid=grid, L=L, gamma=gamma, source=source, **opts)
     t0 = time.perf_counter()
     result = solve(problem)
     elapsed = time.perf_counter() - t0
@@ -316,7 +339,7 @@ def _cmd_solve(args):
             fh.write("iteration,residual\n")
             for i, r in enumerate(result.residual_history):
                 fh.write(f"{i},{r:.16e}\n")
-    summary = {
+    _write_json(out, "summary.json", {
         "physics": physics,
         "grid": {"dims": list(grid.dims), "lengths": list(grid.lengths)},
         "converged": bool(result.converged),
@@ -326,10 +349,7 @@ def _cmd_solve(args):
         "elapsed_s": elapsed,
         "outputs": {"E": "E.uplf", "J": "J.uplf"},
         "config_sha256": _config_digest(args.config),
-    }
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     print(f"converged={result.converged} iterations={result.iterations} "
           f"residual={result.residual:.3e}")
     return 0 if result.converged else 2
@@ -341,22 +361,16 @@ def _cmd_effective(args):
     grid, L, gamma, _ = _parse_problem(cfg)
     bloch = _require(cfg, "bloch", "")
     _check_unknown(bloch, {"k0", "modulation"}, "bloch")
-    k0 = np.asarray([float(v) for v in _require(bloch, "k0", "bloch")])
-    modulation = None
-    if "modulation" in bloch and bloch["modulation"] is not None:
-        desc = _parse_param(bloch["modulation"], "bloch.modulation")
-        modulation = np.broadcast_to(resolve_parameter(desc, grid, ()), (grid.npoints,))
-    opts, _ = _parse_solver(cfg.get("solver", {}), {"tol", "max_iter"})
-    tol = opts.get("tol", 1e-12)
-    if args.tol is not None:
-        tol = args.tol
+    k0 = _shift(_require(bloch, "k0", "bloch"), "bloch.k0", grid)
+    modulation = bloch.get("modulation")
+    if modulation is not None:
+        modulation = _grid_param(modulation, "bloch.modulation", grid)
+    opts = _parse_solver(cfg, args, 1e-12, {"tol", "max_iter"})
     t0 = time.perf_counter()
-    tensors = effective_tensors(grid, L, gamma, k0, modulation=modulation,
-                                tol=tol, max_iter=opts.get("max_iter", 4000))
+    tensors = effective_tensors(grid, L, gamma, k0, modulation=modulation, **opts)
     elapsed = time.perf_counter() - t0
     converged = all(r.converged for r in tensors.results)
-    out = _outdir(args)
-    payload = {
+    _write_json(_outdir(args), "effective.json", {
         "k0": list(map(float, k0)),
         "tensor_e": _matrix_json(tensors.tensor_e),
         "tensor_j": _matrix_json(tensors.tensor_j),
@@ -365,62 +379,57 @@ def _cmd_effective(args):
         "converged": bool(converged),
         "elapsed_s": elapsed,
         "config_sha256": _config_digest(args.config),
-    }
-    with open(os.path.join(out, "effective.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     print(f"effective tensors at k0={list(map(float, k0))} converged={converged}")
     return 0 if converged else 2
+
+
+# dispersion model -> its ``params`` keys, in the order the model takes them
+_DISPERSION_PARAMS = {
+    "effective_mass": ("m0", "stiffness", "count", "mass"),
+    "love": ("omega", "layer_mu", "layer_rho", "half_thickness", "substrate_mu",
+             "substrate_rho"),
+}
 
 
 def _cmd_dispersion(args):
     cfg = _load_config(args)
     _check_unknown(cfg, {"model", "params", "scan"}, "")
     model = _require(cfg, "model", "")
+    if model not in _DISPERSION_PARAMS:
+        raise ConfigError(f"unknown dispersion model '{model}'")
     params = _require(cfg, "params", "")
+    keys = _DISPERSION_PARAMS[model]
+    _check_unknown(params, keys, "params")
+    values = [_scalar(_require(params, k, "params"), f"params.{k}") for k in keys]
     out = _outdir(args)
     if model == "effective_mass":
-        _check_unknown(params, {"m0", "stiffness", "count", "mass"}, "params")
         scan = _require(cfg, "scan", "")
         _check_unknown(scan, {"start", "stop", "count"}, "scan")
-        omegas = np.linspace(float(scan["start"]), float(scan["stop"]),
-                             int(scan["count"]))
-        m0 = _scalar(_require(params, "m0", "params"), "params.m0")
-        K = _scalar(_require(params, "stiffness", "params"), "params.stiffness")
-        n = _scalar(_require(params, "count", "params"), "params.count")
-        m = _scalar(_require(params, "mass", "params"), "params.mass")
-        M = models.effective_mass(omegas, m0, K, n, m)
+        start, stop, count = (_require(scan, k, "scan") for k in ("start", "stop", "count"))
+        omegas = np.linspace(float(start), float(stop), int(count))
+        M = models.effective_mass(omegas, *values)
         with open(os.path.join(out, "dispersion.csv"), "w") as fh:
             fh.write("omega,re,im\n")
             for w, v in zip(omegas, np.atleast_1d(M)):
                 fh.write(f"{w:.16e},{v.real:.16e},{v.imag:.16e}\n")
+        stiffness, mass = values[1].real, values[3].real
         meta = {
             "model": model,
-            "resonance_frequency": models.resonance_frequency(K.real, m.real),
+            "resonance_frequency": models.resonance_frequency(stiffness, mass),
             "outputs": {"csv": "dispersion.csv"},
         }
-    elif model == "love":
-        _check_unknown(params, {"omega", "layer_mu", "layer_rho", "half_thickness",
-                                "substrate_mu", "substrate_rho"}, "params")
-        roots = models.love_dispersion(
-            float(_require(params, "omega", "params")),
-            float(_require(params, "layer_mu", "params")),
-            float(_require(params, "layer_rho", "params")),
-            float(_require(params, "half_thickness", "params")),
-            float(_require(params, "substrate_mu", "params")),
-            float(_require(params, "substrate_rho", "params")),
-        )
+    else:
+        if any(isinstance(v, complex) for v in values):
+            raise ConfigError("'params' of the love model must be real numbers")
+        roots = models.love_dispersion(*values)
         with open(os.path.join(out, "dispersion.csv"), "w") as fh:
             fh.write("index,k1\n")
             for i, r in enumerate(roots):
                 fh.write(f"{i},{r:.16e}\n")
         meta = {"model": model, "roots": list(map(float, roots)),
                 "outputs": {"csv": "dispersion.csv"}}
-    else:
-        raise ConfigError(f"unknown dispersion model '{model}'")
-    with open(os.path.join(out, "dispersion.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out, "dispersion.json", meta)
     print(f"dispersion model={model} written to {out}")
     return 0
 
@@ -431,37 +440,28 @@ def _cmd_schrodinger(args):
                          "state_index", "solver"}, "")
     grid = _parse_grid(_require(cfg, "grid", ""))
     kinetic = _parse_param(_require(cfg, "kinetic", ""), "kinetic")
-    potential = _parse_param(_require(cfg, "potential", ""), "potential")
-    vprime_desc = _parse_param(_require(cfg, "perturbation", ""), "perturbation")
+    potential = _grid_param(_require(cfg, "potential", ""), "potential", grid)
+    vprime = _grid_param(_require(cfg, "perturbation", ""), "perturbation", grid)
     state_index = int(cfg.get("state_index", 0))
-    opts, _ = _parse_solver(cfg.get("solver", {}), {"tol", "max_iter"})
-    tol = opts.get("tol", 1e-10)
-    if args.tol is not None:
-        tol = args.tol
+    opts = _parse_solver(cfg, args, 1e-10, {"tol", "max_iter"})
     energies, states = ground_state(grid, kinetic, potential,
                                     nstates=state_index + 1)
     energy = float(energies[state_index])
     psi = states[state_index]
     material = build_schrodinger(grid, energy, kinetic, potential)
-    vprime = np.broadcast_to(resolve_parameter(vprime_desc, grid, ()), (grid.npoints,))
-    result = perturbation_solve(material, psi, vprime, tol=tol,
-                                max_iter=opts.get("max_iter", 2000))
+    result = perturbation_solve(material, psi, vprime, **opts)
     out = _outdir(args)
     write_uplf(os.path.join(out, "psi.uplf"), psi)
     write_uplf(os.path.join(out, "psi_prime.uplf"), result.psi_prime)
-    ortho = abs(inner_product(psi, result.psi_prime))
-    payload = {
+    _write_json(out, "schrodinger.json", {
         "energy": energy,
         "energy_shift": result.e_prime,
-        "orthogonality": ortho,
+        "orthogonality": abs(inner_product(psi, result.psi_prime)),
         "residual": result.residual,
         "converged": bool(result.converged),
         "outputs": {"psi": "psi.uplf", "psi_prime": "psi_prime.uplf"},
         "config_sha256": _config_digest(args.config),
-    }
-    with open(os.path.join(out, "schrodinger.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     print(f"E={energy:.12g} E'={result.e_prime:.12g} residual={result.residual:.3e}")
     return 0 if result.converged else 2
 
@@ -471,20 +471,20 @@ def _cmd_project(args):
     _check_unknown(cfg, {"input", "output", "projector", "which", "shift"}, "")
     field = read_uplf(_require(cfg, "input", ""))
     pnode = _require(cfg, "projector", "")
-    _check_unknown(pnode, {"family", "dimension", "k1"}, "projector")
+    _check_unknown(pnode, {"family"}, "projector")
     family = _require(pnode, "family", "projector")
     if family not in FAMILIES:
-        raise ConfigError(f"unknown projector family '{family}'")
-    dim = int(pnode.get("dimension", field.grid.ndim))
-    k1 = float(pnode.get("k1", 0.0))
-    projector = FAMILIES[family](dim, k1)
-    which = int(cfg.get("which", 1))
-    shift = cfg.get("shift")
-    if shift is not None:
-        shift = np.asarray([float(v) for v in shift])
+        raise ConfigError(f"unknown projector family '{family}' at 'projector.family'")
+    projector = FAMILIES[family](field.grid.ndim)
+    if projector.ncomp != field.layout.ncomp:
+        raise ConfigError(f"'projector.family': {family} acts on {projector.ncomp} "
+                          f"components, the input field has {field.layout.ncomp}")
+    which = cfg.get("which", 1)
+    if which not in (1, 2):
+        raise ConfigError("'which' must be 1 or 2")
+    shift = None if cfg.get("shift") is None else _shift(cfg["shift"], "shift", field.grid)
     out_field = apply_projector(field, projector, shift=shift, which=which)
-    out = _outdir(args)
-    dest = os.path.join(out, _require(cfg, "output", ""))
+    dest = os.path.join(_outdir(args), _require(cfg, "output", ""))
     write_uplf(dest, out_field)
     print(f"projected {args.config}:{family} (which={which}) -> {dest}")
     return 0
@@ -498,7 +498,6 @@ def _cmd_project(args):
 def _verify_checks(seed):
     from . import projectors as P
     from .fields import random_field
-    from .materials import Checkerboard as CB
     from .materials import LField, build_acoustics
     from .solver import solve_dense, solve_resolvent
 
@@ -530,7 +529,7 @@ def _verify_checks(seed):
     worst = 0.0
     for family, make in P.FAMILIES.items():
         ndim = {"schrodinger": 2, "surface": 1}.get(family, 3)
-        proj = make(ndim, 0.7)
+        proj = make(ndim)
         K = rng.normal(scale=3.0, size=(25, ndim))
         G = proj.symbols(K)
         Gh = np.conj(np.swapaxes(G, -1, -2))
@@ -546,7 +545,7 @@ def _verify_checks(seed):
     err = max(err, float(np.max(np.abs(
         P.gamma_from_D(P.maxwell_D()).symbols(K) - P.gamma_maxwell().symbols(K)
     ))))
-    checks.append(("projector_closed_forms", err <= 1e-12, f"max err {err:.2e}"))
+    checks.append(("projector_svd_vs_qr", err <= 1e-12, f"max err {err:.2e}"))
 
     omega, kappa, rho = 1.3, 1.0, 1.0
     L = build_acoustics(grid, omega, kappa, rho)
@@ -567,7 +566,7 @@ def _verify_checks(seed):
                    f"rel err {err:.2e}"))
 
     small = Grid((6, 6), (2 * np.pi, 2 * np.pi))
-    L2 = build_acoustics(small, 1.1, CB((1.0, 2.0 + 0.5j)), 1.0)
+    L2 = build_acoustics(small, 1.1, Checkerboard((1.0, 2.0 + 0.5j)), 1.0)
     s2 = random_field(small, L2.layout, seed=seed + 2)
     prob2 = Problem(grid=small, L=L2, gamma=P.gamma_helmholtz(2), source=s2,
                     tol=1e-10)
@@ -593,13 +592,16 @@ def _verify_checks(seed):
     checks.append(("effective_mass", static_ok and damped.imag > 0,
                    f"M(0)={complex(M0):.3g}, Im M={damped.imag:.3g}"))
 
-    from .fermionic import MultiElectronGrid, antisymmetrize_full, lambda_a
+    from .fermionic import (MultiElectronGrid, antisymmetrize_full, lambda_a,
+                            pair_potential)
 
-    me = MultiElectronGrid(3, 1, 5, 2 * np.pi)
-    vals = rng.normal(size=(me.grid.npoints,)) + 1j * rng.normal(
-        size=(me.grid.npoints,))
-    err = float(np.max(np.abs(lambda_a(vals, me) - antisymmetrize_full(vals, me))))
-    checks.append(("fermionic_reduction", err <= 1e-13, f"max err {err:.2e}"))
+    # N = 4: the reduced form takes a pair potential times an antisymmetric state
+    me = MultiElectronGrid(4, 1, 5, 2 * np.pi)
+    vals = antisymmetrize_full(rng.normal(size=(me.grid.npoints, 2)) @ [1, 1j], me)
+    vals = pair_potential(me, lambda a, b: np.cos(a[:, 0] - b[:, 0])) * vals
+    full = antisymmetrize_full(vals, me)
+    err = float(np.max(np.abs(lambda_a(vals, me) - full)) / np.max(np.abs(full)))
+    checks.append(("fermionic_reduction", err <= 1e-13, f"rel err {err:.2e}"))
 
     return checks
 
@@ -627,46 +629,48 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# flag -> its argparse keyword arguments
+_FLAGS = {
+    "config": {"required": True, "help": "JSON configuration"},
+    "out": {"default": None, "help": "output directory (default: current)"},
+    "seed": {"type": int, "default": 42, "help": "seed of the random checks"},
+    "threads": {"type": int, "default": None, "help": "FFT worker threads"},
+    "tol": {"type": float, "default": None, "help": "overrides solver.tol"},
+}
+
+# subcommand -> (implementation, help, the flags it reads)
+_COMMANDS = {
+    "solve": (_cmd_solve, "solve a canonical problem from a JSON config",
+              ("config", "out", "threads", "tol")),
+    "effective": (_cmd_effective, "extract effective tensors at a Bloch wavevector",
+                  ("config", "out", "threads", "tol")),
+    "dispersion": (_cmd_dispersion, "evaluate closed-form dispersion models",
+                   ("config", "out")),
+    "schrodinger": (_cmd_schrodinger, "stationary state + first-order perturbation",
+                    ("config", "out", "threads", "tol")),
+    "project": (_cmd_project, "apply a projector family to a stored field",
+                ("config", "out", "threads")),
+    "verify": (_cmd_verify, "run built-in self checks", ("seed", "threads")),
+}
+
+
 def _build_parser():
     parser = _Parser(prog="gamma-solve",
                      description="FFT projector solver for periodic media")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "solve": "solve a canonical problem from a JSON config",
-        "effective": "extract effective tensors at a Bloch wavevector",
-        "dispersion": "evaluate closed-form dispersion models",
-        "schrodinger": "stationary state + first-order perturbation",
-        "project": "apply a projector family to a stored field",
-        "verify": "run built-in self checks",
-    }
-    for name, help_text in commands.items():
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if name != "verify":
-            p.add_argument("--config", required=True, help="JSON configuration")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "effective": _cmd_effective,
-    "dispersion": _cmd_dispersion,
-    "schrodinger": _cmd_schrodinger,
-    "project": _cmd_project,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.threads is not None:
+    args = _build_parser().parse_args(argv)
+    if getattr(args, "threads", None) is not None:
         fields.set_fft_workers(args.threads)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"gamma-solve: config error: {exc}", file=sys.stderr)
         return 1

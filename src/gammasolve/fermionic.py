@@ -172,26 +172,26 @@ def permute_vector(values, megrid, perm):
     return _rewrap(out, template, False)
 
 
+def _sign_average(vals, megrid, act):
+    """Sign-weighted average of ``act`` over all N! permutations."""
+    acc = np.zeros_like(vals)
+    for perm in all_permutations(megrid.n_electrons):
+        acc += permutation_sign(perm) * act(vals, megrid, perm)
+    return acc / math.factorial(megrid.n_electrons)
+
+
 def antisymmetrize_full(values, megrid):
     """Full fermionic projector on scalar data: the sign-weighted average
     of all N! argument permutations."""
     vals, template = _as_values(values)
     squeeze = template is None and np.asarray(values).ndim == 1
-    acc = np.zeros_like(vals)
-    for perm in all_permutations(megrid.n_electrons):
-        acc += permutation_sign(perm) * permute_scalar(vals, megrid, perm)
-    out = acc / math.factorial(megrid.n_electrons)
-    return _rewrap(out, template, squeeze)
+    return _rewrap(_sign_average(vals, megrid, permute_scalar), template, squeeze)
 
 
 def antisymmetrize_vector(values, megrid):
     """Full fermionic projector on stacked per-particle vector blocks."""
     vals, template = _as_values(values)
-    acc = np.zeros_like(vals)
-    for perm in all_permutations(megrid.n_electrons):
-        acc += permutation_sign(perm) * permute_vector(vals, megrid, perm)
-    out = acc / math.factorial(megrid.n_electrons)
-    return _rewrap(out, template, False)
+    return _rewrap(_sign_average(vals, megrid, permute_vector), template, False)
 
 
 def _tail_spot_check(vals, megrid, tol=1e-10):
@@ -208,26 +208,18 @@ def _tail_spot_check(vals, megrid, tol=1e-10):
 def lambda_a(values, megrid, check_tail=True):
     """Scalar fermionic projector in reduced form.
 
-    For N <= 3 the explicit short forms are total (equal to
-    :func:`antisymmetrize_full` on all inputs).  For N >= 4 the reduced
-    O(N^2)-term form is used; it requires the input to be antisymmetric in
-    particles 3..N (spot-checked unless ``check_tail=False``) and agrees
-    with the full projector on the fields material laws produce (a pair
-    potential in the first two particles times an antisymmetric state).
+    For N <= 3 this is :func:`antisymmetrize_full`, exact on all inputs.
+    For N >= 4 the reduced O(N^2)-term form is used; it requires the input
+    to be antisymmetric in particles 3..N (spot-checked unless
+    ``check_tail=False``) and agrees with the full projector on the fields
+    material laws produce (a pair potential in the first two particles
+    times an antisymmetric state).
     """
+    N = megrid.n_electrons
+    if N <= 3:
+        return antisymmetrize_full(values, megrid)
     vals, template = _as_values(values)
     squeeze = template is None and np.asarray(values).ndim == 1
-    N = megrid.n_electrons
-    if N == 1:
-        return values
-    if N == 2:
-        out = (vals - permute_scalar(vals, megrid, (1, 0))) / 2.0
-        return _rewrap(out, template, squeeze)
-    if N == 3:
-        acc = np.zeros_like(vals)
-        for perm in all_permutations(3):
-            acc += permutation_sign(perm) * permute_scalar(vals, megrid, perm)
-        return _rewrap(acc / 6.0, template, squeeze)
     if check_tail and not _tail_spot_check(vals, megrid):
         raise ValueError(
             "reduced antisymmetrizer needs input antisymmetric in the "

@@ -719,9 +719,9 @@ def build_material(spec, grid):
     return physics_family(spec.physics).builder(grid, spec.omega, **kwargs)
 
 
-def default_projector(physics, grid, k1=0.0):
+def default_projector(physics, grid):
     """The projector family canonically paired with a physics name."""
-    return proj.FAMILIES[physics_family(physics).projector](grid.ndim, k1)
+    return proj.FAMILIES[physics_family(physics).projector](grid.ndim)
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,15 @@ pointwise material maps in real space.
 Builders return a :class:`Projector`; use :func:`apply_projector` to act on
 fields, optionally with a constant shift of the wavevector grid (Bloch
 boundary conditions) or taking the complementary projector instead.
-:data:`FAMILIES` names every family, as a factory of the dimension and the
-propagation wavenumber k1.
+:data:`FAMILIES` names every family, as a factory of the grid dimension
+(``d -> Projector``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import Block, BlockLayout, Field, _pointwise
+from .fields import Block, BlockLayout, Field, _pointwise, _sym_pairs
 
 __all__ = [
     "Projector",
@@ -154,10 +154,6 @@ def gradient_D(d):
         return np.kron(scalar.matrices(K), np.eye(d))
 
     return DOperator("gradient_D", layout, d, fn)
-
-
-def _sym_pairs(d):
-    return [(i, j) for i in range(d) for j in range(i + 1, d)]
 
 
 def sym_gradient_D(d=3):
@@ -323,13 +319,13 @@ def gamma_surface(k1=0.0, base=None):
 
 
 FAMILIES = {
-    "helmholtz": lambda d, k1: gamma_helmholtz(d),
-    "elastic": lambda d, k1: gamma_elastic(d),
-    "maxwell": lambda d, k1: gamma_maxwell(),
-    "brinkman": lambda d, k1: gamma_brinkman(d),
-    "thermoacoustic": lambda d, k1: gamma_thermoacoustic(),
-    "schrodinger": lambda d, k1: gamma_schrodinger(d),
-    "surface": lambda d, k1: gamma_surface(k1),
+    "helmholtz": gamma_helmholtz,
+    "elastic": gamma_elastic,
+    "maxwell": lambda d: gamma_maxwell(),
+    "brinkman": gamma_brinkman,
+    "thermoacoustic": lambda d: gamma_thermoacoustic(),
+    "schrodinger": gamma_schrodinger,
+    "surface": lambda d: gamma_surface(),
 }
 
 

@@ -142,7 +142,6 @@ class _CanonicalOperator:
         self.G = projector_symbols(problem.gamma, problem.grid, problem.shift)
         self.ncomp = self.Lc.ncomp
         self.n = problem.grid.npoints * self.ncomp
-        self.applications = 0
 
     def project(self, vals):
         return _pointwise(self.G, vals)
@@ -152,7 +151,6 @@ class _CanonicalOperator:
         return transform((apply or self.Lc.apply)(real), self.grid)
 
     def apply_hat(self, x):
-        self.applications += 1
         gx = self.project(x)
         return self.project(self.material(gx)) + (x - gx)
 
@@ -187,13 +185,15 @@ def _zero_result(problem, method):
 
 def _result(op, problem, e_hat, s_hat, b_norm, iterations, method, history=(),
             stop_reason=None):
-    """SolveResult for a Fourier-space solution e_hat; ``stop_reason``
-    applies only when the residual misses the tolerance."""
+    """SolveResult for a Fourier-space solution e_hat (one material
+    application serves J and the residual); ``stop_reason`` applies only
+    when the residual misses the tolerance."""
     grid, layout = problem.grid, problem.L.layout
-    residual = op.residual(e_hat, s_hat, b_norm)
-    converged = residual <= problem.tol
     E = Field(grid, layout, e_hat, "fourier").to_real()
-    J = Field(grid, layout, op.Lc.apply(E.values) - problem.source.to_real().values)
+    LE = op.Lc.apply(E.values)
+    J = Field(grid, layout, LE - problem.source.to_real().values)
+    residual = float(np.linalg.norm(op.project(transform(LE, grid) - s_hat)) / b_norm)
+    converged = residual <= problem.tol
     return SolveResult(E, J, residual, iterations, converged, method, list(history),
                        "converged" if converged else stop_reason)
 
@@ -223,13 +223,14 @@ def solve(problem):
             herm = np.conj(np.swapaxes(M, -1, -2)) @ M
             c = float(np.sqrt(np.max(np.linalg.eigvalsh(herm))))
         e_hat = np.zeros_like(b)
+        r = b  # Gamma1 (s - L E) at E = 0
         history = []
         stop_reason = "max_iter"
         iterations = 0
         for iterations in range(1, problem.max_iter + 1):
-            r = op.project(s_hat - op.material(e_hat))
             e_hat = e_hat + r / c
-            rel = float(np.linalg.norm(op.project(op.material(e_hat) - s_hat)) / b_norm)
+            r = op.project(s_hat - op.material(e_hat))
+            rel = float(np.linalg.norm(r) / b_norm)
             history.append(rel)
             if rel <= problem.tol:
                 break
@@ -245,7 +246,10 @@ def solve(problem):
 def dense_operator(problem, limit=4096):
     """Assemble A = Gamma1 L Gamma1 + Gamma2 as a dense matrix in the
     Fourier basis by applying it to unit vectors (brute-force oracle)."""
-    op = _CanonicalOperator(problem)
+    return _dense_matrix(_CanonicalOperator(problem), limit)
+
+
+def _dense_matrix(op, limit):
     if op.n > limit:
         raise ValueError(f"dense assembly of size {op.n} exceeds limit {limit}")
     A = np.zeros((op.n, op.n), dtype=np.complex128)
@@ -260,7 +264,7 @@ def dense_operator(problem, limit=4096):
 def solve_dense(problem, limit=4096):
     """Direct dense solve of the canonical problem (oracle for small grids)."""
     op = _CanonicalOperator(problem)
-    A = dense_operator(problem, limit)
+    A = _dense_matrix(op, limit)
     s_hat, b, b_norm = _projected_source(op, problem)
     if b_norm == 0.0:
         return _zero_result(problem, "dense")

@@ -170,6 +170,85 @@ def test_solver_keys_a_subcommand_ignores_are_rejected(tmp_path, capsys, command
     assert f"unknown key 'solver.{key}'" in capsys.readouterr().err
 
 
+_PROJECT_CFG = {"input": "f.uplf", "output": "g.uplf",
+                "projector": {"family": "helmholtz"}}
+
+
+@pytest.mark.parametrize("command,config,path", [
+    ("effective", dict(EFFECTIVE_CFG, bloch={
+        "k0": [0.5, 0.0], "modulation": {"type": "array", "values": [1, 2, 3]}}),
+     "bloch.modulation"),
+    ("effective", dict(EFFECTIVE_CFG, bloch={"k0": [0.5, 0.0, 0.0]}), "bloch.k0"),
+    ("schrodinger", dict(SCHRODINGER_CFG, potential={"type": "array",
+                                                     "values": [1, 2, 3]}),
+     "potential"),
+    ("schrodinger", dict(SCHRODINGER_CFG, perturbation={"type": "array",
+                                                        "values": [1, 2, 3]}),
+     "perturbation"),
+    ("solve", dict(SOLVE_CFG, solver={"shift": [0.1, 0.0]}), "solver.shift"),
+    ("solve", dict(SOLVE_CFG, solver={"method": "jacobi"}), "solver.method"),
+    ("project", dict(_PROJECT_CFG, which=3), "which"),
+    ("project", dict(_PROJECT_CFG, shift=[0.1]), "shift"),
+    ("project", dict(_PROJECT_CFG, projector={"family": "maxwell"}),
+     "projector.family"),
+], ids=["effective-modulation", "effective-k0", "schrodinger-potential",
+        "schrodinger-perturbation", "solve-shift", "solve-method", "project-which",
+        "project-shift", "project-family-components"])
+def test_config_errors_of_every_subcommand_name_their_path(
+        tmp_path, monkeypatch, capsys, command, config, path):
+    from gammasolve.fields import Block, BlockLayout, Grid
+
+    monkeypatch.chdir(tmp_path)
+    lay = BlockLayout((Block("vector", 2), Block("scalar")))
+    write_uplf("f.uplf", random_field(Grid((4, 4), (1.0, 1.0)), lay, seed=0))
+    cfg = _write_config(tmp_path / "bad.json", config)
+    assert cli.main([command, "--config", cfg, "--out", "o"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"'{path}'" in err
+    assert "Traceback" not in err
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--config", "c.json", "--seed", "1"], "unrecognized arguments: --seed"),
+    (["effective", "--config", "c.json", "--seed", "1"], "unrecognized arguments: --seed"),
+    (["dispersion", "--config", "c.json", "--seed", "1"],
+     "unrecognized arguments: --seed"),
+    (["schrodinger", "--config", "c.json", "--seed", "1"],
+     "unrecognized arguments: --seed"),
+    (["project", "--config", "c.json", "--seed", "1"], "unrecognized arguments: --seed"),
+    (["dispersion", "--config", "c.json", "--tol", "1e-6"],
+     "unrecognized arguments: --tol"),
+    (["project", "--config", "c.json", "--tol", "1e-6"], "unrecognized arguments: --tol"),
+    (["verify", "--tol", "1e-6"], "unrecognized arguments: --tol"),
+    (["verify", "--out", "o"], "unrecognized arguments: --out"),
+    (["dispersion", "--config", "c.json", "--threads", "1"],
+     "unrecognized arguments: --threads"),
+    (["project", "--config", "k1.json"], "unknown key 'projector.k1'"),
+    (["project", "--config", "dimension.json"], "unknown key 'projector.dimension'"),
+], ids=["solve-seed", "effective-seed", "dispersion-seed", "schrodinger-seed",
+        "project-seed", "dispersion-tol", "project-tol", "verify-tol", "verify-out",
+        "dispersion-threads", "projector-k1", "projector-dimension"])
+def test_settings_no_subcommand_reads_are_rejected(tmp_path, monkeypatch, capsys,
+                                                   argv, message):
+    from gammasolve.fields import Block, BlockLayout, Grid
+
+    monkeypatch.chdir(tmp_path)
+    lay = BlockLayout((Block("vector", 2), Block("scalar")))
+    write_uplf("f.uplf", random_field(Grid((4, 4), (1.0, 1.0)), lay, seed=0))
+    for key, value in (("k1", 0.8), ("dimension", 2)):
+        _write_config(tmp_path / f"{key}.json", dict(
+            _PROJECT_CFG, projector={"family": "helmholtz", key: value}))
+    assert _exit_code(argv) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path, capsys):
     rc = cli.main(["solve", "--config", str(tmp_path / "nope.json")])
     assert rc == 1
@@ -288,7 +367,7 @@ def test_project_splits_field(tmp_path):
         cfg = _write_config(tmp_path / f"proj{which}.json", {
             "input": str(src),
             "output": f"part{which}.uplf",
-            "projector": {"family": "helmholtz", "dimension": 2},
+            "projector": {"family": "helmholtz"},
             "which": which,
         })
         out = tmp_path / "run"

@@ -397,7 +397,7 @@ def test_default_projector_mapping():
     assert default_projector("maxwell", G3).name == "maxwell"
     assert default_projector("brinkman", G3).name == "brinkman"
     assert default_projector("thermoacoustic", G3).name == "thermoacoustic"
-    assert default_projector("love", G1, k1=2.0).name == "surface"
+    assert default_projector("love", G1).name == "surface"
     assert default_projector("schrodinger", G2).name == "schrodinger"
     with pytest.raises(ValueError):
         default_projector("phlogiston", G2)

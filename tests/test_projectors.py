@@ -105,7 +105,7 @@ def test_family_is_range_projector_of_its_D_at_fine_grid_wavevectors(name):
     # built from 1/(1 + k^2) loses idempotency.
     d = 1 if name == "surface" else 3
     K = Grid((16,) * d, (0.1,) * d).wavevectors()
-    G = projectors.FAMILIES[name](d, 0.8).symbols(K)
+    G = projectors.FAMILIES[name](d).symbols(K)
     D = FAMILY_D[name](d).matrices(K)
     scale = np.linalg.norm(G)
     assert np.linalg.norm(G @ G - G) <= 1e-12 * scale
