@@ -40,7 +40,7 @@ from .materials import (
 from .projectors import FAMILIES, apply_projector
 from .solver import Problem, solve
 from .quasiperiodic import effective_tensors
-from .fermionic import ground_state, perturbation_solve
+from .fermionic import GROUND_STATE_MAX_POINTS, ground_state, perturbation_solve
 
 
 class ConfigError(Exception):
@@ -444,8 +444,14 @@ def _cmd_schrodinger(args):
     vprime = _grid_param(_require(cfg, "perturbation", ""), "perturbation", grid)
     state_index = int(cfg.get("state_index", 0))
     opts = _parse_solver(cfg, args, 1e-10, {"tol", "max_iter"})
-    energies, states = ground_state(grid, kinetic, potential,
-                                    nstates=state_index + 1)
+    try:
+        energies, states = ground_state(grid, kinetic, potential,
+                                        nstates=state_index + 1)
+    except ValueError as exc:
+        # ground_state checks the grid size first; its only other check is
+        # on kinetic (potential is already resolved on the grid).
+        where = "grid" if grid.npoints > GROUND_STATE_MAX_POINTS else "kinetic"
+        raise ConfigError(f"'{where}': {exc}")
     energy = float(energies[state_index])
     psi = states[state_index]
     material = build_schrodinger(grid, energy, kinetic, potential)
@@ -475,7 +481,10 @@ def _cmd_project(args):
     family = _require(pnode, "family", "projector")
     if family not in FAMILIES:
         raise ConfigError(f"unknown projector family '{family}' at 'projector.family'")
-    projector = FAMILIES[family](field.grid.ndim)
+    try:
+        projector = FAMILIES[family](field.grid.ndim)
+    except ValueError as exc:
+        raise ConfigError(f"'projector.family': {exc}")
     if projector.ncomp != field.layout.ncomp:
         raise ConfigError(f"'projector.family': {family} acts on {projector.ncomp} "
                           f"components, the input field has {field.layout.ncomp}")

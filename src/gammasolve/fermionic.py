@@ -45,6 +45,9 @@ __all__ = [
     "PerturbationResult",
 ]
 
+# ground_state assembles the dense npoints x npoints Hamiltonian.
+GROUND_STATE_MAX_POINTS = 2048
+
 
 @dataclass(frozen=True)
 class MultiElectronGrid:
@@ -332,8 +335,9 @@ def ground_state(grid, kinetic, potential, nstates=1):
     from .materials import _as_matrix, resolve_parameter
 
     npts = grid.npoints
-    if npts > 2048:
-        raise ValueError("dense stationary-state solve limited to 2048 points")
+    if npts > GROUND_STATE_MAX_POINTS:
+        raise ValueError(f"dense stationary-state solve limited to "
+                         f"{GROUND_STATE_MAX_POINTS} points")
     nd = grid.ndim
     A = _as_matrix(kinetic, grid, nd)
     if A.ndim == 3:

@@ -6,15 +6,18 @@ admissible pairs: a gradient, curl or divergence paired with the potential
 (or stress) itself.  Every D contains an identity block, so it has full
 column rank at every wavevector k, and the family's projector Gamma(k) is
 the orthogonal projector onto range(D(ik)): Gamma = Q Q^H with Q the
-reduced QR basis of D, built by one routine for every family.  Solvers
-alternate these projectors (applied mode-by-mode in Fourier space) with
-pointwise material maps in real space.
+reduced QR basis of D, built by one routine for every family, and it
+keeps D as :attr:`Projector.D` (the Krylov solver inverts its mean-medium
+operator mode by mode through D).  Solvers alternate these projectors
+(applied mode-by-mode in Fourier space) with pointwise material maps in
+real space.
 
 Builders return a :class:`Projector`; use :func:`apply_projector` to act on
 fields, optionally with a constant shift of the wavevector grid (Bloch
 boundary conditions) or taking the complementary projector instead.
 :data:`FAMILIES` names every family, as a factory of the grid dimension
-(``d -> Projector``).
+(``d -> Projector``); the Maxwell and thermoacoustic factories accept only
+d = 3 and the surface factory only d = 1.
 """
 
 from __future__ import annotations
@@ -54,11 +57,15 @@ class Projector:
     name : str
     layout : BlockLayout
         Canonical block layout of the fields the symbol acts on.
+    D : DOperator or None
+        The full-column-rank potential symbol whose range the projector
+        spans, when it was built from one.
     """
 
-    def __init__(self, name, layout, fn):
+    def __init__(self, name, layout, fn, D=None):
         self.name = name
         self.layout = layout
+        self.D = D
         self._fn = fn
         self._grid_symbols = None  # ((grid, shift), symbols) of the last grid
 
@@ -252,7 +259,7 @@ def _range_projector(name, dop):
         Q, _ = np.linalg.qr(dop.matrices(K))
         return Q @ np.conj(np.swapaxes(Q, -1, -2))
 
-    return Projector(name, dop.layout, fn)
+    return Projector(name, dop.layout, fn, dop)
 
 
 def gamma_helmholtz(d):
@@ -318,14 +325,27 @@ def gamma_surface(k1=0.0, base=None):
     return Projector(f"surface[{base.name}]", base.layout, fn)
 
 
+def _on_dimension(dim, make):
+    """Factory of a family defined on ``dim``-dimensional grids only."""
+
+    def factory(d):
+        projector = make()
+        if d != dim:
+            raise ValueError(f"the {projector.name} projector acts on {dim}-D grids, "
+                             f"not {d}-D")
+        return projector
+
+    return factory
+
+
 FAMILIES = {
     "helmholtz": gamma_helmholtz,
     "elastic": gamma_elastic,
-    "maxwell": lambda d: gamma_maxwell(),
+    "maxwell": _on_dimension(3, gamma_maxwell),
     "brinkman": gamma_brinkman,
-    "thermoacoustic": lambda d: gamma_thermoacoustic(),
+    "thermoacoustic": _on_dimension(3, gamma_thermoacoustic),
     "schrodinger": gamma_schrodinger,
-    "surface": lambda d: gamma_surface(),
+    "surface": _on_dimension(1, gamma_surface),
 }
 
 
@@ -346,15 +366,30 @@ def projector_symbols(projector, grid, shift=None, keep=True):
     key = (grid, shift_key)
     if projector._grid_symbols is not None and projector._grid_symbols[0] == key:
         return projector._grid_symbols[1]
-    K = grid.wavevectors()
-    if shift_key is not None:
-        if len(shift_key) != grid.ndim:
-            raise ValueError("shift must have one entry per grid axis")
-        K = K + np.asarray(shift_key)
-    G = projector.symbols(K)
+    G = projector.symbols(_wavevectors(grid, shift_key))
     if keep:
         projector._grid_symbols = (key, G)
     return G
+
+
+def _wavevectors(grid, shift=None):
+    """The grid's wavevectors plus an optional constant shift."""
+    K = grid.wavevectors()
+    if shift is None:
+        return K
+    shift = np.atleast_1d(np.asarray(shift, dtype=float))
+    if shift.shape != (grid.ndim,):
+        raise ValueError("shift must have one entry per grid axis")
+    return K + shift
+
+
+def _range_basis(projector, grid, shift=None):
+    """A spanning set of range(Gamma(k + shift)) at every mode, shape
+    (npts, c, r): the projector's D symbol where it has one, else its own
+    symbols (Gamma Gamma^H = Gamma, so they span the same range)."""
+    if projector.D is None:
+        return projector_symbols(projector, grid, shift)
+    return projector.D.matrices(_wavevectors(grid, shift))
 
 
 def apply_projector(field, projector, shift=None, which=1):

@@ -10,6 +10,15 @@ and a brute-force dense assembly of A is provided as an oracle for small
 grids.  A separate resolvent path solves (z - D^dagger B D) psi = f for
 scalar-potential families.
 
+The Krylov path is right-preconditioned by the mean medium: with L0 the
+mean of the canonical material over the grid points,
+P = (Gamma1 L0 Gamma1 + Gamma2)^-1 is exact mode by mode (an r x r
+pseudo-inverse of D^H L0 D for the projector's D symbol), and GMRES solves
+A P y = b for x = P y.  Since b - A P y = b - A x, GMRES's stopping rule
+bounds the same residual as without the preconditioner, so ``tol`` keeps
+its meaning.  The fixed-point path and the dense oracle are not
+preconditioned.
+
 :func:`_krylov` is the one GMRES entry point: the canonical solve, the
 resolvent solve and the fermionic perturbation solve all go through it.
 """
@@ -25,7 +34,7 @@ import scipy.sparse.linalg
 from . import fields
 from .fields import Block, BlockLayout, Field, _pointwise, scalar_layout, transform
 from .materials import canonical_material
-from .projectors import helmholtz_D, projector_symbols
+from .projectors import PINV_CUTOFF, _range_basis, helmholtz_D, projector_symbols
 
 __all__ = [
     "Problem",
@@ -132,7 +141,9 @@ def _krylov(matvec, b, tol, max_iter, restart=None):
 
 
 class _CanonicalOperator:
-    """Matrix-free A = Gamma1 L Gamma1 + Gamma2 on flattened Fourier data."""
+    """Matrix-free A = Gamma1 L Gamma1 + Gamma2 on flattened Fourier data,
+    and A P for the mean-medium preconditioner P once
+    :meth:`precondition` has built it."""
 
     def __init__(self, problem):
         self.grid = problem.grid
@@ -142,6 +153,28 @@ class _CanonicalOperator:
         self.G = projector_symbols(problem.gamma, problem.grid, problem.shift)
         self.ncomp = self.Lc.ncomp
         self.n = problem.grid.npoints * self.ncomp
+        self.R = self.Dh = None
+
+    def precondition(self, gamma, shift):
+        """Build P = (Gamma1 L0 Gamma1 + Gamma2)^-1 for the mean medium L0.
+
+        With D a basis of each mode's range(Gamma1) and M = D^H L0 D,
+        Gamma1 P = D M^+ D^H and Gamma2 P = Gamma2.  Only the thin factors
+        R = D M^+ and D^H are kept, never a (c, c) matrix per mode.  The
+        pseudo-inverse cutoff drops the directions in which M is singular:
+        Brinkman's k = 0 hydrostatic stress, which L0 annihilates, and the
+        Gamma2 part of a projector's own symbols standing in for D.
+        """
+        c = self.ncomp
+        D = _range_basis(gamma, self.grid, shift)
+        self.Dh = np.ascontiguousarray(np.conj(np.swapaxes(D, -1, -2)))
+        L0 = self.Lc.values.reshape(-1, c, c).mean(axis=0)
+        M = self.Dh @ L0 @ D
+        self.R = D @ np.linalg.pinv(M, rcond=PINV_CUTOFF)
+
+    def inverse_on_range(self, y):
+        """Gamma1 P y = R (D^H y)."""
+        return _pointwise(self.R, _pointwise(self.Dh, y))
 
     def project(self, vals):
         return _pointwise(self.G, vals)
@@ -160,6 +193,12 @@ class _CanonicalOperator:
 
     def matvec(self, flat):
         return self.apply_hat(flat.reshape(-1, self.ncomp)).ravel()
+
+    def preconditioned_matvec(self, flat):
+        """A P y = Gamma1 L (Gamma1 P y) + Gamma2 y."""
+        y = flat.reshape(-1, self.ncomp)
+        z = self.inverse_on_range(y)
+        return (self.project(self.material(z)) + (y - self.project(y))).ravel()
 
     def residual(self, e_hat, s_hat, b_norm):
         r = self.project(self.material(e_hat) - s_hat)
@@ -211,9 +250,10 @@ def solve(problem):
         return _zero_result(problem, problem.method)
 
     if problem.method == "krylov":
-        x, history, info = _krylov(op.matvec, b.ravel(), problem.tol,
+        op.precondition(problem.gamma, problem.shift)
+        y, history, info = _krylov(op.preconditioned_matvec, b.ravel(), problem.tol,
                                    problem.max_iter, problem.restart)
-        e_hat = op.project(x.reshape(-1, op.ncomp))
+        e_hat = op.inverse_on_range(y.reshape(-1, op.ncomp))
         iterations = len(history)
         stop_reason = "max_iter" if info > 0 else "stalled"
     elif problem.method == "fixed_point":

@@ -185,22 +185,31 @@ _PROJECT_CFG = {"input": "f.uplf", "output": "g.uplf",
     ("schrodinger", dict(SCHRODINGER_CFG, perturbation={"type": "array",
                                                         "values": [1, 2, 3]}),
      "perturbation"),
+    ("schrodinger", dict(SCHRODINGER_CFG, kinetic={"type": "array",
+                                                   "values": [1.0] * 8}),
+     "kinetic"),
+    ("schrodinger", dict(SCHRODINGER_CFG, grid={"dims": [2050]}), "grid"),
     ("solve", dict(SOLVE_CFG, solver={"shift": [0.1, 0.0]}), "solver.shift"),
     ("solve", dict(SOLVE_CFG, solver={"method": "jacobi"}), "solver.method"),
     ("project", dict(_PROJECT_CFG, which=3), "which"),
     ("project", dict(_PROJECT_CFG, shift=[0.1]), "shift"),
-    ("project", dict(_PROJECT_CFG, projector={"family": "maxwell"}),
+    ("project", dict(_PROJECT_CFG, input="f6.uplf"), "projector.family"),
+    ("project", dict(_PROJECT_CFG, input="f6.uplf", projector={"family": "maxwell"}),
      "projector.family"),
 ], ids=["effective-modulation", "effective-k0", "schrodinger-potential",
-        "schrodinger-perturbation", "solve-shift", "solve-method", "project-which",
-        "project-shift", "project-family-components"])
+        "schrodinger-perturbation", "schrodinger-kinetic", "schrodinger-grid",
+        "solve-shift", "solve-method", "project-which", "project-shift",
+        "project-family-components", "project-family-dimension"])
 def test_config_errors_of_every_subcommand_name_their_path(
         tmp_path, monkeypatch, capsys, command, config, path):
     from gammasolve.fields import Block, BlockLayout, Grid
 
     monkeypatch.chdir(tmp_path)
+    grid = Grid((4, 4), (1.0, 1.0))
     lay = BlockLayout((Block("vector", 2), Block("scalar")))
-    write_uplf("f.uplf", random_field(Grid((4, 4), (1.0, 1.0)), lay, seed=0))
+    write_uplf("f.uplf", random_field(grid, lay, seed=0))
+    lay6 = BlockLayout((Block("vector", 3), Block("vector", 3)))
+    write_uplf("f6.uplf", random_field(grid, lay6, seed=0))
     cfg = _write_config(tmp_path / "bad.json", config)
     assert cli.main([command, "--config", cfg, "--out", "o"]) == 1
     err = capsys.readouterr().err

@@ -113,6 +113,23 @@ def test_family_is_range_projector_of_its_D_at_fine_grid_wavevectors(name):
     assert np.linalg.norm(G @ D - D) <= 1e-12 * np.linalg.norm(D)
 
 
+@pytest.mark.parametrize("name", sorted(projectors.FAMILIES))
+def test_family_carries_its_D(name):
+    d = 1 if name == "surface" else 3
+    K = _random_k(d, n=20)
+    proj = projectors.FAMILIES[name](d)
+    assert_allclose(proj.D.matrices(K), FAMILY_D[name](d).matrices(K))
+
+
+@pytest.mark.parametrize("name,dim", [("maxwell", 3), ("thermoacoustic", 3),
+                                      ("surface", 1)])
+def test_fixed_dimension_families_reject_other_grid_dimensions(name, dim):
+    assert projectors.FAMILIES[name](dim).name == name
+    for d in {1, 2, 3} - {dim}:
+        with pytest.raises(ValueError, match=f"acts on {dim}-D grids, not {d}-D"):
+            projectors.FAMILIES[name](d)
+
+
 def test_helmholtz_closed_form_value():
     # frozen at k = (1, 2, 2): k^2 = 9, denominator 10
     G = gamma_helmholtz(3).symbol(np.array([1.0, 2.0, 2.0]))
