@@ -249,13 +249,19 @@ _METHODS = ("krylov", "fixed_point")
 def _parse_solver(cfg, args, default_tol, allowed):
     """Options of the config's ``solver`` section, whose keys must be in
     ``allowed``: ``tol`` is ``--tol``, else ``solver.tol``, else
-    ``default_tol``; ``shift`` and ``history_csv`` come back as given."""
+    ``default_tol``, and must be positive; ``max_iter`` must be a positive
+    integer; ``shift`` and ``history_csv`` come back as given."""
     node = cfg.get("solver", {})
     _check_unknown(node, allowed, "solver")
     opts = dict(node)
-    opts["tol"] = float(node.get("tol", default_tol)) if args.tol is None else args.tol
-    if "max_iter" in node:
-        opts["max_iter"] = int(node["max_iter"])
+    tol, where = ((node.get("tol", default_tol), "solver.tol") if args.tol is None
+                  else (args.tol, "--tol"))
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol > 0:
+        raise ConfigError(f"'{where}' must be a positive number")
+    opts["tol"] = float(tol)
+    max_iter = node.get("max_iter", 1)
+    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
+        raise ConfigError("'solver.max_iter' must be a positive integer")
     if opts.get("method", _METHODS[0]) not in _METHODS:
         raise ConfigError(f"'solver.method' must be one of {', '.join(_METHODS)}")
     return opts

@@ -313,7 +313,7 @@ def scale(alpha, x):
 def _pointwise(matrices, values):
     """The per-point matvec: component vectors (npoints, c) times a constant
     (m, c) matrix or per-point (npoints, m, c) matrices.  Materials,
-    projector symbols and :func:`pointwise_map` all apply through it."""
+    projector bases and :func:`pointwise_map` all apply through it."""
     if matrices.ndim == 2:
         return values @ matrices.T
     return np.einsum("pij,pj->pi", matrices, values)

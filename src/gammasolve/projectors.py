@@ -4,13 +4,12 @@ Each family is declared once, as a potential symbol D(ik) (a
 :class:`DOperator`, the ``*_D`` functions) mapping potentials to the
 admissible pairs: a gradient, curl or divergence paired with the potential
 (or stress) itself.  Every D contains an identity block, so it has full
-column rank at every wavevector k, and the family's projector Gamma(k) is
-the orthogonal projector onto range(D(ik)): Gamma = Q Q^H with Q the
-reduced QR basis of D, built by one routine for every family, and it
-keeps D as :attr:`Projector.D` (the Krylov solver inverts its mean-medium
-operator mode by mode through D).  Solvers alternate these projectors
-(applied mode-by-mode in Fourier space) with pointwise material maps in
-real space.
+column rank at every wavevector k.  A projector is stored as its per-mode
+basis: for a family that is Q, the reduced QR basis of D(ik) built by one
+routine for every family, and Gamma(k) = Q Q^H is the orthogonal projector
+onto range(D(ik)).  Solvers apply Gamma as Q (Q^H v) without forming the
+dense (c, c) symbols, alternating it (mode by mode in Fourier space) with
+pointwise material maps in real space.
 
 Builders return a :class:`Projector`; use :func:`apply_projector` to act on
 fields, optionally with a constant shift of the wavevector grid (Bloch
@@ -50,33 +49,37 @@ __all__ = [
 
 
 class Projector:
-    """Matrix-valued Hermitian idempotent symbol Gamma(k).
+    """Hermitian idempotent symbol Gamma(k) = B B^H, stored as its basis.
+
+    ``fn(K)`` returns B, shape (npts, c, r), with orthonormal columns or any
+    partial isometry: a projector's own symbols qualify (G G^H = G).
 
     Attributes
     ----------
     name : str
     layout : BlockLayout
         Canonical block layout of the fields the symbol acts on.
-    D : DOperator or None
-        The full-column-rank potential symbol whose range the projector
-        spans, when it was built from one.
     """
 
-    def __init__(self, name, layout, fn, D=None):
+    def __init__(self, name, layout, fn):
         self.name = name
         self.layout = layout
-        self.D = D
         self._fn = fn
-        self._grid_symbols = None  # ((grid, shift), symbols) of the last grid
+        self._grid_basis = None  # ((grid, shift), basis) of the last grid
 
     @property
     def ncomp(self):
         return self.layout.ncomp
 
-    def symbols(self, K):
-        """Evaluate at wavevectors K of shape (npts, D) -> (npts, c, c)."""
+    def basis(self, K):
+        """Per-mode basis at wavevectors K of shape (npts, D) -> (npts, c, r)."""
         K = np.atleast_2d(np.asarray(K, dtype=float))
         return self._fn(K)
+
+    def symbols(self, K):
+        """Dense symbols B B^H at wavevectors K -> (npts, c, c)."""
+        B = self.basis(K)
+        return B @ np.conj(np.swapaxes(B, -1, -2))
 
     def symbol(self, k):
         """Evaluate at a single wavevector -> (c, c)."""
@@ -117,15 +120,14 @@ PINV_CUTOFF = 1e-12
 
 def gamma_from_D(dop, cutoff=PINV_CUTOFF):
     """Orthogonal projector onto range(D(ik)), via SVD with a relative
-    singular-value cutoff (columns below cutoff * sigma_max are dropped)."""
+    singular-value cutoff: its basis is the left singular vectors, with the
+    columns below cutoff * sigma_max set to zero."""
 
     def fn(K):
-        D = dop.matrices(K)
-        U, S, _ = np.linalg.svd(D, full_matrices=False)
+        U, S, _ = np.linalg.svd(dop.matrices(K), full_matrices=False)
         smax = S[:, :1]
         keep = S > cutoff * np.where(smax > 0, smax, 1.0)
-        Ur = U * keep[:, None, :]
-        return Ur @ np.conj(np.swapaxes(Ur, -1, -2))
+        return U * keep[:, None, :]
 
     return Projector(f"from_D[{dop.name}]", dop.layout, fn)
 
@@ -248,18 +250,13 @@ def thermoacoustic_D():
 
 
 def _range_projector(name, dop):
-    """Gamma1(k) = Q Q^H, with Q the reduced QR basis of D(ik).
+    """The projector whose basis is Q, the reduced QR basis of D(ik).
 
     Every family's D contains an identity block, so it has full column rank
     at every k (k = 0 included) and Q spans exactly range(D(ik)); unlike
     :func:`gamma_from_D` no singular-value cutoff is involved.
     """
-
-    def fn(K):
-        Q, _ = np.linalg.qr(dop.matrices(K))
-        return Q @ np.conj(np.swapaxes(Q, -1, -2))
-
-    return Projector(name, dop.layout, fn, dop)
+    return Projector(name, dop.layout, lambda K: np.linalg.qr(dop.matrices(K))[0])
 
 
 def gamma_helmholtz(d):
@@ -309,8 +306,8 @@ def gamma_surface(k1=0.0, base=None):
     With ``base=None`` this is the two-component scalar-gradient-pair
     projector in the depth wavenumber k3 (out-of-plane shear motion at
     fixed propagation wavenumber k1; the symbol itself does not depend on
-    k1).  With a base projector it evaluates ``base`` at the embedded
-    3-vector (k1, 0, k3).
+    k1).  With a base projector it evaluates the basis of ``base`` at the
+    embedded 3-vector (k1, 0, k3).
     """
     if base is None:
         return _range_projector("surface", helmholtz_D(1))
@@ -320,7 +317,7 @@ def gamma_surface(k1=0.0, base=None):
         K3 = np.zeros((npts, 3))
         K3[:, 0] = k1
         K3[:, 2] = K[:, 0]
-        return base.symbols(K3)
+        return base.basis(K3)
 
     return Projector(f"surface[{base.name}]", base.layout, fn)
 
@@ -354,42 +351,35 @@ FAMILIES = {
 # ---------------------------------------------------------------------------
 
 
-def projector_symbols(projector, grid, shift=None, keep=True):
-    """Symbols of ``projector`` on the grid's wavevectors (plus optional
-    constant shift).
+def _basis_on(projector, grid, shift=None, keep=True):
+    """Basis of ``projector`` on the grid's wavevectors (plus optional
+    constant shift), shape (npts, c, r).
 
-    The projector keeps the array of its last (grid, shift), so repeated
+    The projector keeps the basis of its last (grid, shift), so repeated
     solves with one projector build it once.  With ``keep=False`` a kept
-    array is still reused, but a new one is not stored on the projector.
+    basis is still reused, but a new one is not stored on the projector.
     """
     shift_key = None if shift is None else tuple(float(s) for s in np.atleast_1d(shift))
     key = (grid, shift_key)
-    if projector._grid_symbols is not None and projector._grid_symbols[0] == key:
-        return projector._grid_symbols[1]
-    G = projector.symbols(_wavevectors(grid, shift_key))
-    if keep:
-        projector._grid_symbols = (key, G)
-    return G
-
-
-def _wavevectors(grid, shift=None):
-    """The grid's wavevectors plus an optional constant shift."""
+    if projector._grid_basis is not None and projector._grid_basis[0] == key:
+        return projector._grid_basis[1]
     K = grid.wavevectors()
-    if shift is None:
-        return K
-    shift = np.atleast_1d(np.asarray(shift, dtype=float))
-    if shift.shape != (grid.ndim,):
-        raise ValueError("shift must have one entry per grid axis")
-    return K + shift
+    if shift_key is not None:
+        if len(shift_key) != grid.ndim:
+            raise ValueError("shift must have one entry per grid axis")
+        K = K + np.asarray(shift_key)
+    B = projector.basis(K)
+    if keep:
+        projector._grid_basis = (key, B)
+    return B
 
 
-def _range_basis(projector, grid, shift=None):
-    """A spanning set of range(Gamma(k + shift)) at every mode, shape
-    (npts, c, r): the projector's D symbol where it has one, else its own
-    symbols (Gamma Gamma^H = Gamma, so they span the same range)."""
-    if projector.D is None:
-        return projector_symbols(projector, grid, shift)
-    return projector.D.matrices(_wavevectors(grid, shift))
+def projector_symbols(projector, grid, shift=None):
+    """Dense symbols B B^H of ``projector`` on the grid's wavevectors (plus
+    optional constant shift), shape (npts, c, c), formed on demand from the
+    basis the projector keeps for its last (grid, shift)."""
+    B = _basis_on(projector, grid, shift)
+    return B @ np.conj(np.swapaxes(B, -1, -2))
 
 
 def apply_projector(field, projector, shift=None, which=1):
@@ -405,9 +395,9 @@ def apply_projector(field, projector, shift=None, which=1):
             f"{projector.ncomp}"
         )
     hat = field.to_fourier()
-    # A one-off application does not pin the symbols to the projector.
-    G = projector_symbols(projector, field.grid, shift, keep=False)
-    vals = _pointwise(G, hat.values)
+    # A one-off application does not pin the basis to the projector.
+    B = _basis_on(projector, field.grid, shift, keep=False)
+    vals = _pointwise(B, _pointwise(np.conj(np.swapaxes(B, -1, -2)), hat.values))
     if which == 2:
         vals = hat.values - vals
     out = Field(field.grid, field.layout, vals, "fourier")

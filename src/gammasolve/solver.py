@@ -1,23 +1,22 @@
 """Solvers for the canonical projected problem Gamma1 (L E - s) = 0.
 
-The solve alternates pointwise material maps in real space with projector
-symbols in Fourier space: the Krylov path applies the operator
-A = Gamma1 L Gamma1 + Gamma2 matrix-free inside restarted GMRES (with
-right-hand side Gamma1 s the solution of A x = b solves the canonical
-problem and automatically lies in range(Gamma1)); the fixed-point path
-iterates E <- E + (1/c) Gamma1 (s - L E) against a reference constant c;
-and a brute-force dense assembly of A is provided as an oracle for small
-grids.  A separate resolvent path solves (z - D^dagger B D) psi = f for
-scalar-potential families.
+The solve alternates pointwise material maps in real space with the
+projector, applied mode by mode in Fourier space through its basis B as
+Gamma1 v = B (B^H v): the Krylov path applies A = Gamma1 L Gamma1 + Gamma2
+matrix-free inside restarted GMRES (with right-hand side Gamma1 s the
+solution of A x = b solves the canonical problem and automatically lies in
+range(Gamma1)); the fixed-point path iterates E <- E + (1/c) Gamma1 (s - L E)
+against a reference constant c; and a brute-force dense assembly of A is
+provided as an oracle for small grids.  A separate resolvent path solves
+(z - D^dagger B D) psi = f for scalar-potential families.
 
 The Krylov path is right-preconditioned by the mean medium: with L0 the
 mean of the canonical material over the grid points,
-P = (Gamma1 L0 Gamma1 + Gamma2)^-1 is exact mode by mode (an r x r
-pseudo-inverse of D^H L0 D for the projector's D symbol), and GMRES solves
-A P y = b for x = P y.  Since b - A P y = b - A x, GMRES's stopping rule
-bounds the same residual as without the preconditioner, so ``tol`` keeps
-its meaning.  The fixed-point path and the dense oracle are not
-preconditioned.
+P = (Gamma1 L0 Gamma1 + Gamma2)^-1 = B M^+ B^H + Gamma2 with M = B^H L0 B
+is exact mode by mode, and GMRES solves A P y = b for x = P y.  Since
+b - A P y = b - A x, GMRES's stopping rule bounds the same residual as
+without the preconditioner, so ``tol`` keeps its meaning.  The fixed-point
+path and the dense oracle are not preconditioned.
 
 :func:`_krylov` is the one GMRES entry point: the canonical solve, the
 resolvent solve and the fermionic perturbation solve all go through it.
@@ -34,7 +33,7 @@ import scipy.sparse.linalg
 from . import fields
 from .fields import Block, BlockLayout, Field, _pointwise, scalar_layout, transform
 from .materials import canonical_material
-from .projectors import PINV_CUTOFF, _range_basis, helmholtz_D, projector_symbols
+from .projectors import PINV_CUTOFF, _basis_on, helmholtz_D
 
 __all__ = [
     "Problem",
@@ -70,7 +69,9 @@ class Problem:
     tol : float
         Target relative residual |Gamma1 (L E - s)| / |Gamma1 s|.
     max_iter : int
-        Cap on inner Krylov (or fixed-point) iterations.
+        Cap on inner Krylov (or fixed-point) iterations, at least 1.  A
+        Krylov cap above the restart length rounds up to whole restart
+        cycles.
     method : {"krylov", "fixed_point"}
     reference : complex or None
         Reference constant for the fixed-point scheme (estimated if None).
@@ -117,14 +118,17 @@ class SolveResult:
 def _krylov(matvec, b, tol, max_iter, restart=None):
     """Restarted GMRES on a flat complex right-hand side ``b``.
 
-    Stops at scipy's residual estimate 0.25 * tol (relative to |b|) or after
-    about ``max_iter`` inner iterations; the restart length is
-    min(40, n) unless given.  Returns ``(x, history, info)``: the solution,
+    Stops at scipy's residual estimate 0.25 * tol (relative to |b|) or at
+    the iteration cap; the restart length is min(40, n, max_iter) unless
+    given, so a cap up to the restart length is exact and a larger one
+    rounds up to whole restart cycles.  Returns ``(x, history, info)``: the solution,
     the residual estimate after each inner iteration, and GMRES's exit code
     (> 0 when the iteration budget ran out).
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     n = b.size
-    restart = min(40 if restart is None else restart, n)
+    restart = min(40 if restart is None else restart, n, max_iter)
     linop = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=np.complex128)
     history = []
     x, info = scipy.sparse.linalg.gmres(
@@ -133,7 +137,7 @@ def _krylov(matvec, b, tol, max_iter, restart=None):
         rtol=0.25 * tol,
         atol=0.0,
         restart=restart,
-        maxiter=max(1, math.ceil(max_iter / restart)),
+        maxiter=math.ceil(max_iter / restart),
         callback=lambda pr: history.append(float(pr)),
         callback_type="pr_norm",
     )
@@ -142,42 +146,39 @@ def _krylov(matvec, b, tol, max_iter, restart=None):
 
 class _CanonicalOperator:
     """Matrix-free A = Gamma1 L Gamma1 + Gamma2 on flattened Fourier data,
-    and A P for the mean-medium preconditioner P once
-    :meth:`precondition` has built it."""
+    with Gamma1 = B B^H applied through the projector's per-mode basis B,
+    and A P for the mean-medium preconditioner P once :meth:`precondition`
+    has built it."""
 
     def __init__(self, problem):
         self.grid = problem.grid
         self.Lc = canonical_material(problem.L)
         if self.Lc.ncomp != problem.gamma.ncomp:
             raise ValueError("material and projector component counts differ")
-        self.G = projector_symbols(problem.gamma, problem.grid, problem.shift)
+        self.B = _basis_on(problem.gamma, problem.grid, problem.shift)
+        self.Bh = np.ascontiguousarray(np.conj(np.swapaxes(self.B, -1, -2)))
         self.ncomp = self.Lc.ncomp
         self.n = problem.grid.npoints * self.ncomp
-        self.R = self.Dh = None
 
-    def precondition(self, gamma, shift):
+    def precondition(self):
         """Build P = (Gamma1 L0 Gamma1 + Gamma2)^-1 for the mean medium L0.
 
-        With D a basis of each mode's range(Gamma1) and M = D^H L0 D,
-        Gamma1 P = D M^+ D^H and Gamma2 P = Gamma2.  Only the thin factors
-        R = D M^+ and D^H are kept, never a (c, c) matrix per mode.  The
-        pseudo-inverse cutoff drops the directions in which M is singular:
-        Brinkman's k = 0 hydrostatic stress, which L0 annihilates, and the
-        Gamma2 part of a projector's own symbols standing in for D.
+        With M = B^H L0 B, Gamma1 P = B M^+ B^H and Gamma2 P = Gamma2; only
+        the thin factor R = B M^+ is kept.  The pseudo-inverse cutoff drops
+        the directions in which M is singular: Brinkman's k = 0 hydrostatic
+        stress, which L0 annihilates, and the zero directions of a
+        partial-isometry basis.
         """
         c = self.ncomp
-        D = _range_basis(gamma, self.grid, shift)
-        self.Dh = np.ascontiguousarray(np.conj(np.swapaxes(D, -1, -2)))
         L0 = self.Lc.values.reshape(-1, c, c).mean(axis=0)
-        M = self.Dh @ L0 @ D
-        self.R = D @ np.linalg.pinv(M, rcond=PINV_CUTOFF)
+        self.R = self.B @ np.linalg.pinv(self.Bh @ L0 @ self.B, rcond=PINV_CUTOFF)
 
     def inverse_on_range(self, y):
-        """Gamma1 P y = R (D^H y)."""
-        return _pointwise(self.R, _pointwise(self.Dh, y))
+        """Gamma1 P y = R (B^H y)."""
+        return _pointwise(self.R, _pointwise(self.Bh, y))
 
     def project(self, vals):
-        return _pointwise(self.G, vals)
+        return _pointwise(self.B, _pointwise(self.Bh, vals))
 
     def material(self, vals_hat, apply=None):
         real = transform(vals_hat, self.grid, False)
@@ -195,10 +196,11 @@ class _CanonicalOperator:
         return self.apply_hat(flat.reshape(-1, self.ncomp)).ravel()
 
     def preconditioned_matvec(self, flat):
-        """A P y = Gamma1 L (Gamma1 P y) + Gamma2 y."""
+        """A P y = Gamma1 L (R a) + (y - B a), with a = B^H y."""
         y = flat.reshape(-1, self.ncomp)
-        z = self.inverse_on_range(y)
-        return (self.project(self.material(z)) + (y - self.project(y))).ravel()
+        a = _pointwise(self.Bh, y)
+        z = _pointwise(self.R, a)
+        return (self.project(self.material(z)) + (y - _pointwise(self.B, a))).ravel()
 
     def residual(self, e_hat, s_hat, b_norm):
         r = self.project(self.material(e_hat) - s_hat)
@@ -244,13 +246,15 @@ def solve(problem):
     onto range(Gamma1) exactly.  With a source whose projection vanishes
     the zero field is returned as converged.
     """
+    if problem.max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     op = _CanonicalOperator(problem)
     s_hat, b, b_norm = _projected_source(op, problem)
     if b_norm == 0.0:
         return _zero_result(problem, problem.method)
 
     if problem.method == "krylov":
-        op.precondition(problem.gamma, problem.shift)
+        op.precondition()
         y, history, info = _krylov(op.preconditioned_matvec, b.ravel(), problem.tol,
                                    problem.max_iter, problem.restart)
         e_hat = op.inverse_on_range(y.reshape(-1, op.ncomp))

@@ -196,10 +196,17 @@ _PROJECT_CFG = {"input": "f.uplf", "output": "g.uplf",
     ("project", dict(_PROJECT_CFG, input="f6.uplf"), "projector.family"),
     ("project", dict(_PROJECT_CFG, input="f6.uplf", projector={"family": "maxwell"}),
      "projector.family"),
+    ("solve", dict(SOLVE_CFG, solver={"max_iter": "abc"}), "solver.max_iter"),
+    ("solve", dict(SOLVE_CFG, solver={"max_iter": None}), "solver.max_iter"),
+    ("solve", dict(SOLVE_CFG, solver={"tol": "abc"}), "solver.tol"),
+    ("effective", dict(EFFECTIVE_CFG, solver={"max_iter": 0}), "solver.max_iter"),
+    ("schrodinger", dict(SCHRODINGER_CFG, solver={"tol": -1}), "solver.tol"),
 ], ids=["effective-modulation", "effective-k0", "schrodinger-potential",
         "schrodinger-perturbation", "schrodinger-kinetic", "schrodinger-grid",
         "solve-shift", "solve-method", "project-which", "project-shift",
-        "project-family-components", "project-family-dimension"])
+        "project-family-components", "project-family-dimension",
+        "solve-max_iter-string", "solve-max_iter-null", "solve-tol-string",
+        "effective-max_iter-zero", "schrodinger-tol-negative"])
 def test_config_errors_of_every_subcommand_name_their_path(
         tmp_path, monkeypatch, capsys, command, config, path):
     from gammasolve.fields import Block, BlockLayout, Grid

@@ -115,10 +115,15 @@ def test_family_is_range_projector_of_its_D_at_fine_grid_wavevectors(name):
 
 @pytest.mark.parametrize("name", sorted(projectors.FAMILIES))
 def test_family_carries_its_D(name):
+    # The family's basis B is orthonormal and spans range(D): B B^H D = D.
     d = 1 if name == "surface" else 3
-    K = _random_k(d, n=20)
-    proj = projectors.FAMILIES[name](d)
-    assert_allclose(proj.D.matrices(K), FAMILY_D[name](d).matrices(K))
+    K = Grid((16,) * d, (0.1,) * d).wavevectors()
+    B = projectors.FAMILIES[name](d).basis(K)
+    D = FAMILY_D[name](d).matrices(K)
+    Bh = np.conj(np.swapaxes(B, -1, -2))
+    eye = np.eye(B.shape[-1])
+    assert np.max(np.abs(Bh @ B - eye)) <= 1e-12
+    assert np.linalg.norm(B @ (Bh @ D) - D) <= 1e-12 * np.linalg.norm(D)
 
 
 @pytest.mark.parametrize("name,dim", [("maxwell", 3), ("thermoacoustic", 3),
@@ -245,9 +250,11 @@ def test_gamma_from_D_cutoff_drops_rank_deficiency():
 def test_projector_symbols_shift_and_cache():
     g = Grid((4, 4, 4), (2.0 * np.pi,) * 3)
     proj = gamma_helmholtz(3)
-    G0 = projector_symbols(proj, g)
-    G0_again = projector_symbols(proj, g)
-    assert G0 is G0_again  # cached object identity
+    B0 = projectors._basis_on(proj, g)
+    B0_again = projectors._basis_on(proj, g)
+    assert B0 is B0_again  # cached object identity
+    assert_allclose(projector_symbols(proj, g), proj.symbols(g.wavevectors()),
+                    atol=1e-15)
     shift = np.array([0.3, 0.0, -0.1])
     Gs = projector_symbols(proj, g, shift)
     K = g.wavevectors()

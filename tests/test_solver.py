@@ -25,13 +25,18 @@ from gammasolve.materials import (
 from gammasolve.projectors import (
     Projector,
     gamma_elastic,
+    gamma_from_D,
     gamma_helmholtz,
     gamma_maxwell,
+    gamma_surface,
     projector_symbols,
+    sym_gradient_D,
 )
+from gammasolve.quasiperiodic import QuasiSource, solve_quasiperiodic
 from gammasolve.solver import (
     Problem,
     ResonanceError,
+    _krylov,
     dense_operator,
     operator_norm_estimate,
     residual_functional,
@@ -287,17 +292,85 @@ def test_preconditioned_solve_converges_where_plain_gmres_hits_the_cap():
     assert np.linalg.norm(res.E.values - rd.E.values) <= 1e-6 * np.linalg.norm(rd.E.values)
 
 
-def test_projector_without_D_is_preconditioned_through_its_symbols():
+def _lossy_material(layout, npoints, seed):
+    """A random per-point material with a dissipative part bounded below."""
+    c = layout.ncomp
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(size=(npoints, c, c)) + 1j * rng.normal(size=(npoints, c, c))
+    return LField(layout, (2.0 + 1.0j) * np.eye(c) + 0.2 * noise)
+
+
+def _custom_symbols_case():
     grid = Grid((8, 8), (2.0 * np.pi,) * 2)
     L = build_acoustics(grid, 1.1, Checkerboard((1.0, 2.0 + 0.5j)), 1.2)
     family = gamma_helmholtz(2)
-    custom = Projector("custom", family.layout, family.symbols)
-    assert family.D is not None and custom.D is None
-    prob = Problem(grid=grid, L=L, gamma=custom, tol=1e-10,
+    return grid, L, Projector("custom", family.layout, family.symbols)
+
+
+def _svd_zero_columns_case():
+    # range(sym_gradient_D) is 3 of 6 components, and empty at k = 0
+    grid = Grid((4, 4, 4), (2.0 * np.pi,) * 3)
+    gamma = gamma_from_D(sym_gradient_D(3))
+    return grid, _lossy_material(gamma.layout, grid.npoints, 3), gamma
+
+
+def _surface_embedded_case():
+    grid = Grid((16,), (2.0 * np.pi,))
+    gamma = gamma_surface(0.8, gamma_elastic(3))
+    return grid, _lossy_material(gamma.layout, grid.npoints, 4), gamma
+
+
+@pytest.mark.parametrize("case", [_custom_symbols_case, _svd_zero_columns_case,
+                                  _surface_embedded_case],
+                         ids=["custom-symbols", "svd-zero-columns", "surface-embedded"])
+def test_partial_isometry_basis_is_preconditioned(case):
+    # A projector's basis may be any partial isometry: its own symbols, an
+    # SVD basis with zero columns, or another projector's basis.
+    grid, L, gamma = case()
+    prob = Problem(grid=grid, L=L, gamma=gamma, tol=1e-10,
                    source=random_field(grid, L.layout, seed=5))
     rk, rd = solve(prob), solve_dense(prob)
     assert rk.converged
     assert np.linalg.norm(rk.E.values - rd.E.values) <= 1e-8 * np.linalg.norm(rd.E.values)
+
+
+def test_solves_never_form_dense_projector_symbols(monkeypatch):
+    def refuse(self, K):
+        raise AssertionError("dense projector symbols evaluated")
+
+    grid = Grid((6, 6, 6), (2.0 * np.pi,) * 3)
+    L = build_elastodynamics(grid, 1.1, Checkerboard((1.0, 1.5)),
+                             bulk=Checkerboard((2.0, 3.0)), shear=0.7)
+    monkeypatch.setattr(Projector, "symbols", refuse)
+    source = random_field(grid, L.layout, seed=2)
+    assert solve(Problem(grid=grid, L=L, gamma=gamma_elastic(3), source=source,
+                         tol=1e-8)).converged
+    # The lossless material is indefinite, so only run a few fixed-point steps.
+    fixed = solve(Problem(grid=grid, L=L, gamma=gamma_elastic(3), source=source,
+                          method="fixed_point", max_iter=3))
+    assert fixed.iterations == 3
+    amp = np.zeros(L.ncomp)
+    amp[0] = 1.0
+    column = solve_quasiperiodic(grid, L, gamma_elastic(3),
+                                 QuasiSource(np.array([0.3, 0.0, 0.1]), amp), tol=1e-8)
+    assert column.converged
+
+
+def test_krylov_honors_a_cap_below_the_restart_length():
+    grid = Grid((12, 12), (2.0 * np.pi,) * 2)
+    L = build_acoustics(grid, 3.3, 1.0, Checkerboard((1.0, 10.0)))
+    prob = Problem(grid=grid, L=L, gamma=gamma_helmholtz(2), tol=1e-12, max_iter=5,
+                   source=random_field(grid, L.layout, seed=1))
+    res = solve(prob)
+    assert res.iterations == 5
+    assert res.stop_reason == "max_iter"
+    for method in ("krylov", "fixed_point"):
+        prob.max_iter, prob.method = 0, method
+        with pytest.raises(ValueError, match="max_iter"):
+            solve(prob)
+    # the resolvent and perturbation solves share the Krylov driver's check
+    with pytest.raises(ValueError, match="max_iter"):
+        _krylov(lambda x: x, np.ones(4, complex), 1e-8, 0)
 
 
 def test_unknown_method_rejected():
