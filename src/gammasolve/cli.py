@@ -66,15 +66,15 @@ def _require(node, key, path):
     return node[key]
 
 
+def _is_number(node):
+    return isinstance(node, (int, float)) and not isinstance(node, bool)
+
+
 def _scalar(node, path):
     """A JSON number, or a [re, im] pair for complex values."""
-    if isinstance(node, (int, float)) and not isinstance(node, bool):
+    if _is_number(node):
         return float(node)
-    if (
-        isinstance(node, list)
-        and len(node) == 2
-        and all(isinstance(v, (int, float)) for v in node)
-    ):
+    if isinstance(node, list) and len(node) == 2 and all(map(_is_number, node)):
         return complex(node[0], node[1])
     raise ConfigError(f"'{path}' must be a number or [re, im] pair")
 
@@ -256,7 +256,7 @@ def _parse_solver(cfg, args, default_tol, allowed):
     opts = dict(node)
     tol, where = ((node.get("tol", default_tol), "solver.tol") if args.tol is None
                   else (args.tol, "--tol"))
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol > 0:
+    if not _is_number(tol) or not tol > 0:
         raise ConfigError(f"'{where}' must be a positive number")
     opts["tol"] = float(tol)
     max_iter = node.get("max_iter", 1)

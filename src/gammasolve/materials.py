@@ -318,7 +318,7 @@ def _assemble(layout, entries):
     leading shape is the broadcast of the blocks' leading shapes."""
     c = layout.ncomp
     sl = layout.slices()
-    blocks = {key: np.asarray(blk, dtype=np.complex128) for key, blk in entries.items()}
+    blocks = {key: np.asarray(blk) for key, blk in entries.items()}
     lead = np.broadcast_shapes(*(blk.shape[:-2] for blk in blocks.values()))
     out = np.zeros(lead + (c, c), dtype=np.complex128)
     for (bi, bj), blk in blocks.items():

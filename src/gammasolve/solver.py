@@ -2,24 +2,32 @@
 
 The solve alternates pointwise material maps in real space with the
 projector, applied mode by mode in Fourier space through its basis B as
-Gamma1 v = B (B^H v): the Krylov path applies A = Gamma1 L Gamma1 + Gamma2
-matrix-free inside restarted GMRES (with right-hand side Gamma1 s the
-solution of A x = b solves the canonical problem and automatically lies in
-range(Gamma1)); the fixed-point path iterates E <- E + (1/c) Gamma1 (s - L E)
-against a reference constant c; and a brute-force dense assembly of A is
-provided as an oracle for small grids.  A separate resolvent path solves
-(z - D^dagger B D) psi = f for scalar-potential families.
+Gamma1 v = B (B^H v): the Krylov path runs restarted GMRES on the
+projector's potential coefficients (r of the c components per mode); the
+fixed-point path iterates E <- E + (1/c) Gamma1 (s - L E) against a
+reference constant c; and a brute-force dense assembly of the full-space
+operator A = Gamma1 L Gamma1 + Gamma2 is provided as an oracle for small
+grids.  A separate resolvent path solves (z - D^dagger B D) psi = f for
+scalar-potential families.
 
-The Krylov path is right-preconditioned by the mean medium: with L0 the
-mean of the canonical material over the grid points,
+The Krylov path solves A x = Gamma1 s right-preconditioned by the mean
+medium: with L0 the mean of the canonical material over the grid points,
 P = (Gamma1 L0 Gamma1 + Gamma2)^-1 = B M^+ B^H + Gamma2 with M = B^H L0 B
 is exact mode by mode, and GMRES solves A P y = b for x = P y.  Since
 b - A P y = b - A x, GMRES's stopping rule bounds the same residual as
-without the preconditioner, so ``tol`` keeps its meaning.  The fixed-point
-path and the dense oracle are not preconditioned.
+without the preconditioner.  The Krylov space of A P that starts from
+b = Gamma1 s never leaves range(B), and B is an isometry there, so GMRES
+runs on the coefficients a = B^H y in C^(npts r) instead: right-hand side
+B^H s, operator a -> B^H F L F^-1 (R a) with R = B M^+, and E = R a.  It
+is the same GMRES in exact arithmetic, with the same residual norms, so
+``tol`` keeps its meaning and the iteration count is unchanged; the
+Gamma2 padding drops out of every matvec and every basis vector.  The
+fixed-point path and the dense oracle are not preconditioned.
 
 :func:`_krylov` is the one GMRES entry point: the canonical solve, the
-resolvent solve and the fermionic perturbation solve all go through it.
+resolvent solve and the fermionic perturbation solve all go through it,
+and :func:`_potential_matvec` is the potential-space operator that the
+canonical and resolvent solves share.
 """
 
 from __future__ import annotations
@@ -76,8 +84,9 @@ class Problem:
     reference : complex or None
         Reference constant for the fixed-point scheme (estimated if None).
     restart : int or None
-        Krylov restart length (None picks min(40, n); raise it for stiff
-        penalized problems where restarting stalls).
+        Krylov restart length (None picks min(40, n), where n = npts r
+        counts the potential unknowns; raise it for stiff penalized
+        problems where restarting stalls).
     seed : int
         Seed for randomized estimates.
     """
@@ -120,7 +129,8 @@ def _krylov(matvec, b, tol, max_iter, restart=None):
 
     Stops at scipy's residual estimate 0.25 * tol (relative to |b|) or at
     the iteration cap; the restart length is min(40, n, max_iter) unless
-    given, so a cap up to the restart length is exact and a larger one
+    given, with n = b.size (npts r potential unknowns for the canonical
+    solve), so a cap up to the restart length is exact and a larger one
     rounds up to whole restart cycles.  Returns ``(x, history, info)``: the solution,
     the residual estimate after each inner iteration, and GMRES's exit code
     (> 0 when the iteration budget ran out).
@@ -144,11 +154,20 @@ def _krylov(matvec, b, tol, max_iter, restart=None):
     return x, history, info
 
 
+def _potential_matvec(grid, left, apply, right, a):
+    """left F apply(F^-1 (right a)) for per-mode potential coefficients a
+    of shape (npts, r): ``right`` lifts them to fields, ``apply`` is a
+    pointwise real-space map and ``left`` takes the result back to
+    potentials."""
+    real = transform(_pointwise(right, a), grid, False)
+    return _pointwise(left, transform(apply(real), grid))
+
+
 class _CanonicalOperator:
     """Matrix-free A = Gamma1 L Gamma1 + Gamma2 on flattened Fourier data,
     with Gamma1 = B B^H applied through the projector's per-mode basis B,
-    and A P for the mean-medium preconditioner P once :meth:`precondition`
-    has built it."""
+    and the factor R = B M^+ of the mean-medium preconditioner once
+    :meth:`precondition` has built it."""
 
     def __init__(self, problem):
         self.grid = problem.grid
@@ -173,10 +192,6 @@ class _CanonicalOperator:
         L0 = self.Lc.values.reshape(-1, c, c).mean(axis=0)
         self.R = self.B @ np.linalg.pinv(self.Bh @ L0 @ self.B, rcond=PINV_CUTOFF)
 
-    def inverse_on_range(self, y):
-        """Gamma1 P y = R (B^H y)."""
-        return _pointwise(self.R, _pointwise(self.Bh, y))
-
     def project(self, vals):
         return _pointwise(self.B, _pointwise(self.Bh, vals))
 
@@ -194,13 +209,6 @@ class _CanonicalOperator:
 
     def matvec(self, flat):
         return self.apply_hat(flat.reshape(-1, self.ncomp)).ravel()
-
-    def preconditioned_matvec(self, flat):
-        """A P y = Gamma1 L (R a) + (y - B a), with a = B^H y."""
-        y = flat.reshape(-1, self.ncomp)
-        a = _pointwise(self.Bh, y)
-        z = _pointwise(self.R, a)
-        return (self.project(self.material(z)) + (y - _pointwise(self.B, a))).ravel()
 
     def residual(self, e_hat, s_hat, b_norm):
         r = self.project(self.material(e_hat) - s_hat)
@@ -255,9 +263,15 @@ def solve(problem):
 
     if problem.method == "krylov":
         op.precondition()
-        y, history, info = _krylov(op.preconditioned_matvec, b.ravel(), problem.tol,
+        rank = op.B.shape[-1]
+
+        def matvec(flat):
+            a = flat.reshape(-1, rank)
+            return _potential_matvec(op.grid, op.Bh, op.Lc.apply, op.R, a).ravel()
+
+        a, history, info = _krylov(matvec, _pointwise(op.Bh, s_hat).ravel(), problem.tol,
                                    problem.max_iter, problem.restart)
-        e_hat = op.inverse_on_range(y.reshape(-1, op.ncomp))
+        e_hat = _pointwise(op.R, a.reshape(-1, rank))
         iterations = len(history)
         stop_reason = "max_iter" if info > 0 else "stalled"
     elif problem.method == "fixed_point":
@@ -378,9 +392,7 @@ def solve_resolvent(grid, z, B, f, tol=1e-10, max_iter=2000):
         return out.to_real() if f.representation == "real" else out
 
     def matvec(psi_hat):
-        d_real = transform(_pointwise(D, psi_hat[:, None]), grid, False)
-        w = transform(B.apply(d_real), grid)
-        return z * psi_hat - _pointwise(Dh, w)[:, 0]
+        return z * psi_hat - _potential_matvec(grid, Dh, B.apply, D, psi_hat[:, None])[:, 0]
 
     x, _, _ = _krylov(matvec, f_hat, tol, max_iter)
     rel = float(np.linalg.norm(matvec(x) - f_hat) / np.linalg.norm(f_hat))

@@ -201,12 +201,15 @@ _PROJECT_CFG = {"input": "f.uplf", "output": "g.uplf",
     ("solve", dict(SOLVE_CFG, solver={"tol": "abc"}), "solver.tol"),
     ("effective", dict(EFFECTIVE_CFG, solver={"max_iter": 0}), "solver.max_iter"),
     ("schrodinger", dict(SCHRODINGER_CFG, solver={"tol": -1}), "solver.tol"),
+    ("solve", dict(SOLVE_CFG, material=dict(SOLVE_CFG["material"],
+                                            params={"kappa": [True, False], "rho": 1.0})),
+     "material.params.kappa"),
 ], ids=["effective-modulation", "effective-k0", "schrodinger-potential",
         "schrodinger-perturbation", "schrodinger-kinetic", "schrodinger-grid",
         "solve-shift", "solve-method", "project-which", "project-shift",
         "project-family-components", "project-family-dimension",
         "solve-max_iter-string", "solve-max_iter-null", "solve-tol-string",
-        "effective-max_iter-zero", "schrodinger-tol-negative"])
+        "effective-max_iter-zero", "schrodinger-tol-negative", "solve-kappa-bool-pair"])
 def test_config_errors_of_every_subcommand_name_their_path(
         tmp_path, monkeypatch, capsys, command, config, path):
     from gammasolve.fields import Block, BlockLayout, Grid

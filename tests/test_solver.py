@@ -32,6 +32,7 @@ from gammasolve.projectors import (
     projector_symbols,
     sym_gradient_D,
 )
+from gammasolve import solver as sv
 from gammasolve.quasiperiodic import QuasiSource, solve_quasiperiodic
 from gammasolve.solver import (
     Problem,
@@ -334,13 +335,67 @@ def test_partial_isometry_basis_is_preconditioned(case):
     assert np.linalg.norm(rk.E.values - rd.E.values) <= 1e-8 * np.linalg.norm(rd.E.values)
 
 
+def _elastic_checkerboard(grid):
+    return build_elastodynamics(grid, 1.1, Checkerboard((1.0, 1.5)),
+                                bulk=Checkerboard((2.0, 3.0)), shear=0.7)
+
+
+POTENTIAL_CASES = [
+    ("elastodynamics", _elastic_checkerboard, gamma_elastic(3), 3),
+    ("maxwell", lambda g: build_maxwell(g, 1.1, Checkerboard((1.0, 2.0 - 0.3j)), 1.5),
+     gamma_maxwell(), 3),
+]
+
+
+@pytest.mark.parametrize("name,build,gamma,rank", POTENTIAL_CASES,
+                         ids=[c[0] for c in POTENTIAL_CASES])
+def test_krylov_runs_on_potential_coefficients(monkeypatch, name, build, gamma, rank):
+    # GMRES iterates on the r potential coefficients per mode, not on the
+    # c components padded by Gamma2 (elastic 3 of 12, Maxwell 3 of 6).
+    sizes = []
+    krylov = sv._krylov
+
+    def spy(matvec, b, *args):
+        sizes.append(b.size)
+        return krylov(matvec, b, *args)
+
+    monkeypatch.setattr(sv, "_krylov", spy)
+    grid = Grid((6, 6, 6), (2.0 * np.pi,) * 3)
+    L = build(grid)
+    prob = Problem(grid=grid, L=L, gamma=gamma, tol=1e-10,
+                   source=random_field(grid, L.layout, seed=6))
+    rk = solve(prob)
+    assert sizes == [grid.npoints * rank]
+    assert rk.converged
+    rd = solve_dense(prob)
+    assert np.linalg.norm(rk.E.values - rd.E.values) <= 1e-8 * np.linalg.norm(rd.E.values)
+
+
+def test_krylov_solve_never_applies_the_full_space_operator(monkeypatch):
+    def refuse(self, x):
+        raise AssertionError("full-space operator applied")
+
+    projections = []
+    project = sv._CanonicalOperator.project
+    monkeypatch.setattr(sv._CanonicalOperator, "apply_hat", refuse)
+    monkeypatch.setattr(sv._CanonicalOperator, "project",
+                        lambda self, v: projections.append(1) or project(self, v))
+    grid = Grid((6, 6, 6), (2.0 * np.pi,) * 3)
+    L = _elastic_checkerboard(grid)
+    res = solve(Problem(grid=grid, L=L, gamma=gamma_elastic(3), tol=1e-8,
+                        source=random_field(grid, L.layout, seed=2)))
+    assert res.converged and res.iterations > 1
+    # Gamma1 acts on full-space vectors only for the source and the final
+    # residual, never inside an iteration.
+    assert len(projections) == 2
+
+
 def test_solves_never_form_dense_projector_symbols(monkeypatch):
     def refuse(self, K):
         raise AssertionError("dense projector symbols evaluated")
 
     grid = Grid((6, 6, 6), (2.0 * np.pi,) * 3)
-    L = build_elastodynamics(grid, 1.1, Checkerboard((1.0, 1.5)),
-                             bulk=Checkerboard((2.0, 3.0)), shear=0.7)
+    L = _elastic_checkerboard(grid)
     monkeypatch.setattr(Projector, "symbols", refuse)
     source = random_field(grid, L.layout, seed=2)
     assert solve(Problem(grid=grid, L=L, gamma=gamma_elastic(3), source=source,
