@@ -9,13 +9,16 @@ brute-force dense oracle affordable for every family.
 import numpy as np
 
 from gammasolve import (
+    Field,
     Grid,
     MaterialSpec,
     Problem,
     block_source,
     brinkman_source,
+    apply_projector,
     build_material,
     default_projector,
+    dense_operator,
     random_field,
     solve,
     solve_dense,
@@ -82,15 +85,11 @@ for physics, dims, omega, params, options in CASES:
     if physics == "brinkman":
         # dense assembly is singular here (constant hydrostatic stress is
         # a pure pressure gauge), so take the minimum-norm solution
-        from gammasolve.fields import Field
-        from gammasolve.solver import _CanonicalOperator, dense_operator
-
-        op = _CanonicalOperator(prob)
         A = dense_operator(prob)
-        b = op.project(s.to_fourier().values).ravel()
+        b = apply_projector(s.to_fourier(), gamma).values.ravel()
         x, *_ = np.linalg.lstsq(A, b, rcond=None)
-        e_hat = op.project(x.reshape(-1, op.ncomp))
-        Ed = Field(grid, L.layout, e_hat, "fourier").to_real()
+        x_hat = Field(grid, L.layout, x.reshape(-1, L.ncomp), "fourier")
+        Ed = apply_projector(x_hat, gamma).to_real()
         dev = np.linalg.norm(rk.E.values - Ed.values) / np.linalg.norm(Ed.values)
     else:
         rd = solve_dense(prob)

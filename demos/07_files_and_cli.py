@@ -10,6 +10,7 @@ and the built-in verification suite through the CLI entry point.
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +27,7 @@ with tempfile.TemporaryDirectory() as td:
     write_uplf(p1, f)
     g = read_uplf(p1)
     write_uplf(p2, g)
-    same = open(p1, "rb").read() == open(p2, "rb").read()
+    same = Path(p1).read_bytes() == Path(p2).read_bytes()
     print(f"uplf round trip: {os.path.getsize(p1)} bytes, "
           f"byte-identical after re-save: {same}")
     print(f"max value deviation: {np.max(np.abs(g.values - f.values)):.2e}")
@@ -45,7 +46,7 @@ with tempfile.TemporaryDirectory() as td:
         json.dump(config, fh)
     out = os.path.join(td, "run")
     rc = main(["solve", "--config", cfg_path, "--out", out])
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    summary = json.loads(Path(out, "summary.json").read_text())
     print(f"\ncli solve: exit {rc}, converged {summary['converged']}, "
           f"residual {summary['residual']:.2e}")
     print("outputs:", sorted(os.listdir(out)))

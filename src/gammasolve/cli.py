@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -538,7 +539,7 @@ def _verify_checks(seed):
         p2 = os.path.join(td, "b.uplf")
         write_uplf(p1, f)
         write_uplf(p2, read_uplf(p1))
-        same = open(p1, "rb").read() == open(p2, "rb").read()
+        same = Path(p1).read_bytes() == Path(p2).read_bytes()
     checks.append(("uplf_roundtrip", same, "byte-identical" if same else "differs"))
 
     worst = 0.0

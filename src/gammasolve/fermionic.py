@@ -22,7 +22,7 @@ import numpy as np
 
 from .fields import Field, Grid, _pointwise, scalar_layout, transform
 from .projectors import helmholtz_D
-from .solver import _CanonicalOperator, _krylov
+from .solver import _CanonicalOperator, _krylov, _potential_matvec, _result
 
 __all__ = [
     "MultiElectronGrid",
@@ -389,9 +389,11 @@ def perturbation_solve(material, psi, vprime, tol=1e-10, max_iter=2000):
     E' = <psi, V' psi>.
 
     The corrector equation is the canonical projected problem with source
-    (0, (V' - E') psi); the (one-dimensional) kernel spanned by the
-    gradient pair of psi is removed by adding a rank-one penalty before
-    the Krylov solve, and the gauge is enforced exactly afterwards.
+    (0, (V' - E') psi), solved by GMRES on the projector's potential
+    coefficients a with the operator a -> B^H F L F^-1 (B a); the
+    (one-dimensional) kernel spanned by the gradient pair of psi is removed
+    by adding a rank-one penalty on its coefficients kappa = B^H D psi, and
+    the gauge is enforced exactly afterwards.
     """
     from .fields import inner_product
     from .materials import default_projector
@@ -418,36 +420,35 @@ def perturbation_solve(material, psi, vprime, tol=1e-10, max_iter=2000):
     )
     op = _CanonicalOperator(problem)
 
-    # kernel direction: the gradient pair D psi in Fourier form
+    # kernel direction: the unit gradient pair D psi in Fourier form, and
+    # its potential coefficients kappa = B^H D psi, also of unit norm since
+    # D psi lies in range(B)
     psi_hat = Field(grid, scalar_layout(), psi_r[:, None]).to_fourier().values
-    kernel = _pointwise(helmholtz_D(nd).matrices(grid.wavevectors()), psi_hat).ravel()
-    kernel_flat = kernel / np.linalg.norm(kernel)
+    kernel = _pointwise(helmholtz_D(nd).matrices(grid.wavevectors()), psi_hat)
+    kernel /= np.linalg.norm(kernel)
+    kappa = _pointwise(op.Bh, kernel).ravel()
     sigma = max(1.0, abs(complex(material.omega)))
 
-    def matvec(flat):
-        out = op.matvec(flat)
-        return out + sigma * np.vdot(kernel_flat, flat) * kernel_flat
+    def matvec(a):
+        penalty = sigma * np.vdot(kappa, a) * kappa
+        return _potential_matvec(grid, op.Bh, op.Lc.apply, op.B, a) + penalty
 
     # The exact corrector source is orthogonal to the kernel pair; any
     # content there is rounding noise from the (V' - E') cancellation, so
     # strip it, and treat a source at rounding level as exactly zero.
     s_hat = source.to_fourier().values
-    s_flat = s_hat.ravel()
-    s_flat -= np.vdot(kernel_flat, s_flat) * kernel_flat
-    b = op.project(s_hat)
+    s_hat -= np.vdot(kernel, s_hat) * kernel
+    b = _pointwise(op.Bh, s_hat).ravel()
     b_norm = float(np.linalg.norm(b))
     scale = float(np.linalg.norm((np.abs(vp) + abs(e_prime)) * np.abs(psi_r)))
     if b_norm <= 1e-13 * max(scale, 1e-300):
         zero = Field.zeros(grid, scalar_layout())
         return PerturbationResult(e_prime, zero, 0.0, 0, True)
-    x, history, _ = _krylov(matvec, b.ravel(), tol, max_iter)
-    e_hat = op.project(x.reshape(-1, nd + 1))
-    residual = op.residual(e_hat, s_hat, b_norm)
-    efield = Field(grid, layout, e_hat, "fourier").to_real()
-    psi_prime = Field(grid, scalar_layout(), efield.values[:, nd:])
+    a, history, _ = _krylov(matvec, b, tol, max_iter)
+    e_hat = _pointwise(op.B, a.reshape(grid.npoints, -1))
+    res = _result(op, problem, e_hat, s_hat, b_norm, len(history), "krylov")
+    psi_prime = Field(grid, scalar_layout(), res.E.values[:, nd:])
     psi_field = Field(grid, scalar_layout(), psi_r[:, None])
     overlap = inner_product(psi_field, psi_prime) / inner_product(psi_field, psi_field)
-    psi_prime = Field(
-        grid, scalar_layout(), psi_prime.values - overlap * psi_field.values
-    )
-    return PerturbationResult(e_prime, psi_prime, residual, len(history), residual <= tol)
+    psi_prime = Field(grid, scalar_layout(), psi_prime.values - overlap * psi_field.values)
+    return PerturbationResult(e_prime, psi_prime, res.residual, res.iterations, res.converged)

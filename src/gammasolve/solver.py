@@ -2,36 +2,37 @@
 
 The solve alternates pointwise material maps in real space with the
 projector, applied mode by mode in Fourier space through its basis B as
-Gamma1 v = B (B^H v): the Krylov path runs restarted GMRES on the
-projector's potential coefficients (r of the c components per mode); the
-fixed-point path iterates E <- E + (1/c) Gamma1 (s - L E) against a
-reference constant c; and a brute-force dense assembly of the full-space
-operator A = Gamma1 L Gamma1 + Gamma2 is provided as an oracle for small
-grids.  A separate resolvent path solves (z - D^dagger B D) psi = f for
-scalar-potential families.
+Gamma1 v = B (B^H v).  Every iterative solve runs on the projector's
+potential coefficients (r of the c components per mode); a brute-force
+dense assembly of the full-space operator A = Gamma1 L Gamma1 + Gamma2 is
+provided as an oracle for small grids.  A separate resolvent path solves
+(z - D^dagger B D) psi = f for scalar-potential families.
 
-The Krylov path solves A x = Gamma1 s right-preconditioned by the mean
-medium: with L0 the mean of the canonical material over the grid points,
-P = (Gamma1 L0 Gamma1 + Gamma2)^-1 = B M^+ B^H + Gamma2 with M = B^H L0 B
-is exact mode by mode, and GMRES solves A P y = b for x = P y.  Since
-b - A P y = b - A x, GMRES's stopping rule bounds the same residual as
-without the preconditioner.  The Krylov space of A P that starts from
-b = Gamma1 s never leaves range(B), and B is an isometry there, so GMRES
-runs on the coefficients a = B^H y in C^(npts r) instead: right-hand side
-B^H s, operator a -> B^H F L F^-1 (R a) with R = B M^+, and E = R a.  It
-is the same GMRES in exact arithmetic, with the same residual norms, so
-``tol`` keeps its meaning and the iteration count is unchanged; the
-Gamma2 padding drops out of every matvec and every basis vector.  The
-fixed-point path and the dense oracle are not preconditioned.
+Both methods of :func:`solve` precondition A x = Gamma1 s on the right by
+a constant reference medium L0: P = (Gamma1 L0 Gamma1 + Gamma2)^-1 =
+B M^+ B^H + Gamma2 with M = B^H L0 B is exact mode by mode.  The Krylov
+space of A P that starts from b = Gamma1 s never leaves range(B), and B is
+an isometry there, so the iteration runs on the coefficients a = B^H y in
+C^(npts r): right-hand side B^H s, operator K: a -> B^H F L F^-1 (R a)
+with R = B M^+, and E = R a.  Since b - A P y = b - A x for x = P y, the
+residual in potentials is the residual |Gamma1 (L E - s)| of E, so
+``tol`` means the same for both methods.
 
-:func:`_krylov` is the one GMRES entry point: the canonical solve, the
-resolvent solve and the fermionic perturbation solve all go through it,
-and :func:`_potential_matvec` is the potential-space operator that the
-canonical and resolvent solves share.
+* ``method="krylov"`` takes L0 as the mean of the canonical material over
+  the grid points and runs restarted GMRES on K.
+* ``method="fixed_point"`` takes L0 = c I for a reference constant c and
+  runs the unit-step Richardson iteration a <- a + (B^H s - K a).  With
+  R = B / c this is the classical scheme E <- E + Gamma1 (s - L E) / c
+  (Moulinec & Suquet; Eyre & Milton).
+
+:func:`_krylov` is the one GMRES entry point and :func:`_potential_matvec`
+the one potential-space operator: the canonical solve (both methods), the
+resolvent solve and the fermionic perturbation solve all iterate on it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -82,7 +83,8 @@ class Problem:
         cycles.
     method : {"krylov", "fixed_point"}
     reference : complex or None
-        Reference constant for the fixed-point scheme (estimated if None).
+        The ``c`` of the fixed-point scheme's reference medium L0 = c I, a
+        finite nonzero number (None estimates it as max_x |L(x)|_2).
     restart : int or None
         Krylov restart length (None picks min(40, n), where n = npts r
         counts the potential unknowns; raise it for stiff penalized
@@ -131,9 +133,10 @@ def _krylov(matvec, b, tol, max_iter, restart=None):
     the iteration cap; the restart length is min(40, n, max_iter) unless
     given, with n = b.size (npts r potential unknowns for the canonical
     solve), so a cap up to the restart length is exact and a larger one
-    rounds up to whole restart cycles.  Returns ``(x, history, info)``: the solution,
-    the residual estimate after each inner iteration, and GMRES's exit code
-    (> 0 when the iteration budget ran out).
+    rounds up to whole restart cycles.  Returns ``(x, history, stop_reason)``:
+    the solution, the residual estimate after each inner iteration, and
+    ``"max_iter"`` when the iteration budget ran out, else ``"stalled"``
+    (which the caller overrides when the true residual meets ``tol``).
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -151,23 +154,50 @@ def _krylov(matvec, b, tol, max_iter, restart=None):
         callback=lambda pr: history.append(float(pr)),
         callback_type="pr_norm",
     )
-    return x, history, info
+    return x, history, "max_iter" if info > 0 else "stalled"
+
+
+def _richardson(matvec, b, tol, max_iter):
+    """Unit-step Richardson iteration a <- a + (b - K a) from a = 0.
+
+    Records |b - K a| / |b| after each step and stops when it reaches
+    ``tol``, when it exceeds 1e8 or is not finite (``"diverged"``), or at
+    ``max_iter`` steps.  Returns ``(a, history, stop_reason)`` with
+    ``stop_reason`` ``"diverged"`` or ``"max_iter"``; as with
+    :func:`_krylov`, the caller reports ``"converged"`` from the true
+    residual.
+    """
+    b_norm = np.linalg.norm(b)
+    a = np.zeros_like(b)
+    r = b
+    history = []
+    for _ in range(max_iter):
+        a = a + r
+        r = b - matvec(a)
+        rel = float(np.linalg.norm(r) / b_norm)
+        history.append(rel)
+        if rel <= tol:
+            break
+        if not np.isfinite(rel) or rel > 1e8:
+            return a, history, "diverged"  # the scheme needs a definite material map
+    return a, history, "max_iter"
 
 
 def _potential_matvec(grid, left, apply, right, a):
-    """left F apply(F^-1 (right a)) for per-mode potential coefficients a
-    of shape (npts, r): ``right`` lifts them to fields, ``apply`` is a
-    pointwise real-space map and ``left`` takes the result back to
-    potentials."""
-    real = transform(_pointwise(right, a), grid, False)
-    return _pointwise(left, transform(apply(real), grid))
+    """left F apply(F^-1 (right a)) for flat per-mode potential
+    coefficients a (npts r of them): ``right`` lifts them to fields,
+    ``apply`` is a pointwise real-space map and ``left`` takes the result
+    back to flat potentials."""
+    real = transform(_pointwise(right, a.reshape(-1, right.shape[-1])), grid, False)
+    return _pointwise(left, transform(apply(real), grid)).ravel()
 
 
 class _CanonicalOperator:
-    """Matrix-free A = Gamma1 L Gamma1 + Gamma2 on flattened Fourier data,
-    with Gamma1 = B B^H applied through the projector's per-mode basis B,
-    and the factor R = B M^+ of the mean-medium preconditioner once
-    :meth:`precondition` has built it."""
+    """The projector's per-mode basis B, the canonical material, and the
+    factor R = B M^+ of a reference-medium preconditioner once
+    :meth:`precondition` has built it; the matrix-free full-space
+    A = Gamma1 L Gamma1 + Gamma2 on flattened Fourier data serves only the
+    dense oracle and the norm estimate."""
 
     def __init__(self, problem):
         self.grid = problem.grid
@@ -179,17 +209,16 @@ class _CanonicalOperator:
         self.ncomp = self.Lc.ncomp
         self.n = problem.grid.npoints * self.ncomp
 
-    def precondition(self):
-        """Build P = (Gamma1 L0 Gamma1 + Gamma2)^-1 for the mean medium L0.
+    def precondition(self, L0):
+        """Build P = (Gamma1 L0 Gamma1 + Gamma2)^-1 for a constant reference
+        medium L0 (c x c).
 
         With M = B^H L0 B, Gamma1 P = B M^+ B^H and Gamma2 P = Gamma2; only
         the thin factor R = B M^+ is kept.  The pseudo-inverse cutoff drops
         the directions in which M is singular: Brinkman's k = 0 hydrostatic
-        stress, which L0 annihilates, and the zero directions of a
-        partial-isometry basis.
+        stress, which the mean medium annihilates, and the zero directions
+        of a partial-isometry basis.
         """
-        c = self.ncomp
-        L0 = self.Lc.values.reshape(-1, c, c).mean(axis=0)
         self.R = self.B @ np.linalg.pinv(self.Bh @ L0 @ self.B, rcond=PINV_CUTOFF)
 
     def project(self, vals):
@@ -209,10 +238,6 @@ class _CanonicalOperator:
 
     def matvec(self, flat):
         return self.apply_hat(flat.reshape(-1, self.ncomp)).ravel()
-
-    def residual(self, e_hat, s_hat, b_norm):
-        r = self.project(self.material(e_hat) - s_hat)
-        return float(np.linalg.norm(r) / b_norm)
 
 
 def _projected_source(op, problem):
@@ -256,48 +281,33 @@ def solve(problem):
     """
     if problem.max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    c = problem.reference
+    if c is not None and not (np.isfinite(c) and c != 0):
+        raise ValueError(f"reference must be a finite nonzero number, got {c!r}")
     op = _CanonicalOperator(problem)
-    s_hat, b, b_norm = _projected_source(op, problem)
+    s_hat, _, b_norm = _projected_source(op, problem)
     if b_norm == 0.0:
         return _zero_result(problem, problem.method)
 
+    Lx = op.Lc.values.reshape(-1, op.ncomp, op.ncomp)
     if problem.method == "krylov":
-        op.precondition()
-        rank = op.B.shape[-1]
-
-        def matvec(flat):
-            a = flat.reshape(-1, rank)
-            return _potential_matvec(op.grid, op.Bh, op.Lc.apply, op.R, a).ravel()
-
-        a, history, info = _krylov(matvec, _pointwise(op.Bh, s_hat).ravel(), problem.tol,
-                                   problem.max_iter, problem.restart)
-        e_hat = _pointwise(op.R, a.reshape(-1, rank))
-        iterations = len(history)
-        stop_reason = "max_iter" if info > 0 else "stalled"
+        op.precondition(Lx.mean(axis=0))
     elif problem.method == "fixed_point":
-        c = problem.reference
         if c is None:
-            M = op.Lc.values.reshape(-1, op.ncomp, op.ncomp)
-            herm = np.conj(np.swapaxes(M, -1, -2)) @ M
+            herm = np.conj(np.swapaxes(Lx, -1, -2)) @ Lx
             c = float(np.sqrt(np.max(np.linalg.eigvalsh(herm))))
-        e_hat = np.zeros_like(b)
-        r = b  # Gamma1 (s - L E) at E = 0
-        history = []
-        stop_reason = "max_iter"
-        iterations = 0
-        for iterations in range(1, problem.max_iter + 1):
-            e_hat = e_hat + r / c
-            r = op.project(s_hat - op.material(e_hat))
-            rel = float(np.linalg.norm(r) / b_norm)
-            history.append(rel)
-            if rel <= problem.tol:
-                break
-            if not np.isfinite(rel) or rel > 1e8:
-                stop_reason = "diverged"  # the scheme needs a definite material map
-                break
+        op.precondition(c * np.eye(op.ncomp))
     else:
         raise ValueError(f"unknown method {problem.method!r}")
-    return _result(op, problem, e_hat, s_hat, b_norm, iterations, problem.method,
+    matvec = functools.partial(_potential_matvec, op.grid, op.Bh, op.Lc.apply, op.R)
+    b = _pointwise(op.Bh, s_hat).ravel()
+    if problem.method == "krylov":
+        a, history, stop_reason = _krylov(matvec, b, problem.tol, problem.max_iter,
+                                          problem.restart)
+    else:
+        a, history, stop_reason = _richardson(matvec, b, problem.tol, problem.max_iter)
+    e_hat = _pointwise(op.R, a.reshape(op.grid.npoints, -1))
+    return _result(op, problem, e_hat, s_hat, b_norm, len(history), problem.method,
                    history, stop_reason)
 
 
@@ -392,15 +402,17 @@ def solve_resolvent(grid, z, B, f, tol=1e-10, max_iter=2000):
         return out.to_real() if f.representation == "real" else out
 
     def matvec(psi_hat):
-        return z * psi_hat - _potential_matvec(grid, Dh, B.apply, D, psi_hat[:, None])[:, 0]
+        return z * psi_hat - _potential_matvec(grid, Dh, B.apply, D, psi_hat)
 
-    x, _, _ = _krylov(matvec, f_hat, tol, max_iter)
-    rel = float(np.linalg.norm(matvec(x) - f_hat) / np.linalg.norm(f_hat))
-    if rel > tol:
-        raise ResonanceError(
-            f"resolvent solve stalled at relative residual {rel:.3e} "
-            f"(z may be near the spectrum)"
-        )
+    x = np.zeros_like(f_hat)
+    if f_hat.any():  # a zero source has the zero solution
+        x, _, _ = _krylov(matvec, f_hat, tol, max_iter)
+        rel = float(np.linalg.norm(matvec(x) - f_hat) / np.linalg.norm(f_hat))
+        if rel > tol:
+            raise ResonanceError(
+                f"resolvent solve stalled at relative residual {rel:.3e} "
+                f"(z may be near the spectrum)"
+            )
     out = Field(grid, scalar_layout(), x[:, None], "fourier")
     return out.to_real() if f.representation == "real" else out
 

@@ -3,6 +3,7 @@ temporary JSON configs, with exit codes, output files, and error paths."""
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def test_solve_outputs_and_summary(tmp_path, capsys):
     assert summary["residual"] <= 1e-9
     assert summary["physics"] == "acoustics"
     assert summary["grid"]["dims"] == [8, 8, 8]
-    digest = hashlib.sha256(open(cfg, "rb").read()).hexdigest()
+    digest = hashlib.sha256(Path(cfg).read_bytes()).hexdigest()
     assert summary["config_sha256"] == digest
     E = read_uplf(str(out / "E.uplf"))
     assert E.grid.dims == (8, 8, 8) and E.layout.ncomp == 4

@@ -2,6 +2,8 @@
 physics family, the fixed-point scheme, resolvent solves, and the
 stationary-state residual functional."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,8 +24,10 @@ from gammasolve.materials import (
     canonical_material,
     default_projector,
 )
+from gammasolve.fermionic import ground_state, perturbation_solve
 from gammasolve.projectors import (
     Projector,
+    apply_projector,
     gamma_elastic,
     gamma_from_D,
     gamma_helmholtz,
@@ -229,6 +233,52 @@ def test_fixed_point_reports_divergence_on_indefinite_material():
     assert r.stop_reason == "diverged"
 
 
+def _definite_helmholtz_case():
+    grid = Grid((8, 8), (2.0 * np.pi,) * 2)
+    lay = BlockLayout((Block("vector", 2), Block("scalar")))
+    a = np.where(grid.coordinates()[:, 0] < np.pi, 1.0, 3.0).astype(complex)
+    L = LField(lay, a[:, None, None] * np.eye(3)[None])
+    return grid, L, random_field(grid, lay, seed=3)
+
+
+def _explicit_fixed_point(L, gamma, s, c, tol, max_iter):
+    """The classical scheme e <- e + Gamma1 (s - L e) / c, in real space."""
+    Lc = canonical_material(L)
+    r = apply_projector(s, gamma).values
+    b_norm = np.linalg.norm(r)
+    e = np.zeros_like(r)
+    history = []
+    while len(history) < max_iter:
+        e = e + r / c
+        r = apply_projector(Field(s.grid, s.layout, s.values - Lc.apply(e)), gamma).values
+        history.append(np.linalg.norm(r) / b_norm)
+        if history[-1] <= tol:
+            break
+    return e, history
+
+
+@pytest.mark.parametrize("reference", [6.0, 2.0 + 1.0j])
+def test_fixed_point_is_the_classical_full_space_scheme(reference):
+    grid, L, s = _definite_helmholtz_case()
+    g = gamma_helmholtz(2)
+    res = solve(Problem(grid=grid, L=L, gamma=g, source=s, tol=1e-6,
+                        method="fixed_point", max_iter=500, reference=reference))
+    e, history = _explicit_fixed_point(L, g, s, reference, 1e-6, 500)
+    assert res.converged and res.iterations == len(history) > 10
+    assert np.linalg.norm(res.E.values - e) <= 1e-12 * np.linalg.norm(e)
+    assert_allclose(res.residual_history, history, rtol=1e-6)
+    assert res.residual_history[-1] == pytest.approx(res.residual, rel=1e-8)
+
+
+@pytest.mark.parametrize("reference", [0.0, 0j, np.nan, np.inf, complex(1.0, np.inf)])
+@pytest.mark.parametrize("method", ["krylov", "fixed_point"])
+def test_solve_rejects_a_zero_or_nonfinite_reference(method, reference):
+    grid, L, s = _definite_helmholtz_case()
+    with pytest.raises(ValueError, match="reference"):
+        solve(Problem(grid=grid, L=L, gamma=gamma_helmholtz(2), source=s,
+                      method=method, reference=reference))
+
+
 def test_krylov_reports_iteration_cap():
     grid = Grid((6, 6), (2.0 * np.pi,) * 2)
     L = build_acoustics(grid, 1.1, Checkerboard((1.0, 2.0 + 0.5j)), 1.0)
@@ -390,6 +440,25 @@ def test_krylov_solve_never_applies_the_full_space_operator(monkeypatch):
     assert len(projections) == 2
 
 
+def test_fixed_point_and_perturbation_never_apply_the_full_space_operator(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("full-space operator applied")
+
+    monkeypatch.setattr(sv._CanonicalOperator, "apply_hat", refuse)
+    monkeypatch.setattr(sv._CanonicalOperator, "material", refuse)
+    grid, L, s = _definite_helmholtz_case()
+    fixed = solve(Problem(grid=grid, L=L, gamma=gamma_helmholtz(2), source=s,
+                          tol=1e-10, method="fixed_point", max_iter=1000))
+    assert fixed.converged and fixed.iterations > 1
+    grid = Grid((24,), (2.0 * np.pi,))
+    x = grid.coordinates()[:, 0]
+    V = 0.8 * np.cos(x) + 0.3 * np.cos(2.0 * x)
+    E, states = ground_state(grid, 1.0, V, nstates=1)
+    res = perturbation_solve(build_schrodinger(grid, E[0], 1.0, V), states[0], np.cos(x),
+                             tol=1e-12)
+    assert res.converged and res.iterations > 1
+
+
 def test_solves_never_form_dense_projector_symbols(monkeypatch):
     def refuse(self, K):
         raise AssertionError("dense projector symbols evaluated")
@@ -522,6 +591,20 @@ def test_resolvent_varying_matches_dense():
     psi_hat = np.linalg.solve(A, f.to_fourier().values[:, 0])
     expected = sfft.ifft(psi_hat, norm="ortho")
     assert_allclose(psi.values[:, 0], expected, atol=1e-10)
+
+
+def test_resolvent_varying_zero_source_is_zero():
+    grid = Grid((8,), (2.0 * np.pi,))
+    lay = BlockLayout((Block("vector", 1), Block("scalar")))
+    vals = np.zeros((grid.npoints, 2, 2), complex)
+    vals[:, 0, 0] = 1.0 + 0.4 * np.cos(grid.coordinates()[:, 0])
+    B = LField(lay, vals)
+    zero = Field.zeros(grid, scalar_layout())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi = solve_resolvent(grid, 11.3 + 0.5j, B, zero)
+    assert psi.representation == "real"
+    assert not psi.values.any()
 
 
 def test_resolvent_constant_b_keeps_off_diagonal_blocks():
