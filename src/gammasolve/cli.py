@@ -80,14 +80,34 @@ def _scalar(node, path):
     raise ConfigError(f"'{path}' must be a number or [re, im] pair")
 
 
-def _scalar_list(node, path):
-    if not isinstance(node, list):
-        raise ConfigError(f"'{path}' must be a list")
-    return [_scalar(v, f"{path}[{i}]") for i, v in enumerate(node)]
+def _number(node, path, positive=False):
+    """A real JSON number, positive when ``positive``."""
+    if not _is_number(node) or (positive and not node > 0):
+        raise ConfigError(f"'{path}' must be a {'positive ' if positive else ''}number")
+    return float(node)
 
 
-def _parse_param(node, path):
-    """Material parameter: scalar, [re,im], or a descriptor object."""
+def _integer(node, path, low, high=None):
+    """A JSON integer in low..high (no upper bound when ``high`` is None)."""
+    if (isinstance(node, bool) or not isinstance(node, int) or node < low
+            or (high is not None and node > high)):
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ConfigError(f"'{path}' must be an integer {bounds}")
+    return node
+
+
+def _list(node, path, item=_scalar, length=None):
+    """A JSON list (of ``length`` entries when given) whose entries
+    ``item(entry, entry_path)`` parses."""
+    if not isinstance(node, list) or (length is not None and len(node) != length):
+        raise ConfigError(f"'{path}' must be a list" if length is None else
+                          f"'{path}' must be a list of {length} entries")
+    return [item(v, f"{path}[{i}]") for i, v in enumerate(node)]
+
+
+def _parse_param(node, path, ndim):
+    """Material parameter on an ``ndim``-axis grid: scalar, [re,im], or a
+    descriptor object."""
     if not isinstance(node, dict):
         return _scalar(node, path)
     kind = _require(node, "type", path)
@@ -97,13 +117,14 @@ def _parse_param(node, path):
     if kind == "layered":
         _check_unknown(node, {"type", "axis", "breakpoints", "values"}, path)
         return Layered(
-            int(_require(node, "axis", path)),
-            tuple(float(b) for b in _require(node, "breakpoints", path)),
-            tuple(_scalar_list(_require(node, "values", path), f"{path}.values")),
+            _integer(_require(node, "axis", path), f"{path}.axis", 0, ndim - 1),
+            tuple(_list(_require(node, "breakpoints", path), f"{path}.breakpoints",
+                        _number)),
+            tuple(_list(_require(node, "values", path), f"{path}.values")),
         )
     if kind == "checkerboard":
         _check_unknown(node, {"type", "values"}, path)
-        vals = _scalar_list(_require(node, "values", path), f"{path}.values")
+        vals = _list(_require(node, "values", path), f"{path}.values")
         if len(vals) != 2:
             raise ConfigError(f"'{path}.values' must have exactly two entries")
         return Checkerboard(tuple(vals))
@@ -118,12 +139,14 @@ def _parse_param(node, path):
 
 def _parse_grid(node, path="grid"):
     _check_unknown(node, {"dims", "lengths"}, path)
-    dims = _require(node, "dims", path)
-    lengths = node.get("lengths", [2.0 * np.pi] * len(dims))
-    return Grid(tuple(int(n) for n in dims), tuple(float(x) for x in lengths))
+    dims = _list(_require(node, "dims", path), f"{path}.dims",
+                 lambda n, where: _integer(n, where, 1))
+    lengths = _list(node.get("lengths", [2.0 * np.pi] * len(dims)), f"{path}.lengths",
+                    lambda x, where: _number(x, where, positive=True), len(dims))
+    return Grid(tuple(dims), tuple(lengths))
 
 
-def _parse_material(node, path="material"):
+def _parse_material(node, ndim, path="material"):
     _check_unknown(node, {"physics", "omega", "params", "options"}, path)
     physics = _require(node, "physics", path)
     if not isinstance(physics, str) or physics not in PHYSICS:
@@ -139,7 +162,7 @@ def _parse_material(node, path="material"):
     for name, p in keys.items():
         if p.default is p.empty and name not in raw and name not in raw_options:
             raise ConfigError(f"missing key '{path}.params.{name}'")
-    params = {k: _parse_param(v, f"{path}.params.{k}") for k, v in raw.items()}
+    params = {k: _parse_param(v, f"{path}.params.{k}", ndim) for k, v in raw.items()}
     options = {}
     for k, v in raw_options.items():
         options[k] = v if isinstance(v, bool) else _scalar(v, f"{path}.options.{k}")
@@ -167,7 +190,7 @@ def _parse_problem(cfg):
     """Grid, material (in its canonical direct form), projector and physics
     name of a config's ``grid`` and ``material`` sections."""
     grid = _parse_grid(_require(cfg, "grid", ""))
-    spec = _parse_material(_require(cfg, "material", ""))
+    spec = _parse_material(_require(cfg, "material", ""), grid.ndim)
     try:
         L = build_material(spec, grid)
     except ValueError as exc:
@@ -187,18 +210,17 @@ def _parse_source(node, grid, L, physics, path="source"):
     x = grid.coordinates()
 
     def envelope_plane(mode):
-        mode = np.asarray(mode, dtype=float)
-        if mode.shape != (grid.ndim,):
-            raise ConfigError(f"'{path}.mode' needs one integer per axis")
+        mode = np.asarray(_list(mode, f"{path}.mode", _number, grid.ndim))
         k = 2.0 * np.pi * mode / np.asarray(grid.lengths)
         return np.exp(1j * (x @ k))
 
     def envelope_gauss(center, width):
-        c = np.asarray(center, dtype=float)
+        c = np.asarray(_list(center, f"{path}.center", _number, grid.ndim))
+        width = _number(width, f"{path}.width", positive=True)
         return np.exp(-np.sum((x - c) ** 2, axis=1) / (2.0 * width**2))
 
     def force_source(envelope):
-        f = np.asarray(_scalar_list(_require(node, "force", path), f"{path}.force"),
+        f = np.asarray(_list(_require(node, "force", path), f"{path}.force"),
                        dtype=np.complex128)
         try:
             return physics_family(physics).force_source(L, envelope[:, None] * f, grid)
@@ -207,8 +229,8 @@ def _parse_source(node, grid, L, physics, path="source"):
                               f"({len(f)} entries): {exc}")
 
     def amplitude(size):
-        amp = np.asarray(_scalar_list(_require(node, "amplitude", path),
-                                      f"{path}.amplitude"), dtype=np.complex128)
+        amp = np.asarray(_list(_require(node, "amplitude", path), f"{path}.amplitude"),
+                         dtype=np.complex128)
         if amp.shape != (size,):
             raise ConfigError(f"'{path}.amplitude' must have {size} entries")
         return amp
@@ -224,12 +246,9 @@ def _parse_source(node, grid, L, physics, path="source"):
                      np.broadcast_to(amplitude(ncomp), (grid.npoints, ncomp)).copy())
     if kind == "gaussian":
         _check_unknown(node, {"type", "center", "width", "block", "amplitude"}, path)
-        env = envelope_gauss(_require(node, "center", path),
-                             float(_require(node, "width", path)))
-        block = int(_require(node, "block", path))
-        nblocks = len(L.layout.blocks)
-        if not 0 <= block < nblocks:
-            raise ConfigError(f"'{path}.block' must be in 0..{nblocks - 1}")
+        env = envelope_gauss(_require(node, "center", path), _require(node, "width", path))
+        block = _integer(_require(node, "block", path), f"{path}.block", 0,
+                         len(L.layout.blocks) - 1)
         amp = amplitude(L.layout.blocks[block].ncomp)
         return block_source(grid, L.layout, block, env[:, None] * amp[None, :])
     if kind == "force_plane_wave":
@@ -257,12 +276,9 @@ def _parse_solver(cfg, args, default_tol, allowed):
     opts = dict(node)
     tol, where = ((node.get("tol", default_tol), "solver.tol") if args.tol is None
                   else (args.tol, "--tol"))
-    if not _is_number(tol) or not tol > 0:
-        raise ConfigError(f"'{where}' must be a positive number")
-    opts["tol"] = float(tol)
-    max_iter = node.get("max_iter", 1)
-    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
-        raise ConfigError("'solver.max_iter' must be a positive integer")
+    opts["tol"] = _number(tol, where, positive=True)
+    if "max_iter" in node:
+        _integer(node["max_iter"], "solver.max_iter", 1)
     if opts.get("method", _METHODS[0]) not in _METHODS:
         raise ConfigError(f"'solver.method' must be one of {', '.join(_METHODS)}")
     return opts
@@ -270,15 +286,13 @@ def _parse_solver(cfg, args, default_tol, allowed):
 
 def _shift(values, path, grid):
     """A constant wavevector shift: one number per grid axis."""
-    if not isinstance(values, list) or len(values) != grid.ndim:
-        raise ConfigError(f"'{path}' must be a list of {grid.ndim} numbers")
-    return np.asarray([float(v) for v in values])
+    return np.asarray(_list(values, path, _number, grid.ndim))
 
 
 def _grid_param(node, path, grid):
     """A scalar parameter resolved on ``grid`` (constant or per point)."""
     try:
-        return resolve_parameter(_parse_param(node, path), grid, ())
+        return resolve_parameter(_parse_param(node, path, grid.ndim), grid, ())
     except ValueError as exc:
         raise ConfigError(f"'{path}': {exc}")
 
@@ -413,8 +427,9 @@ def _cmd_dispersion(args):
     if model == "effective_mass":
         scan = _require(cfg, "scan", "")
         _check_unknown(scan, {"start", "stop", "count"}, "scan")
-        start, stop, count = (_require(scan, k, "scan") for k in ("start", "stop", "count"))
-        omegas = np.linspace(float(start), float(stop), int(count))
+        omegas = np.linspace(_number(_require(scan, "start", "scan"), "scan.start"),
+                             _number(_require(scan, "stop", "scan"), "scan.stop"),
+                             _integer(_require(scan, "count", "scan"), "scan.count", 1))
         M = models.effective_mass(omegas, *values)
         with open(os.path.join(out, "dispersion.csv"), "w") as fh:
             fh.write("omega,re,im\n")
@@ -446,10 +461,10 @@ def _cmd_schrodinger(args):
     _check_unknown(cfg, {"grid", "kinetic", "potential", "perturbation",
                          "state_index", "solver"}, "")
     grid = _parse_grid(_require(cfg, "grid", ""))
-    kinetic = _parse_param(_require(cfg, "kinetic", ""), "kinetic")
+    kinetic = _parse_param(_require(cfg, "kinetic", ""), "kinetic", grid.ndim)
     potential = _grid_param(_require(cfg, "potential", ""), "potential", grid)
     vprime = _grid_param(_require(cfg, "perturbation", ""), "perturbation", grid)
-    state_index = int(cfg.get("state_index", 0))
+    state_index = _integer(cfg.get("state_index", 0), "state_index", 0, grid.npoints - 1)
     opts = _parse_solver(cfg, args, 1e-10, {"tol", "max_iter"})
     try:
         energies, states = ground_state(grid, kinetic, potential,

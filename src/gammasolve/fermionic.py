@@ -22,7 +22,7 @@ import numpy as np
 
 from .fields import Field, Grid, _pointwise, scalar_layout, transform
 from .projectors import helmholtz_D
-from .solver import _CanonicalOperator, _krylov, _potential_matvec, _result
+from .solver import _krylov, _potential_matvec, _potentials, _result
 
 __all__ = [
     "MultiElectronGrid",
@@ -418,7 +418,7 @@ def perturbation_solve(material, psi, vprime, tol=1e-10, max_iter=2000):
         tol=tol,
         max_iter=max_iter,
     )
-    op = _CanonicalOperator(problem)
+    Lc, B, Bh, b = _potentials(problem)
 
     # kernel direction: the unit gradient pair D psi in Fourier form, and
     # its potential coefficients kappa = B^H D psi, also of unit norm since
@@ -426,27 +426,26 @@ def perturbation_solve(material, psi, vprime, tol=1e-10, max_iter=2000):
     psi_hat = Field(grid, scalar_layout(), psi_r[:, None]).to_fourier().values
     kernel = _pointwise(helmholtz_D(nd).matrices(grid.wavevectors()), psi_hat)
     kernel /= np.linalg.norm(kernel)
-    kappa = _pointwise(op.Bh, kernel).ravel()
+    kappa = _pointwise(Bh, kernel).ravel()
     sigma = max(1.0, abs(complex(material.omega)))
 
     def matvec(a):
         penalty = sigma * np.vdot(kappa, a) * kappa
-        return _potential_matvec(grid, op.Bh, op.Lc.apply, op.B, a) + penalty
+        return _potential_matvec(grid, Bh, Lc.apply, B, a) + penalty
 
     # The exact corrector source is orthogonal to the kernel pair; any
     # content there is rounding noise from the (V' - E') cancellation, so
-    # strip it, and treat a source at rounding level as exactly zero.
-    s_hat = source.to_fourier().values
-    s_hat -= np.vdot(kernel, s_hat) * kernel
-    b = _pointwise(op.Bh, s_hat).ravel()
+    # strip it (in potentials, <D psi, s> = <kappa, B^H s>), and treat a
+    # source at rounding level as exactly zero.
+    b -= np.vdot(kappa, b) * kappa
     b_norm = float(np.linalg.norm(b))
     scale = float(np.linalg.norm((np.abs(vp) + abs(e_prime)) * np.abs(psi_r)))
     if b_norm <= 1e-13 * max(scale, 1e-300):
         zero = Field.zeros(grid, scalar_layout())
         return PerturbationResult(e_prime, zero, 0.0, 0, True)
     a, history, _ = _krylov(matvec, b, tol, max_iter)
-    e_hat = _pointwise(op.B, a.reshape(grid.npoints, -1))
-    res = _result(op, problem, e_hat, s_hat, b_norm, len(history), "krylov")
+    e_hat = _pointwise(B, a.reshape(grid.npoints, -1))
+    res = _result(problem, Lc, Bh, e_hat, b, len(history), "krylov")
     psi_prime = Field(grid, scalar_layout(), res.E.values[:, nd:])
     psi_field = Field(grid, scalar_layout(), psi_r[:, None])
     overlap = inner_product(psi_field, psi_prime) / inner_product(psi_field, psi_field)

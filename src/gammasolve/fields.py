@@ -37,6 +37,7 @@ __all__ = [
     "sym_unpack",
     "read_uplf",
     "write_uplf",
+    "UPLFError",
     "transform",
     "set_fft_workers",
     "get_fft_workers",

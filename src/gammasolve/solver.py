@@ -2,11 +2,13 @@
 
 The solve alternates pointwise material maps in real space with the
 projector, applied mode by mode in Fourier space through its basis B as
-Gamma1 v = B (B^H v).  Every iterative solve runs on the projector's
-potential coefficients (r of the c components per mode); a brute-force
-dense assembly of the full-space operator A = Gamma1 L Gamma1 + Gamma2 is
-provided as an oracle for small grids.  A separate resolvent path solves
-(z - D^dagger B D) psi = f for scalar-potential families.
+Gamma1 v = B (B^H v).  Every solve works on the projector's potential
+coefficients (r of the c components per mode): the iteration, the source
+norm |Gamma1 s| = |B^H s| and the reported residual.  The only code that
+applies the full-space operator A = Gamma1 L Gamma1 + Gamma2 is its
+brute-force dense assembly :func:`dense_operator`, an oracle for small
+grids.  A separate resolvent path solves (z - D^dagger B D) psi = f for
+scalar-potential families, preconditioned by its mean medium.
 
 Both methods of :func:`solve` precondition A x = Gamma1 s on the right by
 a constant reference medium L0: P = (Gamma1 L0 Gamma1 + Gamma2)^-1 =
@@ -50,7 +52,6 @@ __all__ = [
     "solve",
     "dense_operator",
     "solve_dense",
-    "operator_norm_estimate",
     "solve_resolvent",
     "ResonanceError",
     "residual_functional",
@@ -89,8 +90,6 @@ class Problem:
         Krylov restart length (None picks min(40, n), where n = npts r
         counts the potential unknowns; raise it for stiff penalized
         problems where restarting stalls).
-    seed : int
-        Seed for randomized estimates.
     """
 
     grid: object
@@ -103,7 +102,6 @@ class Problem:
     method: str = "krylov"
     reference: object = None
     restart: object = None
-    seed: int = 42
 
 
 @dataclass
@@ -192,62 +190,19 @@ def _potential_matvec(grid, left, apply, right, a):
     return _pointwise(left, transform(apply(real), grid)).ravel()
 
 
-class _CanonicalOperator:
-    """The projector's per-mode basis B, the canonical material, and the
-    factor R = B M^+ of a reference-medium preconditioner once
-    :meth:`precondition` has built it; the matrix-free full-space
-    A = Gamma1 L Gamma1 + Gamma2 on flattened Fourier data serves only the
-    dense oracle and the norm estimate."""
-
-    def __init__(self, problem):
-        self.grid = problem.grid
-        self.Lc = canonical_material(problem.L)
-        if self.Lc.ncomp != problem.gamma.ncomp:
-            raise ValueError("material and projector component counts differ")
-        self.B = _basis_on(problem.gamma, problem.grid, problem.shift)
-        self.Bh = np.ascontiguousarray(np.conj(np.swapaxes(self.B, -1, -2)))
-        self.ncomp = self.Lc.ncomp
-        self.n = problem.grid.npoints * self.ncomp
-
-    def precondition(self, L0):
-        """Build P = (Gamma1 L0 Gamma1 + Gamma2)^-1 for a constant reference
-        medium L0 (c x c).
-
-        With M = B^H L0 B, Gamma1 P = B M^+ B^H and Gamma2 P = Gamma2; only
-        the thin factor R = B M^+ is kept.  The pseudo-inverse cutoff drops
-        the directions in which M is singular: Brinkman's k = 0 hydrostatic
-        stress, which the mean medium annihilates, and the zero directions
-        of a partial-isometry basis.
-        """
-        self.R = self.B @ np.linalg.pinv(self.Bh @ L0 @ self.B, rcond=PINV_CUTOFF)
-
-    def project(self, vals):
-        return _pointwise(self.B, _pointwise(self.Bh, vals))
-
-    def material(self, vals_hat, apply=None):
-        real = transform(vals_hat, self.grid, False)
-        return transform((apply or self.Lc.apply)(real), self.grid)
-
-    def apply_hat(self, x):
-        gx = self.project(x)
-        return self.project(self.material(gx)) + (x - gx)
-
-    def apply_hat_adjoint(self, x):
-        gx = self.project(x)
-        return self.project(self.material(gx, self.Lc.apply_adjoint)) + (x - gx)
-
-    def matvec(self, flat):
-        return self.apply_hat(flat.reshape(-1, self.ncomp)).ravel()
-
-
-def _projected_source(op, problem):
-    """Fourier source s_hat, right-hand side Gamma1 s_hat and its norm."""
+def _potentials(problem):
+    """The canonical material Lc, the projector's per-mode basis B and
+    Bh = B^H, and the source's potential coefficients b = B^H s_hat (flat):
+    everything a solve needs besides its reference medium."""
+    Lc = canonical_material(problem.L)
+    if Lc.ncomp != problem.gamma.ncomp:
+        raise ValueError("material and projector component counts differ")
+    B = _basis_on(problem.gamma, problem.grid, problem.shift)
+    Bh = np.ascontiguousarray(np.conj(np.swapaxes(B, -1, -2)))
     s = problem.source
-    if s.layout.ncomp != op.ncomp:
+    if s.layout.ncomp != Lc.ncomp:
         raise ValueError("source layout does not match material")
-    s_hat = s.to_fourier().values
-    b = op.project(s_hat)
-    return s_hat, b, float(np.linalg.norm(b))
+    return Lc, B, Bh, _pointwise(Bh, s.to_fourier().values).ravel()
 
 
 def _zero_result(problem, method):
@@ -257,16 +212,18 @@ def _zero_result(problem, method):
     return SolveResult(Field.zeros(grid, layout), J, 0.0, 0, True, method)
 
 
-def _result(op, problem, e_hat, s_hat, b_norm, iterations, method, history=(),
-            stop_reason=None):
+def _result(problem, Lc, Bh, e_hat, b, iterations, method, history=(), stop_reason=None):
     """SolveResult for a Fourier-space solution e_hat (one material
-    application serves J and the residual); ``stop_reason`` applies only
-    when the residual misses the tolerance."""
+    application serves J and the residual).  The residual
+    |Gamma1 (L E - s)| / |Gamma1 s| is measured in potentials as
+    |B^H F (L E) - b| / |b|, equal since B is a partial isometry;
+    ``stop_reason`` applies only when it misses the tolerance."""
     grid, layout = problem.grid, problem.L.layout
     E = Field(grid, layout, e_hat, "fourier").to_real()
-    LE = op.Lc.apply(E.values)
+    LE = Lc.apply(E.values)
     J = Field(grid, layout, LE - problem.source.to_real().values)
-    residual = float(np.linalg.norm(op.project(transform(LE, grid) - s_hat)) / b_norm)
+    r = _pointwise(Bh, transform(LE, grid)).ravel() - b
+    residual = float(np.linalg.norm(r) / np.linalg.norm(b))
     converged = residual <= problem.tol
     return SolveResult(E, J, residual, iterations, converged, method, list(history),
                        "converged" if converged else stop_reason)
@@ -284,85 +241,70 @@ def solve(problem):
     c = problem.reference
     if c is not None and not (np.isfinite(c) and c != 0):
         raise ValueError(f"reference must be a finite nonzero number, got {c!r}")
-    op = _CanonicalOperator(problem)
-    s_hat, _, b_norm = _projected_source(op, problem)
-    if b_norm == 0.0:
+    Lc, B, Bh, b = _potentials(problem)
+    if not b.any():
         return _zero_result(problem, problem.method)
 
-    Lx = op.Lc.values.reshape(-1, op.ncomp, op.ncomp)
+    Lx = Lc.values.reshape(-1, Lc.ncomp, Lc.ncomp)
     if problem.method == "krylov":
-        op.precondition(Lx.mean(axis=0))
+        L0 = Lx.mean(axis=0)
     elif problem.method == "fixed_point":
         if c is None:
             herm = np.conj(np.swapaxes(Lx, -1, -2)) @ Lx
             c = float(np.sqrt(np.max(np.linalg.eigvalsh(herm))))
-        op.precondition(c * np.eye(op.ncomp))
+        L0 = c * np.eye(Lc.ncomp)
     else:
         raise ValueError(f"unknown method {problem.method!r}")
-    matvec = functools.partial(_potential_matvec, op.grid, op.Bh, op.Lc.apply, op.R)
-    b = _pointwise(op.Bh, s_hat).ravel()
+    # R = B M^+ with M = B^H L0 B is the thin factor of the exact per-mode
+    # inverse of Gamma1 L0 Gamma1 + Gamma2.  The pseudo-inverse cutoff drops
+    # the directions in which M is singular: Brinkman's k = 0 hydrostatic
+    # stress, which the mean medium annihilates, and the zero directions of
+    # a partial-isometry basis.
+    R = B @ np.linalg.pinv(Bh @ L0 @ B, rcond=PINV_CUTOFF)
+    matvec = functools.partial(_potential_matvec, problem.grid, Bh, Lc.apply, R)
     if problem.method == "krylov":
         a, history, stop_reason = _krylov(matvec, b, problem.tol, problem.max_iter,
                                           problem.restart)
     else:
         a, history, stop_reason = _richardson(matvec, b, problem.tol, problem.max_iter)
-    e_hat = _pointwise(op.R, a.reshape(op.grid.npoints, -1))
-    return _result(op, problem, e_hat, s_hat, b_norm, len(history), problem.method,
-                   history, stop_reason)
+    e_hat = _pointwise(R, a.reshape(problem.grid.npoints, -1))
+    return _result(problem, Lc, Bh, e_hat, b, len(history), problem.method, history,
+                   stop_reason)
 
 
 def dense_operator(problem, limit=4096):
     """Assemble A = Gamma1 L Gamma1 + Gamma2 as a dense matrix in the
-    Fourier basis by applying it to unit vectors (brute-force oracle)."""
-    return _dense_matrix(_CanonicalOperator(problem), limit)
+    Fourier basis, one column per unit vector e: with Gamma1 = B B^H,
+    A e = B B^H F L F^-1 B B^H e + (e - B B^H e).  A brute-force oracle
+    for small grids, and the only full-space operator in the package."""
+    Lc, B, Bh, _ = _potentials(problem)
+    return _dense_matrix(problem.grid, Lc, B, Bh, limit)
 
 
-def _dense_matrix(op, limit):
-    if op.n > limit:
-        raise ValueError(f"dense assembly of size {op.n} exceeds limit {limit}")
-    A = np.zeros((op.n, op.n), dtype=np.complex128)
-    e = np.zeros(op.n, dtype=np.complex128)
-    for j in range(op.n):
-        e[j] = 1.0
-        A[:, j] = op.matvec(e)
-        e[j] = 0.0
+def _dense_matrix(grid, Lc, B, Bh, limit):
+    n = grid.npoints * Lc.ncomp
+    if n > limit:
+        raise ValueError(f"dense assembly of size {n} exceeds limit {limit}")
+    A = np.zeros((n, n), dtype=np.complex128)
+    e = np.zeros((grid.npoints, Lc.ncomp), dtype=np.complex128)
+    for j in range(n):
+        e.flat[j] = 1.0
+        a = _pointwise(Bh, e)
+        Ka = _potential_matvec(grid, Bh, Lc.apply, B, a.ravel()).reshape(a.shape)
+        A[:, j] = (_pointwise(B, Ka - a) + e).ravel()
+        e.flat[j] = 0.0
     return A
 
 
 def solve_dense(problem, limit=4096):
     """Direct dense solve of the canonical problem (oracle for small grids)."""
-    op = _CanonicalOperator(problem)
-    A = _dense_matrix(op, limit)
-    s_hat, b, b_norm = _projected_source(op, problem)
-    if b_norm == 0.0:
+    Lc, B, Bh, b = _potentials(problem)
+    A = _dense_matrix(problem.grid, Lc, B, Bh, limit)
+    if not b.any():
         return _zero_result(problem, "dense")
-    x = np.linalg.solve(A, b.ravel())
-    e_hat = op.project(x.reshape(-1, op.ncomp))
-    return _result(op, problem, e_hat, s_hat, b_norm, 1, "dense", (), "stalled")
-
-
-def operator_norm_estimate(problem, iters=50):
-    """Power-iteration estimate of the spectral norm of
-    A = Gamma1 L Gamma1 + Gamma2 (for a homogeneous material c I this is
-    max(|c|, 1) and the estimate is exact)."""
-    op = _CanonicalOperator(problem)
-    rng = np.random.default_rng(problem.seed)
-    x = rng.standard_normal((problem.grid.npoints, op.ncomp)) + 1j * rng.standard_normal(
-        (problem.grid.npoints, op.ncomp)
-    )
-    x /= np.linalg.norm(x)
-    sigma = 0.0
-    for _ in range(iters):
-        y = op.apply_hat(x)
-        sigma = float(np.linalg.norm(y))
-        if sigma == 0.0:
-            return 0.0
-        x = op.apply_hat_adjoint(y)
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            return sigma
-        x /= nx
-    return float(np.sqrt(np.linalg.norm(op.apply_hat_adjoint(op.apply_hat(x)))))
+    x = np.linalg.solve(A, _pointwise(B, b.reshape(problem.grid.npoints, -1)).ravel())
+    e_hat = _pointwise(B, _pointwise(Bh, x.reshape(problem.grid.npoints, -1)))
+    return _result(problem, Lc, Bh, e_hat, b, 1, "dense", (), "stalled")
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +319,10 @@ def solve_resolvent(grid, z, B, f, tol=1e-10, max_iter=2000):
     coefficient in the scalar slot).
 
     Constant B uses the exact per-mode inverse of z - D(ik)^H B D(ik);
-    varying B uses GMRES on the scalar unknowns.  Raises ResonanceError if z is (numerically) in the
-    spectrum: per-mode denominators below 1e-12 of their scale, or a
-    Krylov solve that fails to reach tol.
+    varying B uses GMRES on the scalar unknowns, right-preconditioned by
+    that inverse for the grid mean of B.  Raises ResonanceError if z is
+    (numerically) in the spectrum: per-mode denominators below 1e-12 of
+    their scale for constant B, or a Krylov solve that fails to reach tol.
     """
     nd = grid.ndim
     if f.layout != scalar_layout():
@@ -390,24 +333,34 @@ def solve_resolvent(grid, z, B, f, tol=1e-10, max_iter=2000):
 
     D = helmholtz_D(nd).matrices(grid.wavevectors())
     Dh = np.conj(np.swapaxes(D, -1, -2))
+    # z - D(ik)^H B D(ik) mode by mode: the exact inverse for constant B,
+    # and for varying B, with B replaced by its grid mean, the right
+    # preconditioner of the GMRES solve
+    mean = B.values if B.is_constant else B.values.mean(axis=0)
+    denom = z - (Dh @ mean @ D)[:, 0, 0]
+    scale = max(abs(z), float(np.max(np.abs(denom))))
+    near = np.abs(denom) <= 1e-12 * scale
     if B.is_constant:
-        denom = z - (Dh @ B.values @ D)[:, 0, 0]
-        scale = max(abs(z), float(np.max(np.abs(denom))))
-        if float(np.min(np.abs(denom))) <= 1e-12 * scale:
+        if near.any():
             raise ResonanceError(
                 f"resolvent evaluated at z={z} within 1e-12 of the spectrum"
             )
         psi_hat = f_hat / denom
         out = Field(grid, scalar_layout(), psi_hat[:, None], "fourier")
         return out.to_real() if f.representation == "real" else out
+    # A mode where the mean medium is singular gets no preconditioner; the
+    # true-residual check below reports a source it leaves unsolved.
+    inverse = np.divide(1.0, denom, out=np.zeros_like(denom), where=~near)
 
-    def matvec(psi_hat):
+    def matvec(y):
+        psi_hat = inverse * y
         return z * psi_hat - _potential_matvec(grid, Dh, B.apply, D, psi_hat)
 
     x = np.zeros_like(f_hat)
     if f_hat.any():  # a zero source has the zero solution
-        x, _, _ = _krylov(matvec, f_hat, tol, max_iter)
-        rel = float(np.linalg.norm(matvec(x) - f_hat) / np.linalg.norm(f_hat))
+        y, _, _ = _krylov(matvec, f_hat, tol, max_iter)
+        x = inverse * y
+        rel = float(np.linalg.norm(matvec(y) - f_hat) / np.linalg.norm(f_hat))
         if rel > tol:
             raise ResonanceError(
                 f"resolvent solve stalled at relative residual {rel:.3e} "

@@ -173,6 +173,16 @@ def test_solver_keys_a_subcommand_ignores_are_rejected(tmp_path, capsys, command
 
 _PROJECT_CFG = {"input": "f.uplf", "output": "g.uplf",
                 "projector": {"family": "helmholtz"}}
+_DISPERSION_CFG = {"model": "effective_mass",
+                   "params": {"m0": 1.0, "stiffness": 1.0, "count": 1, "mass": 1.0},
+                   "scan": {"start": 0.0, "stop": 1.0, "count": 3}}
+
+
+def _layered_kappa(**descriptor):
+    kappa = dict({"type": "layered", "axis": 0, "breakpoints": [1.0],
+                  "values": [1.0, 2.0]}, **descriptor)
+    return dict(SOLVE_CFG, material=dict(SOLVE_CFG["material"],
+                                         params={"kappa": kappa, "rho": 1.0}))
 
 
 @pytest.mark.parametrize("command,config,path", [
@@ -205,12 +215,32 @@ _PROJECT_CFG = {"input": "f.uplf", "output": "g.uplf",
     ("solve", dict(SOLVE_CFG, material=dict(SOLVE_CFG["material"],
                                             params={"kappa": [True, False], "rho": 1.0})),
      "material.params.kappa"),
+    ("solve", dict(SOLVE_CFG, grid={"dims": ["a", 8, 8]}), "grid.dims[0]"),
+    ("solve", dict(SOLVE_CFG, grid={"dims": [-8, 8, 8]}), "grid.dims[0]"),
+    ("solve", dict(SOLVE_CFG, grid={"dims": 8}), "grid.dims"),
+    ("solve", dict(SOLVE_CFG, grid={"dims": [8, 8, 8], "lengths": [1.0, 1.0]}),
+     "grid.lengths"),
+    ("solve", _layered_kappa(axis="x"), "material.params.kappa.axis"),
+    ("solve", _layered_kappa(axis=5), "material.params.kappa.axis"),
+    ("solve", _layered_kappa(breakpoints=["a"]), "material.params.kappa.breakpoints[0]"),
+    ("schrodinger", dict(SCHRODINGER_CFG, state_index=-1), "state_index"),
+    ("schrodinger", dict(SCHRODINGER_CFG, state_index="a"), "state_index"),
+    ("schrodinger", dict(SCHRODINGER_CFG, state_index=9), "state_index"),
+    ("dispersion", dict(_DISPERSION_CFG, scan={"start": 0.0, "stop": 1.0, "count": "x"}),
+     "scan.count"),
+    ("dispersion", dict(_DISPERSION_CFG, scan={"start": 0.0, "stop": 1.0, "count": -3}),
+     "scan.count"),
 ], ids=["effective-modulation", "effective-k0", "schrodinger-potential",
         "schrodinger-perturbation", "schrodinger-kinetic", "schrodinger-grid",
         "solve-shift", "solve-method", "project-which", "project-shift",
         "project-family-components", "project-family-dimension",
         "solve-max_iter-string", "solve-max_iter-null", "solve-tol-string",
-        "effective-max_iter-zero", "schrodinger-tol-negative", "solve-kappa-bool-pair"])
+        "effective-max_iter-zero", "schrodinger-tol-negative", "solve-kappa-bool-pair",
+        "solve-dims-string", "solve-dims-negative", "solve-dims-not-a-list",
+        "solve-lengths-length", "solve-layered-axis-string", "solve-layered-axis-range",
+        "solve-layered-breakpoints-string", "schrodinger-state_index-negative",
+        "schrodinger-state_index-string", "schrodinger-state_index-range",
+        "dispersion-count-string", "dispersion-count-negative"])
 def test_config_errors_of_every_subcommand_name_their_path(
         tmp_path, monkeypatch, capsys, command, config, path):
     from gammasolve.fields import Block, BlockLayout, Grid

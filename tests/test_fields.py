@@ -226,3 +226,15 @@ def test_field_requires_matching_shape():
         Field(GRID, LAYOUT, np.zeros((GRID.npoints, 3), complex))
     with pytest.raises(ValueError):
         Field(GRID, LAYOUT, np.zeros((GRID.npoints, 4), complex), "momentum")
+
+
+def test_every_module_export_is_a_top_level_name():
+    import importlib
+    import pkgutil
+
+    import gammasolve
+
+    for info in pkgutil.iter_modules(gammasolve.__path__):
+        names = getattr(importlib.import_module(f"gammasolve.{info.name}"), "__all__", [])
+        assert [n for n in names if not hasattr(gammasolve, n)] == [], info.name
+        assert set(names) <= set(gammasolve.__all__), info.name

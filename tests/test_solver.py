@@ -23,9 +23,11 @@ from gammasolve.materials import (
     build_schrodinger,
     canonical_material,
     default_projector,
+    physics_family,
 )
 from gammasolve.fermionic import ground_state, perturbation_solve
 from gammasolve.projectors import (
+    FAMILIES,
     Projector,
     apply_projector,
     gamma_elastic,
@@ -43,7 +45,6 @@ from gammasolve.solver import (
     ResonanceError,
     _krylov,
     dense_operator,
-    operator_norm_estimate,
     residual_functional,
     solve,
     solve_dense,
@@ -172,14 +173,11 @@ def test_brinkman_matches_dense_modulo_pressure_gauge():
                    source=s, tol=1e-10, max_iter=4000)
     rk = solve(prob)
     assert rk.converged
-    import gammasolve.solver as sv
-
     A = dense_operator(prob)
-    op = sv._CanonicalOperator(prob)
-    b = op.project(s.to_fourier().values).ravel()
+    b = apply_projector(s.to_fourier(), prob.gamma).values.ravel()
     xsol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    e_hat = op.project(xsol.reshape(-1, op.ncomp))
-    Ed = Field(grid, L.layout, e_hat, "fourier").to_real()
+    Ed = apply_projector(Field(grid, L.layout, xsol.reshape(grid.npoints, -1), "fourier"),
+                         prob.gamma).to_real()
     assert np.linalg.norm(rk.E.values - Ed.values) <= 1e-8 * np.linalg.norm(Ed.values)
 
 
@@ -385,6 +383,52 @@ def test_partial_isometry_basis_is_preconditioned(case):
     assert np.linalg.norm(rk.E.values - rd.E.values) <= 1e-8 * np.linalg.norm(rd.E.values)
 
 
+def _family_case(physics, dims, params):
+    def case():
+        grid = Grid(dims, (2.0 * np.pi,) * len(dims))
+        omega = 4.6 if physics == "love" else 1.1
+        L = build_material(MaterialSpec(physics, omega, params), grid)
+        return grid, L, default_projector(physics, grid)
+    return case
+
+
+# one varying medium per projector family: the dense cases (with the
+# constant thermoacoustic and Love media made varying) and a Brinkman medium
+VARYING = {"thermoacoustic": dict(rho0=Checkerboard((1.1, 1.6))),
+           "love": dict(mu=Checkerboard((1.0, 1.5)))}
+FAMILY_CASES = [
+    (physics, _family_case(physics, dims, dict(params, **VARYING.get(physics, {}))))
+    for physics, dims, params, _ in DENSE_CASES] + [
+    ("brinkman", _family_case("brinkman", (4, 4, 4),
+                              dict(rho=1.0, eta=Checkerboard((0.3, 0.4)),
+                                   permeability=2.0, shear_viscosity=0.8))),
+]
+RESIDUAL_CASES = [("custom-symbols", _custom_symbols_case),
+                  ("svd-zero-columns", _svd_zero_columns_case),
+                  ("surface-embedded", _surface_embedded_case)] + FAMILY_CASES
+
+
+def test_family_cases_cover_every_projector_family():
+    families = {physics_family(physics).projector for physics, _ in FAMILY_CASES}
+    assert families == set(FAMILIES)
+
+
+@pytest.mark.parametrize("case", [c[1] for c in RESIDUAL_CASES],
+                         ids=[c[0] for c in RESIDUAL_CASES])
+def test_reported_residual_is_the_full_space_projected_residual(case):
+    # The solve measures the residual in potentials; recompute it in full
+    # space as |Gamma1 (L E - s)| / |Gamma1 s|.  Two iterations keep it far
+    # above rounding, so the two agree to rounding.
+    grid, L, gamma = case()
+    s = random_field(grid, L.layout, seed=5)
+    res = solve(Problem(grid=grid, L=L, gamma=gamma, source=s, tol=1e-14, max_iter=2))
+    flux = Field(grid, L.layout, canonical_material(L).apply(res.E.values) - s.values)
+    expected = (np.linalg.norm(apply_projector(flux, gamma).values)
+                / np.linalg.norm(apply_projector(s, gamma).values))
+    assert expected > 1e-8
+    assert res.residual == pytest.approx(expected, rel=1e-12)
+
+
 def _elastic_checkerboard(grid):
     return build_elastodynamics(grid, 1.1, Checkerboard((1.0, 1.5)),
                                 bulk=Checkerboard((2.0, 3.0)), shear=0.7)
@@ -421,42 +465,67 @@ def test_krylov_runs_on_potential_coefficients(monkeypatch, name, build, gamma, 
     assert np.linalg.norm(rk.E.values - rd.E.values) <= 1e-8 * np.linalg.norm(rd.E.values)
 
 
-def test_krylov_solve_never_applies_the_full_space_operator(monkeypatch):
-    def refuse(self, x):
-        raise AssertionError("full-space operator applied")
+def _count_transforms_and_matvecs(monkeypatch):
+    """Spy every FFT and every potential-space matvec, and refuse the dense
+    full-space operator."""
+    import gammasolve.fermionic as fm
+    from gammasolve import fields
 
-    projections = []
-    project = sv._CanonicalOperator.project
-    monkeypatch.setattr(sv._CanonicalOperator, "apply_hat", refuse)
-    monkeypatch.setattr(sv._CanonicalOperator, "project",
-                        lambda self, v: projections.append(1) or project(self, v))
+    counts = {"transforms": 0, "matvecs": 0}
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-space operator assembled")
+
+    transform = spy("transforms", fields.transform)
+    matvec = spy("matvecs", sv._potential_matvec)
+    for module in (fields, sv):
+        monkeypatch.setattr(module, "transform", transform)
+    for module in (sv, fm):
+        monkeypatch.setattr(module, "_potential_matvec", matvec)
+    monkeypatch.setattr(sv, "dense_operator", refuse)
+    monkeypatch.setattr(sv, "_dense_matrix", refuse)
+    return counts
+
+
+def test_krylov_solve_never_applies_the_full_space_operator(monkeypatch):
+    counts = _count_transforms_and_matvecs(monkeypatch)
     grid = Grid((6, 6, 6), (2.0 * np.pi,) * 3)
     L = _elastic_checkerboard(grid)
     res = solve(Problem(grid=grid, L=L, gamma=gamma_elastic(3), tol=1e-8,
                         source=random_field(grid, L.layout, seed=2)))
     assert res.converged and res.iterations > 1
-    # Gamma1 acts on full-space vectors only for the source and the final
-    # residual, never inside an iteration.
-    assert len(projections) == 2
+    # Two FFTs per potential-space matvec; beyond those only the source's
+    # forward transform and E's inverse and L E's forward transform for the
+    # result.
+    assert counts["matvecs"] >= res.iterations
+    assert counts["transforms"] == 2 * counts["matvecs"] + 3
 
 
 def test_fixed_point_and_perturbation_never_apply_the_full_space_operator(monkeypatch):
-    def refuse(self, *args):
-        raise AssertionError("full-space operator applied")
-
-    monkeypatch.setattr(sv._CanonicalOperator, "apply_hat", refuse)
-    monkeypatch.setattr(sv._CanonicalOperator, "material", refuse)
+    counts = _count_transforms_and_matvecs(monkeypatch)
     grid, L, s = _definite_helmholtz_case()
     fixed = solve(Problem(grid=grid, L=L, gamma=gamma_helmholtz(2), source=s,
                           tol=1e-10, method="fixed_point", max_iter=1000))
     assert fixed.converged and fixed.iterations > 1
+    assert counts["matvecs"] == fixed.iterations
+    assert counts["transforms"] == 2 * counts["matvecs"] + 3
     grid = Grid((24,), (2.0 * np.pi,))
     x = grid.coordinates()[:, 0]
     V = 0.8 * np.cos(x) + 0.3 * np.cos(2.0 * x)
     E, states = ground_state(grid, 1.0, V, nstates=1)
+    counts.update(transforms=0, matvecs=0)
     res = perturbation_solve(build_schrodinger(grid, E[0], 1.0, V), states[0], np.cos(x),
                              tol=1e-12)
     assert res.converged and res.iterations > 1
+    # one more forward transform than a solve: the state's, for the kernel
+    assert counts["matvecs"] >= res.iterations
+    assert counts["transforms"] == 2 * counts["matvecs"] + 4
 
 
 def test_solves_never_form_dense_projector_symbols(monkeypatch):
@@ -504,17 +573,6 @@ def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         solve(Problem(grid=grid, L=L, gamma=gamma_helmholtz(2), source=s,
                       method="conjugate_wishes"))
-
-
-def test_operator_norm_estimate_scalar_multiple():
-    grid = Grid((6, 6), (2.0 * np.pi,) * 2)
-    lay = BlockLayout((Block("vector", 2), Block("scalar")))
-    L = LField(lay, 3.0 * np.eye(3))
-    s = random_field(grid, lay, seed=0)
-    prob = Problem(grid=grid, L=L, gamma=gamma_helmholtz(2), source=s)
-    est = operator_norm_estimate(prob, iters=60)
-    # A = 3 Gamma1 + Gamma2 has spectrum {3, 1}
-    assert abs(est - 3.0) < 1e-6
 
 
 def test_dense_operator_limit():
@@ -591,6 +649,28 @@ def test_resolvent_varying_matches_dense():
     psi_hat = np.linalg.solve(A, f.to_fourier().values[:, 0])
     expected = sfft.ifft(psi_hat, norm="ortho")
     assert_allclose(psi.values[:, 0], expected, atol=1e-10)
+
+
+def test_resolvent_varying_b_well_off_the_spectrum_converges():
+    # B is Hermitian, so every eigenvalue of z - D^H B D has imaginary part
+    # 0.5; unpreconditioned GMRES still stalled near 1e-6 on this grid.
+    from gammasolve.fields import divergence, gradient, vector_layout
+
+    grid = Grid((32, 32), (2.0 * np.pi,) * 2)
+    x = grid.coordinates()
+    a = 1.0 + 0.4 * np.cos(x[:, 0])
+    vals = np.zeros((grid.npoints, 3, 3), complex)
+    vals[:, 0, 0] = vals[:, 1, 1] = a
+    vals[:, 2, 2] = 0.1 * np.sin(x[:, 1])
+    B = LField(BlockLayout((Block("vector", 2), Block("scalar"))), vals)
+    f = random_field(grid, scalar_layout(), seed=2)
+    z = 11.3 + 0.5j
+    psi = solve_resolvent(grid, z, B, f, tol=1e-10)
+    # (z - D^H B D) psi = z psi + div(a grad psi) - b psi, since D^H (v, s) = s - div v
+    flux = Field(grid, vector_layout(2), a[:, None] * gradient(psi).values)
+    lhs = (z - vals[:, 2, 2]) * psi.values[:, 0] + divergence(flux).values[:, 0]
+    rhs = f.values[:, 0]
+    assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
 
 def test_resolvent_varying_zero_source_is_zero():
