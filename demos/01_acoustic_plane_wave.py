@@ -47,7 +47,8 @@ print(f"pressure amplitude {pressure[0]:.12f}")
 print(f"closed form        {pred:.12f}")
 print(f"max deviation      {np.max(np.abs(pressure - pred)):.2e}")
 
-# the same pressure from the scalar resolvent at z = rho omega^2
+# the same pressure from the scalar resolvent at z = rho omega^2, itself a
+# canonical problem: L = B - z e_s e_s^T on the Helmholtz projector
 lay = BlockLayout((Block("vector", 3), Block("scalar")))
 B = LField(lay, np.diag([kappa, kappa, kappa, 0.0]).astype(complex))
 fdiv = kappa * (1j * (k0 @ f0)) * env

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fields, models
-from .fields import Field, Grid, read_uplf, write_uplf
+from .fields import Field, Grid, UPLFError, read_uplf, write_uplf
 from .fields import inner_product
 from .materials import (
     Checkerboard,
@@ -130,7 +130,10 @@ def _parse_param(node, path, ndim):
         return Checkerboard(tuple(vals))
     if kind == "voxel":
         _check_unknown(node, {"type", "path"}, path)
-        return Voxel(np.load(_require(node, "path", path)))
+        try:
+            return Voxel(np.load(_require(node, "path", path)))
+        except (ValueError, EOFError) as exc:
+            raise ConfigError(f"'{path}.path' is not a NumPy array file: {exc}")
     if kind == "array":
         _check_unknown(node, {"type", "values"}, path)
         return np.array(_require(node, "values", path), dtype=np.complex128)
@@ -259,7 +262,7 @@ def _parse_source(node, grid, L, physics, path="source"):
         return force_source(np.ones(grid.npoints))
     if kind == "uplf":
         _check_unknown(node, {"type", "path"}, path)
-        return read_uplf(_require(node, "path", path))
+        return _read_uplf(_require(node, "path", path), f"{path}.path")
     raise ConfigError(f"unknown source type '{kind}' at '{path}'")
 
 
@@ -304,6 +307,14 @@ def _cj(z):
 
 def _matrix_json(M):
     return [[_cj(v) for v in row] for row in np.asarray(M)]
+
+
+def _read_uplf(filename, path):
+    """The field stored in the UPLF file named at config key ``path``."""
+    try:
+        return read_uplf(filename)
+    except UPLFError as exc:
+        raise ConfigError(f"'{path}': {filename} is not a valid UPLF file: {exc}")
 
 
 def _load_config(args):
@@ -497,7 +508,7 @@ def _cmd_schrodinger(args):
 def _cmd_project(args):
     cfg = _load_config(args)
     _check_unknown(cfg, {"input", "output", "projector", "which", "shift"}, "")
-    field = read_uplf(_require(cfg, "input", ""))
+    field = _read_uplf(_require(cfg, "input", ""), "input")
     pnode = _require(cfg, "projector", "")
     _check_unknown(pnode, {"family"}, "projector")
     family = _require(pnode, "family", "projector")
@@ -660,12 +671,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 # flag -> its argparse keyword arguments
 _FLAGS = {
     "config": {"required": True, "help": "JSON configuration"},
     "out": {"default": None, "help": "output directory (default: current)"},
     "seed": {"type": int, "default": 42, "help": "seed of the random checks"},
-    "threads": {"type": int, "default": None, "help": "FFT worker threads"},
+    "threads": {"type": _positive_int, "default": None, "help": "FFT worker threads"},
     "tol": {"type": float, "default": None, "help": "overrides solver.tol"},
 }
 

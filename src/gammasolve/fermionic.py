@@ -10,6 +10,8 @@ vector antisymmetrizer commutes with taking gradients.  Sign-weighted
 averages over the exchange group project onto the fermionic sector; a
 reduced form needing only O(N^2) terms is available for fields already
 antisymmetric in the trailing particles (the shape material laws produce).
+The first-order state corrector is a canonical projected problem on the
+Schrodinger projector, solved by :func:`gammasolve.solver.solve`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 
 from .fields import Field, Grid, _pointwise, scalar_layout, transform
 from .projectors import helmholtz_D
-from .solver import _krylov, _potential_matvec, _potentials, _result
 
 __all__ = [
     "MultiElectronGrid",
@@ -389,63 +390,39 @@ def perturbation_solve(material, psi, vprime, tol=1e-10, max_iter=2000):
     E' = <psi, V' psi>.
 
     The corrector equation is the canonical projected problem with source
-    (0, (V' - E') psi), solved by GMRES on the projector's potential
-    coefficients a with the operator a -> B^H F L F^-1 (B a); the
-    (one-dimensional) kernel spanned by the gradient pair of psi is removed
-    by adding a rank-one penalty on its coefficients kappa = B^H D psi, and
+    (0, (V' - E') psi), solved by :func:`solve`.  Its kernel is the unit
+    gradient pair D psi; the exact source is orthogonal to it, so the
+    source's component along it (rounding noise) is removed first, and
     the gauge is enforced exactly afterwards.
     """
     from .fields import inner_product
     from .materials import default_projector
-    from .solver import Problem
+    from .solver import Problem, solve
 
     grid = psi.grid
     nd = grid.ndim
-    layout = material.layout
     e_prime = perturbation_energy(psi, vprime)
     vp = vprime.to_real().values[:, 0] if isinstance(vprime, Field) else np.asarray(vprime)
     psi_r = psi.to_real().values[:, 0]
 
     svals = np.zeros((grid.npoints, nd + 1), dtype=np.complex128)
     svals[:, nd] = (vp - e_prime) * psi_r
-    source = Field(grid, layout, svals, "real")
+    s_hat = Field(grid, material.layout, svals).to_fourier().values
 
-    problem = Problem(
-        grid=grid,
-        L=material,
-        gamma=default_projector("schrodinger", grid),
-        source=source,
-        tol=tol,
-        max_iter=max_iter,
-    )
-    Lc, B, Bh, b = _potentials(problem)
-
-    # kernel direction: the unit gradient pair D psi in Fourier form, and
-    # its potential coefficients kappa = B^H D psi, also of unit norm since
-    # D psi lies in range(B)
+    # The exact corrector source is orthogonal to the kernel pair D psi;
+    # any content there is rounding noise from the (V' - E') cancellation,
+    # so strip it, and treat a source at rounding level as exactly zero.
     psi_hat = Field(grid, scalar_layout(), psi_r[:, None]).to_fourier().values
     kernel = _pointwise(helmholtz_D(nd).matrices(grid.wavevectors()), psi_hat)
     kernel /= np.linalg.norm(kernel)
-    kappa = _pointwise(Bh, kernel).ravel()
-    sigma = max(1.0, abs(complex(material.omega)))
-
-    def matvec(a):
-        penalty = sigma * np.vdot(kappa, a) * kappa
-        return _potential_matvec(grid, Bh, Lc.apply, B, a) + penalty
-
-    # The exact corrector source is orthogonal to the kernel pair; any
-    # content there is rounding noise from the (V' - E') cancellation, so
-    # strip it (in potentials, <D psi, s> = <kappa, B^H s>), and treat a
-    # source at rounding level as exactly zero.
-    b -= np.vdot(kappa, b) * kappa
-    b_norm = float(np.linalg.norm(b))
+    s_hat -= np.vdot(kernel, s_hat) * kernel
     scale = float(np.linalg.norm((np.abs(vp) + abs(e_prime)) * np.abs(psi_r)))
-    if b_norm <= 1e-13 * max(scale, 1e-300):
+    if np.linalg.norm(s_hat) <= 1e-13 * max(scale, 1e-300):
         zero = Field.zeros(grid, scalar_layout())
         return PerturbationResult(e_prime, zero, 0.0, 0, True)
-    a, history, _ = _krylov(matvec, b, tol, max_iter)
-    e_hat = _pointwise(B, a.reshape(grid.npoints, -1))
-    res = _result(problem, Lc, Bh, e_hat, b, len(history), "krylov")
+    res = solve(Problem(grid=grid, L=material, gamma=default_projector("schrodinger", grid),
+                        source=Field(grid, material.layout, s_hat, "fourier"), tol=tol,
+                        max_iter=max_iter))
     psi_prime = Field(grid, scalar_layout(), res.E.values[:, nd:])
     psi_field = Field(grid, scalar_layout(), psi_r[:, None])
     overlap = inner_product(psi_field, psi_prime) / inner_product(psi_field, psi_field)

@@ -52,12 +52,18 @@ _fft_workers = None
 
 
 def set_fft_workers(n):
-    """Set the worker count passed to scipy.fft (None = scipy default).
+    """Set the worker count passed to scipy.fft (None = scipy default);
+    a count below 1 raises ValueError.
 
-    The environment variable GAMMA_SOLVE_THREADS provides the initial value.
+    The environment variable GAMMA_SOLVE_THREADS provides the initial value
+    (ignored unless it is a positive integer).
     """
     global _fft_workers
-    _fft_workers = None if n is None else int(n)
+    if n is not None:
+        n = int(n)
+        if n < 1:
+            raise ValueError(f"FFT worker count must be at least 1, got {n}")
+    _fft_workers = n
 
 
 def get_fft_workers():

@@ -7,8 +7,10 @@ coefficients (r of the c components per mode): the iteration, the source
 norm |Gamma1 s| = |B^H s| and the reported residual.  The only code that
 applies the full-space operator A = Gamma1 L Gamma1 + Gamma2 is its
 brute-force dense assembly :func:`dense_operator`, an oracle for small
-grids.  A separate resolvent path solves (z - D^dagger B D) psi = f for
-scalar-potential families, preconditioned by its mean medium.
+grids.  The resolvent (z - D^dagger B D) psi = f of a second-order scalar
+form is itself a canonical problem (:func:`solve_resolvent`), as is the
+fermionic perturbation corrector, so every iterative solve is a
+:func:`solve` call.
 
 Both methods of :func:`solve` precondition A x = Gamma1 s on the right by
 a constant reference medium L0: P = (Gamma1 L0 Gamma1 + Gamma2)^-1 =
@@ -28,8 +30,7 @@ residual in potentials is the residual |Gamma1 (L E - s)| of E, so
   (Moulinec & Suquet; Eyre & Milton).
 
 :func:`_krylov` is the one GMRES entry point and :func:`_potential_matvec`
-the one potential-space operator: the canonical solve (both methods), the
-resolvent solve and the fermionic perturbation solve all iterate on it.
+the one potential-space operator; both methods iterate on it.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ import scipy.sparse.linalg
 
 from . import fields
 from .fields import Block, BlockLayout, Field, _pointwise, scalar_layout, transform
-from .materials import canonical_material
-from .projectors import PINV_CUTOFF, _basis_on, helmholtz_D
+from .materials import LField, canonical_material
+from .projectors import PINV_CUTOFF, _basis_on, gamma_helmholtz
 
 __all__ = [
     "Problem",
@@ -212,7 +213,7 @@ def _zero_result(problem, method):
     return SolveResult(Field.zeros(grid, layout), J, 0.0, 0, True, method)
 
 
-def _result(problem, Lc, Bh, e_hat, b, iterations, method, history=(), stop_reason=None):
+def _result(problem, Lc, Bh, e_hat, b, iterations, method, history, stop_reason):
     """SolveResult for a Fourier-space solution e_hat (one material
     application serves J and the residual).  The residual
     |Gamma1 (L E - s)| / |Gamma1 s| is measured in potentials as
@@ -318,56 +319,34 @@ def solve_resolvent(grid, z, B, f, tol=1e-10, max_iter=2000):
     (second-order coefficient matrix in the vector block, zero-order
     coefficient in the scalar slot).
 
-    Constant B uses the exact per-mode inverse of z - D(ik)^H B D(ik);
-    varying B uses GMRES on the scalar unknowns, right-preconditioned by
-    that inverse for the grid mean of B.  Raises ResonanceError if z is
-    (numerically) in the spectrum: per-mode denominators below 1e-12 of
-    their scale for constant B, or a Krylov solve that fails to reach tol.
+    This is the canonical problem Gamma1 (L E - s) = 0 on the Helmholtz
+    projector with L = B - z e_s e_s^T, source s = (0, -f) and E = D psi:
+    since range Gamma1 = range D, it says D^dagger (L D psi - s) = 0, the
+    resolvent equation.  :func:`solve` solves it, so ``tol`` bounds the
+    canonical residual |Gamma1 (L E - s)| / |Gamma1 s|, and psi is the
+    scalar slot of E, returned in f's representation.  Raises
+    ResonanceError when that solve does not reach ``tol`` (z is then
+    numerically in or near the spectrum).
     """
     nd = grid.ndim
     if f.layout != scalar_layout():
         raise ValueError("resolvent source must be a single scalar block")
-    f_hat = f.to_fourier().values[:, 0]
     if B.layout != BlockLayout((Block("vector", nd), Block("scalar"))):
         raise ValueError("B must live on a (vector(ndim), scalar) layout")
-
-    D = helmholtz_D(nd).matrices(grid.wavevectors())
-    Dh = np.conj(np.swapaxes(D, -1, -2))
-    # z - D(ik)^H B D(ik) mode by mode: the exact inverse for constant B,
-    # and for varying B, with B replaced by its grid mean, the right
-    # preconditioner of the GMRES solve
-    mean = B.values if B.is_constant else B.values.mean(axis=0)
-    denom = z - (Dh @ mean @ D)[:, 0, 0]
-    scale = max(abs(z), float(np.max(np.abs(denom))))
-    near = np.abs(denom) <= 1e-12 * scale
-    if B.is_constant:
-        if near.any():
-            raise ResonanceError(
-                f"resolvent evaluated at z={z} within 1e-12 of the spectrum"
-            )
-        psi_hat = f_hat / denom
-        out = Field(grid, scalar_layout(), psi_hat[:, None], "fourier")
-        return out.to_real() if f.representation == "real" else out
-    # A mode where the mean medium is singular gets no preconditioner; the
-    # true-residual check below reports a source it leaves unsolved.
-    inverse = np.divide(1.0, denom, out=np.zeros_like(denom), where=~near)
-
-    def matvec(y):
-        psi_hat = inverse * y
-        return z * psi_hat - _potential_matvec(grid, Dh, B.apply, D, psi_hat)
-
-    x = np.zeros_like(f_hat)
-    if f_hat.any():  # a zero source has the zero solution
-        y, _, _ = _krylov(matvec, f_hat, tol, max_iter)
-        x = inverse * y
-        rel = float(np.linalg.norm(matvec(y) - f_hat) / np.linalg.norm(f_hat))
-        if rel > tol:
-            raise ResonanceError(
-                f"resolvent solve stalled at relative residual {rel:.3e} "
-                f"(z may be near the spectrum)"
-            )
-    out = Field(grid, scalar_layout(), x[:, None], "fourier")
-    return out.to_real() if f.representation == "real" else out
+    values = B.values.copy()
+    values[..., nd, nd] -= z
+    s = np.zeros((grid.npoints, nd + 1), dtype=np.complex128)
+    s[:, nd] = -f.values[:, 0]
+    res = solve(Problem(grid=grid, L=LField(B.layout, values), gamma=gamma_helmholtz(nd),
+                        source=Field(grid, B.layout, s, f.representation), tol=tol,
+                        max_iter=max_iter))
+    if not res.converged:
+        raise ResonanceError(
+            f"resolvent solve stopped ({res.stop_reason}) at relative residual "
+            f"{res.residual:.3e} (z may be near the spectrum)"
+        )
+    psi = Field(grid, scalar_layout(), res.E.values[:, nd:])
+    return psi if f.representation == "real" else psi.to_fourier()
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,29 @@ def test_config_errors_exit_1_with_path(tmp_path, capsys, material, source, path
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,config,path", [
+    ("solve", dict(_ACOUSTICS_2D, source={"type": "uplf", "path": "bad.uplf"}),
+     "source.path"),
+    ("project", {"input": "bad.uplf", "output": "g.uplf",
+                 "projector": {"family": "helmholtz"}}, "input"),
+    ("solve", dict(_ACOUSTICS_2D, material=dict(
+        _ACOUSTICS_2D["material"], params={"kappa": {"type": "voxel", "path": "v.npy"},
+                                           "rho": 1.0}),
+        source={"type": "constant", "amplitude": [0.0, 0.0, 1.0]}),
+     "material.params.kappa.path"),
+], ids=["solve-uplf-source", "project-input", "voxel-path"])
+def test_corrupt_data_files_are_config_errors(tmp_path, monkeypatch, capsys, command,
+                                              config, path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.uplf").write_bytes(b"garbage")
+    (tmp_path / "v.npy").write_bytes(b"ab")
+    cfg = _write_config(tmp_path / "c.json", config)
+    assert cli.main([command, "--config", cfg, "--out", "o"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"'{path}'" in err
+    assert "Traceback" not in err
+
+
 EFFECTIVE_CFG = {"grid": {"dims": [4, 4]},
                  "material": {"physics": "acoustics", "omega": 0.5,
                               "params": {"kappa": 1.0, "rho": 1.0}},
@@ -459,6 +482,19 @@ def test_threads_flag_sets_fft_workers(tmp_path):
         assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
                          "--threads", "2"]) == 0
         assert get_fft_workers() == 2
+    finally:
+        set_fft_workers(before)
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_threads_must_be_a_positive_integer(capsys, count):
+    before = get_fft_workers()
+    try:
+        assert _exit_code(["solve", "--config", "c.json", "--threads", count]) == 1
+        assert "--threads: must be a positive integer" in capsys.readouterr().err
+        with pytest.raises(ValueError):
+            set_fft_workers(int(count))
+        assert get_fft_workers() == before
     finally:
         set_fft_workers(before)
 

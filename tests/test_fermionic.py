@@ -237,30 +237,31 @@ def test_perturbation_energy_constant_state():
     assert perturbation_energy(psi, vp) == pytest.approx(0.4, abs=1e-13)
 
 
-def _fd_oracle(grid, V, vp, eps):
-    Ep, sp = ground_state(grid, 1.0, V + eps * vp, nstates=1)
-    Em, sm = ground_state(grid, 1.0, V - eps * vp, nstates=1)
-    de = (Ep[0] - Em[0]) / (2.0 * eps)
-    dpsi = (sp[0].values - sm[0].values) / (2.0 * eps)
+def _fd_oracle(grid, V, vp, eps, state=0):
+    Ep, sp = ground_state(grid, 1.0, V + eps * vp, nstates=state + 1)
+    Em, sm = ground_state(grid, 1.0, V - eps * vp, nstates=state + 1)
+    de = (Ep[state] - Em[state]) / (2.0 * eps)
+    dpsi = (sp[state].values - sm[state].values) / (2.0 * eps)
     return de, dpsi
 
 
-def test_perturbation_solve_matches_finite_differences():
+@pytest.mark.parametrize("state", [0, 1, 2])
+def test_perturbation_solve_matches_finite_differences(state):
     grid = Grid((24,), (2.0 * np.pi,))
     x = grid.coordinates()[:, 0]
     V = 0.8 * np.cos(x) + 0.3 * np.cos(2.0 * x)
     vp = np.cos(x)
-    E, states = ground_state(grid, 1.0, V, nstates=1)
-    mat = build_schrodinger(grid, E[0], 1.0, V)
-    res = perturbation_solve(mat, states[0], vp, tol=1e-12)
+    E, states = ground_state(grid, 1.0, V, nstates=state + 1)
+    mat = build_schrodinger(grid, E[state], 1.0, V)
+    res = perturbation_solve(mat, states[state], vp, tol=1e-12)
     assert res.converged
-    de, dpsi = _fd_oracle(grid, V, vp, 1e-5)
+    de, dpsi = _fd_oracle(grid, V, vp, 1e-5, state)
     assert res.e_prime == pytest.approx(de, abs=1e-8)
     assert np.max(np.abs(res.psi_prime.values - dpsi)) < 1e-6
     # gauge: corrector orthogonal to the unperturbed state
     from gammasolve.fields import inner_product
 
-    assert abs(inner_product(states[0], res.psi_prime)) < 1e-12
+    assert abs(inner_product(states[state], res.psi_prime)) < 1e-12
 
 
 def test_perturbation_solve_richardson():

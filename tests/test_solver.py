@@ -468,7 +468,6 @@ def test_krylov_runs_on_potential_coefficients(monkeypatch, name, build, gamma, 
 def _count_transforms_and_matvecs(monkeypatch):
     """Spy every FFT and every potential-space matvec, and refuse the dense
     full-space operator."""
-    import gammasolve.fermionic as fm
     from gammasolve import fields
 
     counts = {"transforms": 0, "matvecs": 0}
@@ -486,8 +485,7 @@ def _count_transforms_and_matvecs(monkeypatch):
     matvec = spy("matvecs", sv._potential_matvec)
     for module in (fields, sv):
         monkeypatch.setattr(module, "transform", transform)
-    for module in (sv, fm):
-        monkeypatch.setattr(module, "_potential_matvec", matvec)
+    monkeypatch.setattr(sv, "_potential_matvec", matvec)
     monkeypatch.setattr(sv, "dense_operator", refuse)
     monkeypatch.setattr(sv, "_dense_matrix", refuse)
     return counts
@@ -523,9 +521,10 @@ def test_fixed_point_and_perturbation_never_apply_the_full_space_operator(monkey
     res = perturbation_solve(build_schrodinger(grid, E[0], 1.0, V), states[0], np.cos(x),
                              tol=1e-12)
     assert res.converged and res.iterations > 1
-    # one more forward transform than a solve: the state's, for the kernel
+    # two more than a solve: the state's forward transform, for the kernel,
+    # and the inverse transform of the Fourier-space source, for J
     assert counts["matvecs"] >= res.iterations
-    assert counts["transforms"] == 2 * counts["matvecs"] + 4
+    assert counts["transforms"] == 2 * counts["matvecs"] + 5
 
 
 def test_solves_never_form_dense_projector_symbols(monkeypatch):
@@ -618,6 +617,28 @@ def test_resolvent_raises_on_spectrum():
     f = random_field(grid, scalar_layout(), seed=1)
     with pytest.raises(ResonanceError):
         solve_resolvent(grid, 1.0, B, f)  # z = k^2 for |k| = 1 exactly
+
+
+def test_resolvent_near_resonance_raises_or_meets_tol():
+    # z sits 1e-9 above the |k| = 1 eigenvalue: the solve must either
+    # report the resonance or return psi whose canonical residual
+    # |Gamma1 (L E - s)| / |Gamma1 s| meets the default tol.
+    grid = Grid((8, 8), (2.0 * np.pi,) * 2)
+    B = _second_order_B(grid, 1.0, 0.0)
+    f = random_field(grid, scalar_layout(), seed=1)
+    z = 1.0 + 1e-9
+    try:
+        psi = solve_resolvent(grid, z, B, f)
+    except ResonanceError:
+        return
+    # mode by mode, Gamma1 = D D^H / |D|^2 with |D|^2 = 1 + k^2, so the
+    # canonical residual weights each mode of (z - k^2) psi - f by 1/|D|
+    k2 = np.sum(grid.wavevectors() ** 2, axis=1)
+    psi_hat = psi.to_fourier().values[:, 0]
+    f_hat = f.to_fourier().values[:, 0]
+    weight = 1.0 / np.sqrt(1.0 + k2)
+    residual = np.linalg.norm(weight * ((z - k2) * psi_hat - f_hat))
+    assert residual <= 1e-10 * np.linalg.norm(weight * f_hat)
 
 
 def test_resolvent_varying_matches_dense():
