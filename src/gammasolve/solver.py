@@ -23,7 +23,10 @@ residual in potentials is the residual |Gamma1 (L E - s)| of E, so
 ``tol`` means the same for both methods.
 
 * ``method="krylov"`` takes L0 as the mean of the canonical material over
-  the grid points and runs restarted GMRES on K.
+  the grid points and runs restarted GMRES on K (:func:`_krylov`, written
+  here on numpy: it checks the true residual |B^H s - K a| at every
+  restart, so the residual history ends in the reported norm, and it
+  reports a cycle without progress or a happy breakdown short of ``tol``).
 * ``method="fixed_point"`` takes L0 = c I for a reference constant c and
   runs the unit-step Richardson iteration a <- a + (B^H s - K a).  With
   R = B / c this is the classical scheme E <- E + Gamma1 (s - L E) / c
@@ -40,7 +43,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.sparse.linalg
 
 from . import fields
 from .fields import Block, BlockLayout, Field, _pointwise, scalar_layout, transform
@@ -57,6 +59,13 @@ __all__ = [
     "ResonanceError",
     "residual_functional",
 ]
+
+
+# Classical Gram-Schmidt repeats its pass when the vector's norm falls below
+# this share of its value before the pass (Daniel, Gragg, Kaufman & Stewart
+# 1976); a norm below _EPS of it is a happy breakdown.
+_DGKS = 0.7
+_EPS = np.finfo(float).eps
 
 
 class ResonanceError(RuntimeError):
@@ -111,8 +120,13 @@ class SolveResult:
 
     ``stop_reason`` is ``"converged"`` (residual <= tol, including a zero
     projected source), ``"max_iter"`` (the iteration budget ran out),
-    ``"diverged"`` (the fixed-point scheme blew up) or ``"stalled"`` (the
-    iteration stopped early with residual > tol).
+    ``"stagnated"`` (a GMRES restart cycle did not lower the true residual;
+    E is the iterate from the start of that cycle), ``"breakdown"`` (GMRES
+    found its Krylov space invariant with residual > tol, as for a source
+    outside the operator's range), ``"diverged"`` (the fixed-point scheme
+    blew up) or ``"stalled"`` (the dense oracle's direct solve missed tol).
+    An iterative solve's ``residual_history`` holds one relative residual
+    per iteration and ends in ``residual``.
     """
 
     E: object
@@ -126,34 +140,107 @@ class SolveResult:
 
 
 def _krylov(matvec, b, tol, max_iter, restart=None):
-    """Restarted GMRES on a flat complex right-hand side ``b``.
+    """Restarted GMRES (Saad & Schultz 1986) on a flat complex right-hand
+    side ``b``, from x = 0.
 
-    Stops at scipy's residual estimate 0.25 * tol (relative to |b|) or at
-    the iteration cap; the restart length is min(40, n, max_iter) unless
+    Each cycle builds an orthonormal Krylov basis by classical Gram-Schmidt
+    (two matrix-vector products on a preallocated basis, and a second pass
+    when the norm falls below _DGKS of its value before the first) and
+    tracks the least-squares residual estimate with Givens rotations.  A
+    cycle ends when that estimate reaches 0.25 * tol * |b|, on a happy
+    breakdown or after the restart length min(40, n, max_iter) unless
     given, with n = b.size (npts r potential unknowns for the canonical
-    solve), so a cap up to the restart length is exact and a larger one
-    rounds up to whole restart cycles.  Returns ``(x, history, stop_reason)``:
-    the solution, the residual estimate after each inner iteration, and
-    ``"max_iter"`` when the iteration budget ran out, else ``"stalled"``
-    (which the caller overrides when the true residual meets ``tol``).
+    solve); a cap above the restart length rounds up to whole cycles.  At
+    the end of each cycle one matvec measures the true residual |b - K x|,
+    which replaces the cycle's last history entry, so the history ends in
+    the norm of the returned iterate.  The solve stops as ``"converged"``
+    when the true residual is at most 0.25 * tol * |b|.  A cycle that does
+    not lower the true residual returns its starting iterate as
+    ``"stagnated"`` (the better iterate, as for singular or inconsistent
+    systems: Brown & Walker 1997); a happy breakdown that misses the target
+    returns ``"breakdown"``; else the budget ends it as ``"max_iter"``.
+    Returns ``(x, history, stop_reason)`` with the relative residual after
+    each inner iteration in ``history``.  ``matvec`` must return a new
+    complex array, which the orthogonalization overwrites.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n = b.size
-    restart = min(40 if restart is None else restart, n, max_iter)
-    linop = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=np.complex128)
+    m = min(40 if restart is None else restart, n, max_iter)
+    b_norm = _norm(b)
+    target = 0.25 * tol * b_norm
+    V = np.empty((m + 1, n), dtype=np.complex128)
+    np.multiply(b, 1.0 / b_norm, out=V[0])
+    x, beta = np.zeros(n, dtype=np.complex128), b_norm
     history = []
-    x, info = scipy.sparse.linalg.gmres(
-        linop,
-        b,
-        rtol=0.25 * tol,
-        atol=0.0,
-        restart=restart,
-        maxiter=math.ceil(max_iter / restart),
-        callback=lambda pr: history.append(float(pr)),
-        callback_type="pr_norm",
-    )
-    return x, history, "max_iter" if info > 0 else "stalled"
+    for _ in range(math.ceil(max_iter / m)):
+        cols, rots, g = [], [], [complex(beta)]
+        for j in range(m):
+            w = matvec(V[j])
+            Vj = V[: j + 1]
+            w_norm = _norm(w)
+            h = (Vj @ w.conj()).conj()
+            w -= h @ Vj
+            h_next = _norm(w)
+            if h_next < _DGKS * w_norm:
+                h2 = (Vj @ w.conj()).conj()
+                w -= h2 @ Vj
+                h += h2
+                h_next = _norm(w)
+            breakdown = h_next <= _EPS * w_norm
+            if not breakdown:
+                np.multiply(w, 1.0 / h_next, out=V[j + 1])
+            col = h.tolist()
+            for i, (c, s) in enumerate(rots):
+                col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
+                                      c * col[i + 1] - s.conjugate() * col[i])
+            c, s, col[j] = _givens(col[j], h_next)
+            rots.append((c, s))
+            cols.append(col)
+            g.append(-s.conjugate() * g[j])
+            g[j] *= c
+            estimate = abs(g[j + 1])
+            history.append(estimate / b_norm)
+            if estimate <= target or breakdown:
+                break
+        k = len(cols)
+        y = [0j] * k
+        for i in reversed(range(k)):
+            if cols[i][i] != 0:  # a zero pivot (singular K) drops its direction
+                y[i] = (g[i] - sum(cols[l][i] * y[l] for l in range(i + 1, k))) / cols[i][i]
+        x_new = x + np.array(y) @ V[:k]
+        np.subtract(b, matvec(x_new), out=V[0])  # the next cycle's start
+        r_norm = _norm(V[0])
+        if r_norm <= target:
+            history[-1] = r_norm / b_norm
+            return x_new, history, "converged"
+        if not r_norm < beta:  # also a NaN residual
+            history[-1] = beta / b_norm
+            return x, history, "stagnated"
+        history[-1] = r_norm / b_norm
+        if breakdown:
+            return x_new, history, "breakdown"
+        x, beta = x_new, r_norm
+        V[0] *= 1.0 / beta
+    return x, history, "max_iter"
+
+
+def _norm(v):
+    """2-norm of a flat complex vector as a float (np.linalg.norm costs a
+    few microseconds more per call)."""
+    return math.sqrt(np.vdot(v, v).real)
+
+
+def _givens(a, b):
+    """Rotation (c, s) with c real and [[c, s], [-conj(s), c]] (a, b) =
+    (rho, 0) for complex a and real b >= 0; returns (c, s, rho)."""
+    d = math.hypot(abs(a), b)
+    if d == 0.0:
+        return 1.0, 0j, 0j
+    if a == 0:
+        return 0.0, 1 + 0j, complex(d)
+    phase = a / abs(a)
+    return abs(a) / d, phase * (b / d), phase * d
 
 
 def _richardson(matvec, b, tol, max_iter):
@@ -162,9 +249,8 @@ def _richardson(matvec, b, tol, max_iter):
     Records |b - K a| / |b| after each step and stops when it reaches
     ``tol``, when it exceeds 1e8 or is not finite (``"diverged"``), or at
     ``max_iter`` steps.  Returns ``(a, history, stop_reason)`` with
-    ``stop_reason`` ``"diverged"`` or ``"max_iter"``; as with
-    :func:`_krylov`, the caller reports ``"converged"`` from the true
-    residual.
+    ``stop_reason`` ``"diverged"`` or ``"max_iter"``; the caller reports
+    ``"converged"`` from the true residual.
     """
     b_norm = np.linalg.norm(b)
     a = np.zeros_like(b)
@@ -313,6 +399,13 @@ def solve_dense(problem, limit=4096):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _helmholtz(nd):
+    """One Helmholtz projector per dimension, so repeated resolvent solves on
+    one grid reuse the basis it keeps."""
+    return gamma_helmholtz(nd)
+
+
 def solve_resolvent(grid, z, B, f, tol=1e-10, max_iter=2000):
     """Solve (z - D^dagger B D) psi = f for a scalar potential psi, where
     D c = (grad c, c) and B is a material on the (vector, scalar) layout
@@ -337,7 +430,7 @@ def solve_resolvent(grid, z, B, f, tol=1e-10, max_iter=2000):
     values[..., nd, nd] -= z
     s = np.zeros((grid.npoints, nd + 1), dtype=np.complex128)
     s[:, nd] = -f.values[:, 0]
-    res = solve(Problem(grid=grid, L=LField(B.layout, values), gamma=gamma_helmholtz(nd),
+    res = solve(Problem(grid=grid, L=LField(B.layout, values), gamma=_helmholtz(nd),
                         source=Field(grid, B.layout, s, f.representation), tol=tol,
                         max_iter=max_iter))
     if not res.converged:

@@ -61,6 +61,7 @@ def test_solve_outputs_and_summary(tmp_path, capsys):
     assert len(lines) == summary["iterations"] + 1
     residuals = [float(l.split(",")[1]) for l in lines[1:]]
     assert residuals[-1] <= residuals[0]
+    assert residuals[-1] == pytest.approx(summary["residual"], rel=1e-12)
 
 
 def test_solve_rerun_is_byte_identical(tmp_path):

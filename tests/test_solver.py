@@ -565,6 +565,88 @@ def test_krylov_honors_a_cap_below_the_restart_length():
         _krylov(lambda x: x, np.ones(4, complex), 1e-8, 0)
 
 
+def _nonnormal_system(seed, n=120):
+    """A complex system whose eigenvalues fill a disk around 2 and whose
+    strictly upper triangle makes it far from normal."""
+    rng = np.random.default_rng(seed)
+    lam = 2.0 + np.exp(2j * np.pi * rng.random(n)) * np.sqrt(rng.random(n))
+    upper = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1)
+    return np.diag(lam) + 1.5 * upper / np.sqrt(n), rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_krylov_matches_scipy_gmres(seed):
+    # scipy's restarted GMRES, kept as a test-only oracle: same stopping
+    # rule (estimate 0.25 tol |b|), several restart cycles.
+    import scipy.sparse.linalg
+
+    A, b = _nonnormal_system(seed)
+    tol, restart = 1e-8, 10
+    x, history, reason = _krylov(lambda v: A @ v, b, tol, 1000, restart)
+    oracle = []
+    xs, info = scipy.sparse.linalg.gmres(A, b, rtol=0.25 * tol, atol=0.0, restart=restart,
+                                         maxiter=100, callback=oracle.append,
+                                         callback_type="pr_norm")
+    assert reason == "converged" and info == 0
+    cycles = -(-len(oracle) // restart)
+    assert len(oracle) > 2 * restart
+    assert abs(len(history) - len(oracle)) <= cycles
+    assert np.linalg.norm(x - xs) <= tol * np.linalg.norm(xs)
+    # the history ends in the true residual of the returned iterate
+    assert history[-1] == pytest.approx(np.linalg.norm(b - A @ x) / np.linalg.norm(b),
+                                        rel=1e-12)
+    assert history[-1] <= 0.25 * tol
+
+
+def test_krylov_reports_a_happy_breakdown_short_of_the_target():
+    # b = (1, 1) leaves range diag(1, 0): the Krylov space is invariant after
+    # two steps, and the best residual there is (0, 1).
+    x, history, reason = _krylov(lambda v: np.array([1.0, 0.0]) * v,
+                                 np.ones(2, complex), 1e-8, 100)
+    assert reason == "breakdown"
+    assert x[0] == pytest.approx(1.0, abs=1e-14)  # K x = (1, 0); x[1] is free
+    assert history[-1] == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12)
+
+
+def test_solves_never_call_scipy_gmres(monkeypatch):
+    import scipy.sparse.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.sparse.linalg.gmres called")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "gmres", refuse)
+    grid = Grid((6, 6, 6), (2.0 * np.pi,) * 3)
+    for name, build, gamma, _ in POTENTIAL_CASES:  # elastodynamics and Maxwell
+        L = build(grid)
+        res = solve(Problem(grid=grid, L=L, gamma=gamma, tol=1e-10,
+                            source=random_field(grid, L.layout, seed=6)))
+        assert res.converged, name
+    grid, L, gamma = _surface_embedded_case()
+    assert solve(Problem(grid=grid, L=L, gamma=gamma, tol=1e-10,
+                         source=random_field(grid, L.layout, seed=5))).converged
+
+
+@pytest.mark.parametrize("max_iter,reason", [(400, "stagnated"), (14, "max_iter")])
+def test_krylov_history_ends_in_the_reported_residual(max_iter, reason):
+    # Brinkman's gauge kernel (the k = 0 hydrostatic stress) makes GMRES's
+    # residual estimate fall far below the true residual; the history used
+    # to end at that estimate (4.9e-3 against a reported 2.3e-2 with a cap
+    # of 400).  Each restart now measures the true residual, and a cycle
+    # that fails to lower it stops the solve.
+    from gammasolve.materials import build_brinkman
+    from gammasolve.projectors import gamma_brinkman
+
+    grid = Grid((8, 8, 8), (2.0 * np.pi,) * 3)
+    L = build_brinkman(grid, 1.1, 1.0, lambda x: 0.3 + 0.1 * (x[:, 1] > np.pi), 2.0,
+                       shear_viscosity=0.8)
+    res = solve(Problem(grid=grid, L=L, gamma=gamma_brinkman(), tol=1e-8, max_iter=max_iter,
+                        source=random_field(grid, L.layout, seed=1)))
+    assert not res.converged
+    assert res.stop_reason == reason and res.iterations <= min(max_iter, 80)
+    assert len(res.residual_history) == res.iterations
+    assert res.residual_history[-1] == pytest.approx(res.residual, rel=1e-12)
+
+
 def test_unknown_method_rejected():
     grid = Grid((4, 4), (1.0, 1.0))
     L = build_acoustics(grid, 1.0, 1.0, 1.0)
@@ -611,12 +693,45 @@ def test_resolvent_constant_exact_per_mode():
     assert_allclose(psi.values[:, 0], expected, atol=1e-12)
 
 
-def test_resolvent_raises_on_spectrum():
+def test_resolvent_raises_on_spectrum(monkeypatch):
+    # The mean medium's pivot on the resonant modes is rounding-level, so
+    # the preconditioned true residual grows while GMRES's estimate falls;
+    # the first restart cycle that fails to lower it ends the solve (it used
+    # to run the whole 2000-iteration budget).
+    runs = []
+    krylov = sv._krylov
+
+    def spy(*args):
+        runs.append(krylov(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(sv, "_krylov", spy)
     grid = Grid((8, 8), (2.0 * np.pi,) * 2)
     B = _second_order_B(grid, 1.0, 0.0)
     f = random_field(grid, scalar_layout(), seed=1)
-    with pytest.raises(ResonanceError):
+    with pytest.raises(ResonanceError, match="stagnated"):
         solve_resolvent(grid, 1.0, B, f)  # z = k^2 for |k| = 1 exactly
+    [(_, history, reason)] = runs
+    assert reason == "stagnated" and len(history) <= 40
+
+
+def test_repeated_resolvent_solves_build_the_basis_once(monkeypatch):
+    builds = []
+    basis = Projector.basis
+
+    def spy(self, K):
+        builds.append(self.name)
+        return basis(self, K)
+
+    monkeypatch.setattr(Projector, "basis", spy)
+    sv._helmholtz.cache_clear()
+    grid = Grid((8, 8), (2.0 * np.pi,) * 2)
+    B = _second_order_B(grid, 1.0, 0.25)
+    f = random_field(grid, scalar_layout(), seed=1)
+    first = solve_resolvent(grid, 9.7, B, f)
+    second = solve_resolvent(grid, 9.7 + 0.5j, B, f)
+    assert len(builds) == 1
+    assert not np.allclose(first.values, second.values)
 
 
 def test_resolvent_near_resonance_raises_or_meets_tol():
