@@ -61,10 +61,8 @@ __all__ = [
 ]
 
 
-# Classical Gram-Schmidt repeats its pass when the vector's norm falls below
-# this share of its value before the pass (Daniel, Gragg, Kaufman & Stewart
-# 1976); a norm below _EPS of it is a happy breakdown.
-_DGKS = 0.7
+# A new Krylov vector whose norm after orthogonalization is below _EPS of its
+# norm before is a happy breakdown.
 _EPS = np.finfo(float).eps
 
 
@@ -144,18 +142,19 @@ def _krylov(matvec, b, tol, max_iter, restart=None):
     side ``b``, from x = 0.
 
     Each cycle builds an orthonormal Krylov basis by classical Gram-Schmidt
-    (two matrix-vector products on a preallocated basis, and a second pass
-    when the norm falls below _DGKS of its value before the first) and
-    tracks the least-squares residual estimate with Givens rotations.  A
-    cycle ends when that estimate reaches 0.25 * tol * |b|, on a happy
-    breakdown or after the restart length min(40, n, max_iter) unless
-    given, with n = b.size (npts r potential unknowns for the canonical
-    solve); a cap above the restart length rounds up to whole cycles.  At
-    the end of each cycle one matvec measures the true residual |b - K x|,
-    which replaces the cycle's last history entry, so the history ends in
-    the norm of the returned iterate.  The solve stops as ``"converged"``
-    when the true residual is at most 0.25 * tol * |b|.  A cycle that does
-    not lower the true residual returns its starting iterate as
+    with reorthogonalization (CGS2: two passes, each two matrix-vector
+    products on a preallocated basis; Giraud et al. 2005) and tracks the
+    least-squares residual estimate with Givens rotations.  A cycle ends
+    when that estimate reaches 0.25 * tol * |b|, on a happy breakdown or
+    after the restart length min(40, n, max_iter) unless given, with
+    n = b.size (npts r potential unknowns for the canonical solve); a cap
+    above the restart length rounds up to whole cycles.  The cycle's
+    correction solves the small least-squares problem by truncated SVD, and
+    one more matvec measures the true residual |b - K x|, which replaces
+    the cycle's last history entry, so the history ends in the norm of the
+    returned iterate.  The solve stops as ``"converged"`` when the true
+    residual is at most 0.25 * tol * |b|.  A cycle that does not lower the
+    true residual returns its starting iterate as
     ``"stagnated"`` (the better iterate, as for singular or inconsistent
     systems: Brown & Walker 1997); a happy breakdown that misses the target
     returns ``"breakdown"``; else the budget ends it as ``"max_iter"``.
@@ -178,16 +177,13 @@ def _krylov(matvec, b, tol, max_iter, restart=None):
         for j in range(m):
             w = matvec(V[j])
             Vj = V[: j + 1]
-            w_norm = _norm(w)
             h = (Vj @ w.conj()).conj()
             w -= h @ Vj
+            h2 = (Vj @ w.conj()).conj()
+            w -= h2 @ Vj
+            h += h2
             h_next = _norm(w)
-            if h_next < _DGKS * w_norm:
-                h2 = (Vj @ w.conj()).conj()
-                w -= h2 @ Vj
-                h += h2
-                h_next = _norm(w)
-            breakdown = h_next <= _EPS * w_norm
+            breakdown = h_next <= _EPS * math.hypot(_norm(h), h_next)
             if not breakdown:
                 np.multiply(w, 1.0 / h_next, out=V[j + 1])
             col = h.tolist()
@@ -204,11 +200,14 @@ def _krylov(matvec, b, tol, max_iter, restart=None):
             if estimate <= target or breakdown:
                 break
         k = len(cols)
-        y = [0j] * k
-        for i in reversed(range(k)):
-            if cols[i][i] != 0:  # a zero pivot (singular K) drops its direction
-                y[i] = (g[i] - sum(cols[l][i] * y[l] for l in range(i + 1, k))) / cols[i][i]
-        x_new = x + np.array(y) @ V[:k]
+        R = np.zeros((k, k), dtype=np.complex128)
+        for i, col in enumerate(cols):
+            R[: i + 1, i] = col
+        # A truncated-SVD least-squares solve drops the directions of a
+        # numerically singular R; back substitution there (a singular or
+        # inconsistent K) turns rounding into a huge, useless correction.
+        y = np.linalg.lstsq(R, g[:k], rcond=None)[0]
+        x_new = x + y @ V[:k]
         np.subtract(b, matvec(x_new), out=V[0])  # the next cycle's start
         r_norm = _norm(V[0])
         if r_norm <= target:
@@ -399,13 +398,6 @@ def solve_dense(problem, limit=4096):
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _helmholtz(nd):
-    """One Helmholtz projector per dimension, so repeated resolvent solves on
-    one grid reuse the basis it keeps."""
-    return gamma_helmholtz(nd)
-
-
 def solve_resolvent(grid, z, B, f, tol=1e-10, max_iter=2000):
     """Solve (z - D^dagger B D) psi = f for a scalar potential psi, where
     D c = (grad c, c) and B is a material on the (vector, scalar) layout
@@ -430,7 +422,7 @@ def solve_resolvent(grid, z, B, f, tol=1e-10, max_iter=2000):
     values[..., nd, nd] -= z
     s = np.zeros((grid.npoints, nd + 1), dtype=np.complex128)
     s[:, nd] = -f.values[:, 0]
-    res = solve(Problem(grid=grid, L=LField(B.layout, values), gamma=_helmholtz(nd),
+    res = solve(Problem(grid=grid, L=LField(B.layout, values), gamma=gamma_helmholtz(nd),
                         source=Field(grid, B.layout, s, f.representation), tol=tol,
                         max_iter=max_iter))
     if not res.converged:
