@@ -10,6 +10,7 @@ weighted inner product takes the same form in both representations.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -169,7 +170,7 @@ class Grid:
 
     @property
     def npoints(self):
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def volume(self):
@@ -179,11 +180,21 @@ class Grid:
     def cell_volume(self):
         return self.volume / self.npoints
 
+    def axis_coordinates(self, axis):
+        """The coordinates along one axis, shaped (1, .., dims[axis], .., 1)
+        to broadcast over the grid; column ``axis`` of :meth:`coordinates`
+        without the point array."""
+        n, length = self.dims[axis], self.lengths[axis]
+        shape = [1] * self.ndim
+        shape[axis] = n
+        return (np.arange(n) * (length / n)).reshape(shape)
+
     @cached_property
     def _coords(self):
-        axes = [np.arange(n) * (L / n) for n, L in zip(self.dims, self.lengths)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        out = np.empty(self.dims + (self.ndim,))
+        for axis in range(self.ndim):
+            out[..., axis] = self.axis_coordinates(axis)
+        return out.reshape(self.npoints, self.ndim)
 
     def coordinates(self):
         """Real-space point coordinates, shape (npoints, ndim)."""
@@ -319,8 +330,9 @@ def scale(alpha, x):
 
 def _pointwise(matrices, values):
     """The per-point matvec: component vectors (npoints, c) times a constant
-    (m, c) matrix or per-point (npoints, m, c) matrices.  Materials,
-    projector bases and :func:`pointwise_map` all apply through it."""
+    (m, c) matrix or per-point (npoints, m, c) matrices.  Constant and
+    per-point materials, projector bases and :func:`pointwise_map` apply
+    through it."""
     if matrices.ndim == 2:
         return values @ matrices.T
     return np.einsum("pij,pj->pi", matrices, values)

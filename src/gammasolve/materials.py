@@ -16,13 +16,21 @@ Material parameters may be scalars, per-point arrays, small constant
 matrices, callables of the point coordinates, or the descriptor classes
 (:class:`Constant`, :class:`Layered`, :class:`Checkerboard`, :class:`Voxel`).
 
-Shape rule: a material is ``(c, c)`` if every parameter is constant and
-``(npoints, c, c)`` as soon as one varies.  Each builder is written once, as
-numpy broadcasting over a parameter's leading shape: a scalar parameter
-enters as ``(1, 1)`` or ``(npoints, 1, 1)``, a matrix one as ``(d, d)`` or
-``(npoints, d, d)``, and the assembled material takes the broadcast of its
-blocks' leading shapes.  :meth:`LField.apply` multiplies through
-:func:`fields._pointwise`, the one per-point matvec.
+Shape rule: a composite is a few phases with L constant on each, so a
+material is stored per phase.  Each parameter resolves to a constant or to
+a table of values with a per-point index into it: :class:`Layered` and
+:class:`Checkerboard` supply their phases directly, while per-point arrays,
+:class:`Voxel` data and callables get theirs from the distinct values of
+each component.  A builder's phases are the distinct combinations of its
+parameters' indices (one ``np.unique`` over a mixed-radix code), and the
+builder is written once, as numpy broadcasting over a parameter's leading
+shape: a scalar parameter enters as ``(1, 1)`` or ``(nphase, 1, 1)``, a
+matrix one as ``(d, d)`` or ``(nphase, d, d)``, and the assembled table
+takes the broadcast of its blocks' leading shapes.  The result is ``(c, c)``
+when every parameter is constant, ``(nphase, c, c)`` with a point index
+otherwise, and ``(npoints, c, c)`` per point when a table would not pay
+(see :class:`LField`).  :meth:`LField.apply` multiplies once per phase, or
+per point through :func:`fields._pointwise`.
 
 :data:`PHYSICS` holds one :class:`Physics` record per family (builder,
 projector family, force-to-source map); it is the only place a family is
@@ -45,6 +53,7 @@ __all__ = [
     "Voxel",
     "resolve_parameter",
     "MaterialSpec",
+    "MIN_PHASE_POINTS",
     "LField",
     "invert_blockwise",
     "canonical_material",
@@ -103,14 +112,17 @@ class Layered:
     breakpoints: tuple
     values: tuple
 
-    def evaluate(self, grid):
+    def phases(self, grid):
+        """``(values, index)``: the layer values and each point's layer."""
         bp = np.asarray(self.breakpoints, dtype=float)
         if len(self.values) != len(bp) + 1:
             raise ValueError("layered profile needs len(values) == len(breakpoints)+1")
-        x = grid.coordinates()[:, self.axis]
-        region = np.searchsorted(bp, x, side="right")
-        vals = np.asarray(self.values)
-        return vals[region]
+        region = np.searchsorted(bp, grid.axis_coordinates(self.axis), side="right")
+        return np.asarray(self.values), np.broadcast_to(region, grid.dims).ravel()
+
+    def evaluate(self, grid):
+        vals, index = self.phases(grid)
+        return vals[index]
 
 
 @dataclass(frozen=True)
@@ -120,14 +132,17 @@ class Checkerboard:
 
     values: tuple
 
-    def evaluate(self, grid):
+    def phases(self, grid):
+        """``(values, index)``: the two phase values and each point's phase."""
         if len(self.values) != 2:
             raise ValueError("checkerboard takes exactly two phase values")
-        x = grid.coordinates()
-        L = np.asarray(grid.lengths)
-        phase = np.sum(np.floor(2.0 * x / L).astype(int), axis=1) % 2
-        vals = np.asarray(self.values)
-        return vals[phase]
+        halves = sum(np.floor(2.0 * grid.axis_coordinates(axis) / length).astype(int)
+                     for axis, length in enumerate(grid.lengths))
+        return np.asarray(self.values), np.broadcast_to(halves % 2, grid.dims).ravel()
+
+    def evaluate(self, grid):
+        vals, index = self.phases(grid)
+        return vals[index]
 
 
 @dataclass(frozen=True)
@@ -180,20 +195,122 @@ def resolve_parameter(value, grid, shape=()):
     )
 
 
-def _coef(param, grid):
-    """A scalar parameter as (1, 1) if constant or (npoints, 1, 1) per point,
-    so that it scales a block by broadcasting."""
-    return np.asarray(resolve_parameter(param, grid, ()))[..., None, None]
+# A builder keeps the phase table when the phases average at least this many
+# points each: one matrix product per phase then costs less than the
+# per-point product over a dense (npoints, c, c) array.  On a grid of fewer
+# than twice as many points no table of two or more phases pays, and the
+# search for phases is skipped.
+MIN_PHASE_POINTS = 128
+# Mixed-radix phase codes are compacted before they could leave int64.
+_CODE_LIMIT = 2**62
 
 
-def _as_matrix(param, grid, d):
-    """A scalar-or-matrix parameter as (d, d) or (npoints, d, d), evaluated
-    once; a scalar is a multiple of the identity."""
-    value = _evaluate(param, grid)
-    try:
-        return resolve_parameter(value, grid, (d, d))
-    except ValueError:
-        return _coef(value, grid) * np.eye(d)
+def _table_pays(nphase, npoints):
+    """Whether ``nphase`` phases on ``npoints`` points are kept as a table
+    (one phase is a constant)."""
+    return nphase == 1 or nphase * MIN_PHASE_POINTS <= npoints
+
+
+def _parameter(value, grid, *shapes):
+    """A parameter as ``(table, index)`` in the first of ``shapes`` (default
+    scalar) it fits: a constant of that shape with index None, or a table
+    ``(n,) + shape`` and each point's row in it.
+
+    :class:`Layered` and :class:`Checkerboard` supply their phases directly;
+    per-point arrays, :class:`Voxel` data and callables (evaluated once) get
+    theirs from their distinct values (:func:`_point_phases`).
+    """
+    shapes = shapes or ((),)
+    if isinstance(value, Constant):
+        value = value.value
+    if isinstance(value, (Layered, Checkerboard)):
+        table, index = value.phases(grid)
+        if table.shape[1:] not in shapes:
+            raise ValueError(f"cannot interpret phase values of shape "
+                             f"{table.shape[1:]} as values of shape {shapes[0]}")
+        return table, index
+    value = _evaluate(value, grid)
+    for shape in shapes:
+        try:
+            out = resolve_parameter(value, grid, shape)
+        except ValueError:
+            if shape == shapes[-1]:
+                raise
+            continue
+        return (out, None) if np.shape(out) == shape else _point_phases(out)
+
+
+def _point_phases(values):
+    """``(table, index)`` of per-point values ``(npoints,) + shape``: one
+    ``np.unique`` per component, joined by :func:`_joint_index`.  A
+    component with more distinct values than a table holds (see
+    :func:`_table_pays`), or a grid too small for any table, returns the
+    values as given with index ``arange(npoints)``, which keeps the material
+    per point."""
+    npoints = len(values)
+    if not _table_pays(2, npoints):
+        return values, np.arange(npoints)
+    columns = []
+    for component in values.reshape(npoints, -1).T:
+        _, first, index = np.unique(component, return_index=True, return_inverse=True)
+        if not _table_pays(len(first), npoints):
+            return values, np.arange(npoints)
+        columns.append((index, len(first)))
+    if len(columns) > 1:
+        index, first = _joint_index(columns)
+    return values[first], index
+
+
+def _joint_index(columns):
+    """Each point's row among the distinct combinations of per-point
+    indices given as ``(index, radix)`` pairs, and the first point of each
+    combination: one ``np.unique`` over a mixed-radix code."""
+    code, radix = 0, 1
+    for index, n in columns:
+        if radix > _CODE_LIMIT // n:
+            code = np.unique(code, return_inverse=True)[1]
+            radix = int(code.max()) + 1
+        code, radix = code * n + index, radix * n
+    _, first, index = np.unique(code, return_index=True, return_inverse=True)
+    return index, first
+
+
+def _phases(grid, **params):
+    """The joint phases of a builder's ``(table, index)`` parameters.
+
+    Returns ``(index, values)`` with one row per phase in each varying
+    parameter's value; ``index`` is None when no parameter varies or all
+    points share one phase (the values are then constants), and when the
+    phases are too many for a table or the grid too small for one (the
+    values are then per point).
+    """
+    varying = [(index, len(table)) for table, index in params.values()
+               if index is not None]
+    if not varying:
+        return None, {k: table for k, (table, _) in params.items()}
+    index, rows = None, slice(None)
+    if _table_pays(2, grid.npoints):
+        index, first = _joint_index(varying)
+        if len(first) == 1:
+            index, rows = None, first[0]
+        elif _table_pays(len(first), grid.npoints):
+            rows = first
+        else:
+            index = None
+    return index, {k: table if i is None else table[i[rows]]
+                   for k, (table, i) in params.items()}
+
+
+def _coef(value):
+    """A scalar (or per-phase scalars) as (1, 1) (or (n, 1, 1)), so that it
+    scales a block by broadcasting."""
+    return np.asarray(value)[..., None, None]
+
+
+def _matrix(value, d):
+    """A scalar-or-matrix parameter value as (d, d) or (n, d, d); a scalar
+    is a multiple of the identity."""
+    return value if np.ndim(value) >= 2 else _coef(value) * np.eye(d)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +319,24 @@ def _as_matrix(param, grid, d):
 
 
 class LField:
-    """Block material matrix, constant (c, c) or per point (npoints, c, c).
+    """Block material matrix L(x) in one of three forms.
+
+    * constant: ``values`` is one ``(c, c)`` matrix and ``index`` is None;
+    * phase table: ``values`` is ``(nphase, c, c)`` and ``index`` an
+      ``(npoints,)`` integer array; the matrix at point x is
+      ``values[index[x]]``;
+    * per point: ``values`` is ``(npoints, c, c)`` and ``index`` is None.
+
+    The builders choose the form from their input alone: constant when all
+    points share one value of every parameter; a phase table when the
+    distinct joint parameter values average at least
+    :data:`MIN_PHASE_POINTS` points each, as for a composite of a few
+    phases however it is given; per point otherwise, where one matrix
+    product per phase would cost more than the per-point product: matrices
+    nearly all distinct (a smooth callable, ``ns_perturbation``'s velocity
+    gradient) or a grid of fewer than ``2 * MIN_PHASE_POINTS`` points, on
+    which no search for phases is made.  ``LField(layout, values)`` keeps
+    the form it is given.
 
     Parameters
     ----------
@@ -214,22 +348,34 @@ class LField:
         Whether the stored matrix multiplies E in J = LE - s, or is the
         pointwise inverse of that map.
     physics : str
+    index : ndarray of int or None
+        Each point's row of ``values`` (phase table only).
     """
 
-    __slots__ = ("layout", "values", "omega", "orientation", "physics")
+    __slots__ = ("layout", "values", "omega", "orientation", "physics", "index",
+                 "_phase_points")
 
-    def __init__(self, layout, values, omega=0.0, orientation="direct", physics=""):
+    def __init__(self, layout, values, omega=0.0, orientation="direct", physics="",
+                 index=None):
         if orientation not in ("direct", "inverse"):
             raise ValueError(f"unknown orientation {orientation!r}")
         values = np.asarray(values, dtype=np.complex128)
         c = layout.ncomp
         if values.ndim not in (2, 3) or values.shape[-2:] != (c, c):
             raise ValueError(f"values shape {values.shape} incompatible with ncomp={c}")
+        if index is not None:
+            index = np.asarray(index)
+            if (values.ndim != 3 or index.ndim != 1 or index.dtype.kind not in "iu"
+                    or index.min() < 0 or index.max() >= len(values)):
+                raise ValueError("a phase index needs (nphase, c, c) values and one "
+                                 "row number in range(nphase) per point")
         self.layout = layout
         self.values = values
         self.omega = omega
         self.orientation = orientation
         self.physics = physics
+        self.index = index
+        self._phase_points = None
 
     @property
     def ncomp(self):
@@ -241,13 +387,41 @@ class LField:
 
     def apply(self, values):
         """Pointwise matrix action on component vectors (npoints, c)."""
-        return _pointwise(self.values, values)
+        return self._apply(self.values, values)
 
     def apply_adjoint(self, values):
-        return _pointwise(np.conj(np.swapaxes(self.values, -1, -2)), values)
+        return self._apply(np.conj(np.swapaxes(self.values, -1, -2)), values)
+
+    def _apply(self, matrices, values):
+        if self.index is None:
+            return _pointwise(matrices, values)
+        out = np.empty_like(values)
+        for M, points in zip(matrices, self._points()):
+            out[points] = values.take(points, axis=0) @ M.T
+        return out
+
+    def _points(self):
+        """Each phase's points (in increasing order), computed on first
+        use."""
+        if self._phase_points is None:
+            order = np.argsort(self.index, kind="stable")
+            counts = np.bincount(self.index, minlength=len(self.values))
+            self._phase_points = np.split(order, np.cumsum(counts)[:-1])
+        return self._phase_points
+
+    def mean(self):
+        """The mean of L(x) over the grid points (count-weighted over a
+        phase table)."""
+        if self.index is None:
+            return self.values if self.is_constant else self.values.mean(axis=0)
+        counts = np.bincount(self.index, minlength=len(self.values))
+        return np.tensordot(counts, self.values, 1) / len(self.index)
 
     def __repr__(self):
-        kind = "constant" if self.is_constant else "varying"
+        if self.index is not None:
+            kind = f"{len(self.values)} phases"
+        else:
+            kind = "constant" if self.is_constant else "varying"
         return (
             f"LField({self.physics or 'generic'}, ncomp={self.ncomp}, {kind}, "
             f"{self.orientation})"
@@ -255,9 +429,10 @@ class LField:
 
 
 def invert_blockwise(L):
-    """Pointwise inverse of the block matrix; flips the orientation flag."""
+    """Pointwise inverse of the block matrix (once per phase); flips the
+    orientation flag."""
     flipped = "inverse" if L.orientation == "direct" else "direct"
-    return LField(L.layout, np.linalg.inv(L.values), L.omega, flipped, L.physics)
+    return LField(L.layout, np.linalg.inv(L.values), L.omega, flipped, L.physics, L.index)
 
 
 def canonical_material(L):
@@ -350,14 +525,17 @@ def build_acoustics(grid, omega, kappa, rho, scale_by_omega=False):
     """
     d = grid.ndim
     layout = BlockLayout((Block("vector", d), Block("scalar")))
-    kap = _coef(kappa, grid)
+    rho_shapes = ((),) if scale_by_omega else ((d, d), ())
+    index, p = _phases(grid, kappa=_parameter(kappa, grid),
+                       rho=_parameter(rho, grid, *rho_shapes))
+    kap = _coef(p["kappa"])
     if scale_by_omega:
         vals = _assemble(layout, {(0, 0): -kap * np.eye(d),
-                                  (1, 1): omega**2 * _coef(rho, grid)})
-        return LField(layout, vals, omega, "direct", "acoustics")
-    vals = _assemble(layout, {(0, 0): omega * _as_matrix(rho, grid, d),
+                                  (1, 1): omega**2 * _coef(p["rho"])})
+        return LField(layout, vals, omega, "direct", "acoustics", index)
+    vals = _assemble(layout, {(0, 0): omega * _matrix(p["rho"], d),
                               (1, 1): -kap / omega})
-    return LField(layout, vals, omega, "inverse", "acoustics")
+    return LField(layout, vals, omega, "inverse", "acoustics", index)
 
 
 def isotropic_stiffness(d, bulk, shear):
@@ -380,18 +558,27 @@ def build_elastodynamics(
     """
     d = grid.ndim
     layout = BlockLayout((Block("matrix", d), Block("vector", d)))
+    params = {"rho": _parameter(rho, grid, (d, d), ())}
     if stiffness is None:
         if bulk is None or shear is None:
             raise ValueError("need stiffness or both bulk and shear")
-        C = isotropic_stiffness(d, _coef(bulk, grid), _coef(shear, grid))
+        params.update(bulk=_parameter(bulk, grid), shear=_parameter(shear, grid))
     else:
-        C = resolve_parameter(stiffness, grid, (d * d, d * d))
-    entries = {(0, 0): -C / omega, (1, 1): omega * _as_matrix(rho, grid, d)}
+        params["stiffness"] = _parameter(stiffness, grid, (d * d, d * d))
     if coupling is not None:
-        D = resolve_parameter(coupling, grid, (d * d, d))
+        params["coupling"] = _parameter(coupling, grid, (d * d, d))
+    index, p = _phases(grid, **params)
+    if stiffness is None:
+        C = isotropic_stiffness(d, _coef(p["bulk"]), _coef(p["shear"]))
+    else:
+        C = p["stiffness"]
+    entries = {(0, 0): -C / omega, (1, 1): omega * _matrix(p["rho"], d)}
+    if coupling is not None:
+        D = p["coupling"]
         entries[(0, 1)] = D
         entries[(1, 0)] = np.conj(np.swapaxes(D, -1, -2))
-    return LField(layout, _assemble(layout, entries), omega, "direct", "elastodynamics")
+    return LField(layout, _assemble(layout, entries), omega, "direct", "elastodynamics",
+                  index)
 
 
 def build_maxwell(grid, omega, epsilon, mu):
@@ -404,11 +591,13 @@ def build_maxwell(grid, omega, epsilon, mu):
     if grid.ndim != 3:
         raise ValueError("electromagnetic build requires a 3-D grid")
     layout = BlockLayout((Block("vector", 3), Block("vector", 3)))
+    index, p = _phases(grid, epsilon=_parameter(epsilon, grid, (3, 3), ()),
+                       mu=_parameter(mu, grid, (3, 3), ()))
     vals = _assemble(layout, {
-        (0, 0): omega * _as_matrix(epsilon, grid, 3),
-        (1, 1): -np.linalg.inv(omega * _as_matrix(mu, grid, 3)),
+        (0, 0): omega * _matrix(p["epsilon"], 3),
+        (1, 1): -np.linalg.inv(omega * _matrix(p["mu"], 3)),
     })
-    return LField(layout, vals, omega, "direct", "maxwell")
+    return LField(layout, vals, omega, "direct", "maxwell", index)
 
 
 def build_brinkman(
@@ -433,21 +622,28 @@ def build_brinkman(
         raise ValueError("viscous-flow build requires a 3-D grid")
     d = 3
     layout = BlockLayout((Block("sym", d), Block("vector", d)))
+    params = {"rho": _parameter(rho, grid, (d, d), ()), "eta": _parameter(eta, grid),
+              "permeability": _parameter(permeability, grid, (d, d), ())}
     if viscosity_matrix is None:
         if shear_viscosity is None:
             raise ValueError("need shear_viscosity or viscosity_matrix")
-        V = 2.0 * _coef(shear_viscosity, grid) * kelvin_deviatoric(d)
+        params["shear_viscosity"] = _parameter(shear_viscosity, grid)
     else:
-        V = resolve_parameter(viscosity_matrix, grid, (6, 6))
+        params["viscosity_matrix"] = _parameter(viscosity_matrix, grid, (6, 6))
+    index, p = _phases(grid, **params)
+    if viscosity_matrix is None:
+        V = 2.0 * _coef(p["shear_viscosity"]) * kelvin_deviatoric(d)
+    else:
+        V = p["viscosity_matrix"]
     H = kelvin_hydrostatic(d)
     scale = max(np.max(np.abs(V)), 1.0)
     if np.max(np.abs(H @ V)) > 1e-10 * scale or np.max(np.abs(V @ H)) > 1e-10 * scale:
         raise ValueError("viscosity matrix must annihilate the hydrostatic subspace")
-    drag = omega * _as_matrix(rho, grid, d) + 1j * _coef(eta, grid) * np.linalg.inv(
-        _as_matrix(permeability, grid, d)
+    drag = omega * _matrix(p["rho"], d) + 1j * _coef(p["eta"]) * np.linalg.inv(
+        _matrix(p["permeability"], d)
     )
     vals = _assemble(layout, {(0, 0): 1j * V, (1, 1): -np.linalg.inv(drag)})
-    return LField(layout, vals, omega, "direct", "brinkman")
+    return LField(layout, vals, omega, "direct", "brinkman", index)
 
 
 def _first_index_contraction(u, d):
@@ -476,16 +672,20 @@ def build_oseen_inverse(
     """
     d = grid.ndim
     layout = BlockLayout((Block("matrix", d), Block("vector", d)))
-    kap, eb, e = (_coef(p, grid) for p in (kappa, eta_bulk, eta))
+    index, p = _phases(grid, kappa=_parameter(kappa, grid),
+                       eta_bulk=_parameter(eta_bulk, grid), eta=_parameter(eta, grid),
+                       velocity=_parameter(velocity, grid, (d,)),
+                       rho=_parameter(rho, grid, (d, d), ()))
+    kap, eb, e = (_coef(p[k]) for k in ("kappa", "eta_bulk", "eta"))
     C = ((kap - 1j * omega * eb) / 3.0) * hydrostatic_projector(d) - (
         2j * omega * e
     ) * deviatoric_projector(d)
     entries = {
         (0, 0): C,
-        (1, 0): _first_index_contraction(resolve_parameter(velocity, grid, (d,)), d),
-        (1, 1): -omega * _as_matrix(rho, grid, d),
+        (1, 0): _first_index_contraction(np.asarray(p["velocity"]), d),
+        (1, 1): -omega * _matrix(p["rho"], d),
     }
-    return LField(layout, _assemble(layout, entries), omega, "direct", "oseen")
+    return LField(layout, _assemble(layout, entries), omega, "direct", "oseen", index)
 
 
 def build_ns_perturbation(
@@ -506,23 +706,26 @@ def build_ns_perturbation(
     carries -i*omega*rho*(I + i*(grad v)^T / omega), which for
     ``stationary=True`` degenerates to rho*(grad v)^T; the off-diagonal
     block contracts rho*v with the derivative index (advection).  The
-    background velocity field is differentiated spectrally, so the
-    material is always per point.
+    background velocity field is differentiated spectrally; a varying flow
+    has a gradient that differs from point to point, so its material is per
+    point (see :class:`LField`).
     """
     d = grid.ndim
     layout = BlockLayout((Block("matrix", d), Block("vector", d)))
-    e = _coef(eta, grid)
-    r = _coef(rho, grid)
-    v = np.broadcast_to(resolve_parameter(background_velocity, grid, (d,)),
-                        (grid.npoints, d))
-    if penalty is None:
-        penalty = 1e8 * float(np.max(np.abs(2.0 * e)))
+    velocity = _parameter(background_velocity, grid, (d,))
+    table, index = velocity
+    v = np.broadcast_to(table if index is None else table[index], (grid.npoints, d))
     # grad_v[p, i, j] = d_i v_j, computed spectrally component by component
     grad_v = np.zeros((grid.npoints, d, d), dtype=np.complex128)
     for j in range(d):
         comp = Field(grid, scalar_layout(), v[:, j : j + 1].astype(np.complex128))
         grad_v[:, :, j] = gradient(comp).values
-    gvT = np.swapaxes(grad_v, -1, -2)
+    index, p = _phases(grid, eta=_parameter(eta, grid), rho=_parameter(rho, grid),
+                       velocity=velocity, grad_v=_point_phases(grad_v))
+    e, r, v = _coef(p["eta"]), _coef(p["rho"]), np.asarray(p["velocity"])
+    if penalty is None:
+        penalty = 1e8 * float(np.max(np.abs(2.0 * e)))
+    gvT = np.swapaxes(p["grad_v"], -1, -2)
     if stationary:
         vel_block = r * gvT
     else:
@@ -533,7 +736,8 @@ def build_ns_perturbation(
         (1, 0): _first_index_contraction(r[..., 0] * v, d),
         (1, 1): vel_block,
     }
-    return LField(layout, _assemble(layout, entries), omega, "direct", "ns_perturbation")
+    return LField(layout, _assemble(layout, entries), omega, "direct", "ns_perturbation",
+                  index)
 
 
 def build_thermoacoustic(
@@ -554,9 +758,10 @@ def build_thermoacoustic(
     layout = BlockLayout(
         (Block("matrix", d), Block("vector", d), Block("vector", d), Block("scalar"))
     )
-    p = {k: _coef(v, grid) for k, v in dict(
+    index, p = _phases(grid, **{k: _parameter(v, grid) for k, v in dict(
         rho0=rho0, eta=eta, eta_bulk=eta_bulk, conductivity=conductivity,
-        T0=T0, alpha0=alpha0, beta_T=beta_T, cp=cp).items()}
+        T0=T0, alpha0=alpha0, beta_T=beta_T, cp=cp).items()})
+    p = {k: _coef(v) for k, v in p.items()}
     Dv = (p["eta_bulk"] / 3.0) * hydrostatic_projector(d) + 2.0 * p["eta"] * deviatoric_projector(d)
     # tr(.) I on row-major matrix components is d * hydrostatic projector
     trace_I = d * hydrostatic_projector(d)
@@ -579,7 +784,7 @@ def build_thermoacoustic(
     b = vals[..., sl[3], sl[0]]
     if not np.allclose(a, -np.swapaxes(b, -1, -2), atol=1e-12 * max(1.0, np.max(np.abs(a)))):
         raise AssertionError("coupling blocks violate the anti-transpose relation")
-    return LField(layout, vals, omega, "direct", "thermoacoustic")
+    return LField(layout, vals, omega, "direct", "thermoacoustic", index)
 
 
 def build_love(grid, omega, k1, mu, rho):
@@ -592,10 +797,11 @@ def build_love(grid, omega, k1, mu, rho):
     if grid.ndim != 1:
         raise ValueError("layered shear build requires a 1-D grid")
     layout = BlockLayout((Block("vector", 1), Block("scalar")))
-    m = _coef(mu, grid)
+    index, p = _phases(grid, mu=_parameter(mu, grid), rho=_parameter(rho, grid))
+    m = _coef(p["mu"])
     vals = _assemble(layout, {(0, 0): m,
-                              (1, 1): k1**2 * m - omega**2 * _coef(rho, grid)})
-    return LField(layout, vals, omega, "direct", "love")
+                              (1, 1): k1**2 * m - omega**2 * _coef(p["rho"])})
+    return LField(layout, vals, omega, "direct", "love", index)
 
 
 def build_schrodinger(grid, energy, kinetic, potential):
@@ -605,9 +811,11 @@ def build_schrodinger(grid, energy, kinetic, potential):
     potential, E the energy."""
     nd = grid.ndim
     layout = BlockLayout((Block("vector", nd), Block("scalar")))
-    vals = _assemble(layout, {(0, 0): -_as_matrix(kinetic, grid, nd),
-                              (1, 1): energy - _coef(potential, grid)})
-    return LField(layout, vals, energy, "direct", "schrodinger")
+    index, p = _phases(grid, kinetic=_parameter(kinetic, grid, (nd, nd), ()),
+                       potential=_parameter(potential, grid))
+    vals = _assemble(layout, {(0, 0): -_matrix(p["kinetic"], nd),
+                              (1, 1): energy - _coef(p["potential"])})
+    return LField(layout, vals, energy, "direct", "schrodinger", index)
 
 
 # ---------------------------------------------------------------------------
@@ -741,12 +949,12 @@ class PassivityReport:
 
 def passivity_check(L, tol=1e-10):
     """Check positive semidefiniteness of the anti-Hermitian part
-    (L - L^dagger)/(2i) at every point; reports the minimum eigenvalue and
-    the flat index of the worst point."""
+    (L - L^dagger)/(2i) at every point (once per phase); reports the minimum
+    eigenvalue and the flat index of the worst point."""
     M = L.values.reshape(-1, L.ncomp, L.ncomp)
     A = (M - np.conj(np.swapaxes(M, -1, -2))) / 2j
     eigs = np.linalg.eigvalsh(A)
-    mins = eigs[:, 0]
+    mins = eigs[:, 0] if L.index is None else eigs[L.index, 0]
     worst = int(np.argmin(mins))
     mn = float(mins[worst])
     return PassivityReport(mn >= -tol, mn, worst)
@@ -759,16 +967,15 @@ def gibiansky_rotation(L, theta):
     anti-Hermitian (theta=0) and Hermitian (theta=pi/2) parts of L, which is
     the standard trick for restoring definiteness to loss-dominated maps.
     """
-    return LField(
-        L.layout, np.exp(1j * theta) * L.values, L.omega, L.orientation, L.physics
-    )
+    return LField(L.layout, np.exp(1j * theta) * L.values, L.omega, L.orientation,
+                  L.physics, L.index)
 
 
 def find_rotation(L, step=1e-3, tol=0.0):
     """Scan theta in (0, pi) for angles where the anti-Hermitian part of
-    exp(i*theta) L is positive definite everywhere; returns the midpoint of
-    the widest contiguous passing run.  Raises ValueError if no angle
-    passes."""
+    exp(i*theta) L is positive definite everywhere (checked once per
+    phase); returns the midpoint of the widest contiguous passing run.
+    Raises ValueError if no angle passes."""
     M = L.values.reshape(-1, L.ncomp, L.ncomp)
     Mh = np.conj(np.swapaxes(M, -1, -2))
     thetas = np.arange(step, np.pi, step)

@@ -331,11 +331,12 @@ def solve(problem):
     if not b.any():
         return _zero_result(problem, problem.method)
 
-    Lx = Lc.values.reshape(-1, Lc.ncomp, Lc.ncomp)
     if problem.method == "krylov":
-        L0 = Lx.mean(axis=0)
+        L0 = Lc.mean()
     elif problem.method == "fixed_point":
         if c is None:
+            # max_x |L(x)|_2, over the rows of a table or per-point array
+            Lx = Lc.values.reshape(-1, Lc.ncomp, Lc.ncomp)
             herm = np.conj(np.swapaxes(Lx, -1, -2)) @ Lx
             c = float(np.sqrt(np.max(np.linalg.eigvalsh(herm))))
         L0 = c * np.eye(Lc.ncomp)
@@ -346,7 +347,7 @@ def solve(problem):
     # the directions in which M is singular: Brinkman's k = 0 hydrostatic
     # stress, which the mean medium annihilates, and the zero directions of
     # a partial-isometry basis.
-    R = B @ np.linalg.pinv(Bh @ L0 @ B, rcond=PINV_CUTOFF)
+    R = B @ _pinv(Bh @ L0 @ B)
     matvec = functools.partial(_potential_matvec, problem.grid, Bh, Lc.apply, R)
     if problem.method == "krylov":
         a, history, stop_reason = _krylov(matvec, b, problem.tol, problem.max_iter,
@@ -356,6 +357,18 @@ def solve(problem):
     e_hat = _pointwise(R, a.reshape(problem.grid.npoints, -1))
     return _result(problem, Lc, Bh, e_hat, b, len(history), problem.method, history,
                    stop_reason)
+
+
+def _pinv(M):
+    """Pseudo-inverses of a stack of per-mode matrices under the relative
+    cutoff PINV_CUTOFF.  A 1 x 1 matrix m has the singular value |m|, which
+    the cutoff keeps exactly when m != 0, so its pseudo-inverse is 1/m
+    there and 0 elsewhere, with no SVD."""
+    if M.shape[-2:] != (1, 1):
+        return np.linalg.pinv(M, rcond=PINV_CUTOFF)
+    out = np.zeros_like(M)
+    np.divide(1.0, M, out=out, where=M != 0)
+    return out
 
 
 def dense_operator(problem, limit=4096):
@@ -418,11 +431,12 @@ def solve_resolvent(grid, z, B, f, tol=1e-10, max_iter=2000):
         raise ValueError("resolvent source must be a single scalar block")
     if B.layout != BlockLayout((Block("vector", nd), Block("scalar"))):
         raise ValueError("B must live on a (vector(ndim), scalar) layout")
-    values = B.values.copy()
+    values = B.values.copy()  # one matrix per phase in a phase table
     values[..., nd, nd] -= z
     s = np.zeros((grid.npoints, nd + 1), dtype=np.complex128)
     s[:, nd] = -f.values[:, 0]
-    res = solve(Problem(grid=grid, L=LField(B.layout, values), gamma=gamma_helmholtz(nd),
+    L = LField(B.layout, values, index=B.index)
+    res = solve(Problem(grid=grid, L=L, gamma=gamma_helmholtz(nd),
                         source=Field(grid, B.layout, s, f.representation), tol=tol,
                         max_iter=max_iter))
     if not res.converged:
@@ -452,12 +466,15 @@ def residual_functional(psi, material, source=None):
     """
     grid = psi.grid
     nd = grid.ndim
-    vals = material.values
     energy = material.omega
     psi_r = psi.to_real()
     g = fields.gradient(psi_r)
-    Ag = _pointwise(-vals[..., :nd, :nd], g.values)
-    coeff = np.broadcast_to(vals[..., nd, nd], (grid.npoints,))
+    # L (grad psi, 0) has -A grad psi in its vector block
+    Ag = -material.apply(np.pad(g.values, ((0, 0), (0, 1))))[:, :nd]
+    coeff = material.values[..., nd, nd]
+    if material.index is not None:
+        coeff = coeff[material.index]
+    coeff = np.broadcast_to(coeff, (grid.npoints,))
     flux = Field(grid, fields.vector_layout(nd), Ag)
     p = fields.divergence(flux).values[:, 0]
     # coeff = E - V, so for real V its real part is Re E - V

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from gammasolve.fields import Block, BlockLayout, Grid
 from gammasolve.materials import (
+    MIN_PHASE_POINTS,
     PHYSICS,
     Checkerboard,
     Constant,
@@ -47,6 +48,14 @@ G3 = Grid((4, 4, 4), (2.0 * np.pi,) * 3)
 G1 = Grid((8,), (4.0,))
 
 
+def at_points(L, npoints):
+    """L's matrix at every point, (npoints, c, c), whatever its form:
+    ``values[index]`` for a phase table."""
+    if L.index is not None:
+        return L.values[L.index]
+    return np.broadcast_to(L.values, (npoints, L.ncomp, L.ncomp))
+
+
 # ---------------------------------------------------------------------------
 # Parameter resolution
 # ---------------------------------------------------------------------------
@@ -81,7 +90,7 @@ def test_matrix_parameter_callable_is_evaluated_once():
     L = build_acoustics(G2, 1.1, 1.0, rho)
     assert calls == [G2.npoints]
     x = G2.coordinates()
-    assert_allclose(L.values[:, 0, 0], 1.1 * (1.0 + 0.1 * x[:, 0]))
+    assert_allclose(at_points(L, G2.npoints)[:, 0, 0], 1.1 * (1.0 + 0.1 * x[:, 0]))
 
 
 def test_layered_descriptor():
@@ -275,7 +284,8 @@ def test_ns_perturbation_structure():
     L = build_ns_perturbation(G3, 2.0, rho=1.5, eta=0.25, background_velocity=v,
                               penalty=100.0)
     # gradient block: penalty on hydrostatic + 2 eta on deviatoric
-    blk = L.values[0, :9, :9]
+    Lx = at_points(L, G3.npoints)
+    blk = Lx[0, :9, :9]
     assert_allclose(blk @ np.eye(3).ravel(), 100.0 * np.eye(3).ravel(), atol=1e-12)
     dev = np.diag([1.0, -1.0, 0.0]).ravel()
     assert_allclose(blk @ dev, 0.5 * dev, atol=1e-12)
@@ -284,15 +294,15 @@ def test_ns_perturbation_structure():
     gv = np.zeros((3, 3))
     gv[1, 0] = np.cos(x[p, 1])  # d_1 v_0
     expected = -1j * 2.0 * 1.5 * np.eye(3) + 1.5 * gv.T
-    assert_allclose(L.values[p, 9:, 9:], expected, atol=1e-10)
+    assert_allclose(Lx[p, 9:, 9:], expected, atol=1e-10)
     # default penalty: 1e8 * max|2 eta|
     L2 = build_ns_perturbation(G3, 2.0, rho=1.0, eta=0.25, background_velocity=v)
-    assert_allclose(L2.values[0, :9, :9] @ np.eye(3).ravel(),
+    assert_allclose(at_points(L2, G3.npoints)[0, :9, :9] @ np.eye(3).ravel(),
                     5e7 * np.eye(3).ravel(), rtol=1e-12)
     # stationary variant drops the -i omega rho I term
     L3 = build_ns_perturbation(G3, 2.0, rho=1.5, eta=0.25, background_velocity=v,
                                penalty=1.0, stationary=True)
-    assert_allclose(L3.values[p, 9:, 9:], 1.5 * gv.T, atol=1e-10)
+    assert_allclose(at_points(L3, G3.npoints)[p, 9:, 9:], 1.5 * gv.T, atol=1e-10)
 
 
 def test_thermoacoustic_frozen_and_antitranspose():
@@ -331,7 +341,7 @@ def test_schrodinger_frozen():
     assert_allclose(L.values, np.diag([-1.0, -1.0, -0.75]))
     x = G2.coordinates()
     Lv = build_schrodinger(G2, 0.0, 1.0, potential=x[:, 0])
-    assert_allclose(Lv.values[:, 2, 2], -x[:, 0])
+    assert_allclose(at_points(Lv, G2.npoints)[:, 2, 2], -x[:, 0])
 
 
 def test_build_material_dispatch_and_unknown():
@@ -378,15 +388,122 @@ def test_builders_broadcast_over_the_parameters_leading_shape(physics):
         return {k: np.broadcast_to(v, (n,) + np.shape(v)).copy() if k in keys else v
                 for k, v in params.items()}
 
-    constant = build(grid, omega, **params).values
-    c = constant.shape[-1]
-    if physics != "ns_perturbation":
-        assert constant.shape == (c, c)
-        constant = np.broadcast_to(constant, (n, c, c))
+    constant = build(grid, omega, **params)
+    assert constant.is_constant or physics == "ns_perturbation"
     for keys in [varied] + [[k] for k in varied]:
         L = build(grid, omega, **per_point(keys))
-        assert L.values.shape == (n, c, c), keys
-        assert_allclose(L.values, constant, rtol=1e-14, atol=0.0, err_msg=str(keys))
+        assert at_points(L, n).shape == (n, constant.ncomp, constant.ncomp), keys
+        assert_allclose(at_points(L, n), at_points(constant, n), rtol=1e-14, atol=0.0,
+                        err_msg=str(keys))
+
+
+# Every form a two-phase parameter can take: the phase pattern it puts on the
+# grid (True where the second value applies) and the parameter built from
+# the two values.
+def _two_phase_forms(grid):
+    x = grid.coordinates()
+    parity = np.sum(np.floor(2.0 * x / np.asarray(grid.lengths)), axis=1) % 2 == 1
+    voxel = np.arange(grid.npoints) % 3 == 0
+
+    def where(mask, a, b):
+        return np.where(mask.reshape((-1,) + (1,) * np.ndim(a)), b, a)
+
+    return {
+        "constant": (np.zeros(grid.npoints, bool), lambda a, b: Constant(a)),
+        "checkerboard": (parity, lambda a, b: Checkerboard((a, b))),
+        "layered": (x[:, 0] >= np.pi, lambda a, b: Layered(0, (np.pi,), (a, b))),
+        "voxel": (voxel, lambda a, b: Voxel(where(voxel, a, b))),
+        "array": (voxel, lambda a, b: where(voxel, a, b)),
+        "callable": (x[:, 0] < 1.0, lambda a, b: lambda y: where(y[:, 0] < 1.0, a, b)),
+    }
+
+
+# dims per grid dimension, large enough that two phases make a table
+PHASE_DIMS = {1: (256,), 2: (16, 16), 3: (8, 8, 8)}
+
+
+@pytest.mark.parametrize("form", ["constant", "checkerboard", "layered", "voxel",
+                                  "array", "callable"])
+@pytest.mark.parametrize("physics", sorted(PHYSICS))
+def test_builders_compute_once_per_phase(physics, form):
+    dims, omega, params = BROADCAST_CASES[physics]
+    grid = Grid(PHASE_DIMS[len(dims)], (2.0 * np.pi,) * len(dims))
+    n = grid.npoints
+    build = PHYSICS[physics].builder
+    # a varying background flow has a per-point spectral gradient
+    varied = [k for k in params if k not in ("k1", "penalty", "background_velocity")]
+    second = {k: 1.5 * np.asarray(v) + 0.25j if k in varied else v
+              for k, v in params.items()}
+    mask, make = _two_phase_forms(grid)[form]
+    L = build(grid, omega, **{k: make(params[k], second[k]) if k in varied else v
+                              for k, v in params.items()})
+    first_L = build(grid, omega, **params).values
+    second_L = build(grid, omega, **second).values
+    dense = np.where(mask[:, None, None], second_L, first_L)
+    if form == "constant":
+        assert L.is_constant and L.index is None
+    else:
+        assert L.index is not None and L.values.shape[0] == 2
+    assert_allclose(at_points(L, n), dense, rtol=1e-14, atol=0.0)
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((n, L.ncomp)) + 1j * rng.standard_normal((n, L.ncomp))
+    for got, matrices in ((L.apply(v), dense),
+                          (L.apply_adjoint(v), np.conj(np.swapaxes(dense, 1, 2)))):
+        want = np.einsum("pij,pj->pi", matrices, v)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    assert canonical_material(L).index is L.index
+
+
+def test_phase_table_rule():
+    # 256 points hold a table of at most two phases (MIN_PHASE_POINTS = 128)
+    grid = Grid((256,), (2.0 * np.pi,))
+    n = grid.npoints
+    point = np.arange(n)
+    two = build_love(grid, 4.6, 3.0, mu=Voxel(1.0 + (point % 2)), rho=1.7)
+    assert two.index is not None and two.values.shape == (2, 2, 2)
+    assert MIN_PHASE_POINTS == 128
+    three = build_love(grid, 4.6, 3.0, mu=Voxel(1.0 + (point % 3)), rho=1.7)
+    assert three.index is None and three.values.shape == (n, 2, 2)
+    # two phases of each parameter joined make four: per point as well
+    joint = build_love(grid, 4.6, 3.0, mu=1.0 + (point % 2), rho=1.0 + (point < 7))
+    assert joint.index is None and joint.values.shape == (n, 2, 2)
+    for L, mu in ((two, 1.0 + (point % 2)), (three, 1.0 + (point % 3))):
+        assert_allclose(at_points(L, n)[:, 0, 0], mu, rtol=1e-15)
+    # a smooth callable has all values distinct; one repeated value is constant
+    smooth = build_love(grid, 4.6, 3.0, mu=lambda x: 1.0 + 0.1 * x[:, 0], rho=1.7)
+    assert smooth.index is None and smooth.values.shape == (n, 2, 2)
+    assert build_love(grid, 4.6, 3.0, mu=np.full(n, 2.0), rho=1.7).is_constant
+    # below 2 * MIN_PHASE_POINTS points no table pays: per point, unsearched
+    small = Grid((192,), (2.0 * np.pi,))
+    for mu in (Layered(0, (np.pi,), (1.0, 4.0)), np.full(192, 2.0)):
+        L = build_love(small, 4.6, 3.0, mu=mu, rho=1.7)
+        assert L.index is None and L.values.shape == (192, 2, 2)
+    # matrix-valued voxel data: phases from the distinct matrices
+    g3 = Grid((8, 8, 8), (2.0 * np.pi,) * 3)
+    eps = np.where((np.arange(g3.npoints) % 4 == 0)[:, None, None],
+                   np.diag([1.0, 2.0, 3.0]), np.eye(3))
+    L = build_maxwell(g3, 1.3, Voxel(eps), 1.0)
+    assert L.index is not None and L.values.shape == (2, 6, 6)
+    assert_allclose(at_points(L, g3.npoints)[:, :3, :3], 1.3 * eps, rtol=1e-15)
+
+
+def test_phase_table_memory():
+    # The 32^3 two-phase elastodynamics material is a 2-row table and an
+    # index (0.25 MiB); the dense form held 72 MiB.
+    import tracemalloc
+
+    grid = Grid((32, 32, 32), (2.0 * np.pi,) * 3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        L = build_elastodynamics(grid, 1.0, Checkerboard((1.0, 2.0)),
+                                 bulk=Checkerboard((2.0, 6.0)),
+                                 shear=Checkerboard((1.0, 3.0)))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert L.values.shape == (2, 12, 12)
+    assert held < 2**20, held
 
 
 def test_default_projector_mapping():
@@ -473,6 +590,14 @@ def test_passivity_check_signs():
     assert not rep2.ok
     assert rep2.worst_point == 7
     assert_allclose(rep2.min_eigenvalue, -2.0)
+    # a phase table is checked once per phase and reports the first worst point
+    index = np.zeros(G2.npoints, int)
+    index[[7, 9]] = 1
+    table = LField(lay, [bad_vals[0], bad_vals[7]], index=index)
+    rep3 = passivity_check(table)
+    assert (rep3.ok, rep3.min_eigenvalue, rep3.worst_point) == (False, -2.0, 7)
+    assert find_rotation(LField(lay, [good.values, 2.0 * good.values],
+                                index=index)) == find_rotation(good)
 
 
 def test_gibiansky_rotation_and_find_rotation():
@@ -480,6 +605,8 @@ def test_gibiansky_rotation_and_find_rotation():
     L = LField(lay, np.exp(-1j * np.pi / 4) * np.eye(2))
     rot = gibiansky_rotation(L, np.pi / 2)
     assert_allclose(rot.values, np.exp(1j * np.pi / 4) * np.eye(2))
+    table = LField(lay, [L.values, 2.0 * L.values], index=[0, 1, 1])
+    assert gibiansky_rotation(table, np.pi / 2).index is table.index
     theta = find_rotation(L)
     # passing window is (pi/4, pi); midpoint 5 pi / 8
     assert abs(theta - 5.0 * np.pi / 8.0) < 2e-3

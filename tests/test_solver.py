@@ -12,6 +12,7 @@ from gammasolve.fields import Block, BlockLayout, Field, Grid, random_field, sca
 from gammasolve.materials import (
     Checkerboard,
     LField,
+    Layered,
     MaterialSpec,
     acoustic_source,
     block_source,
@@ -112,6 +113,40 @@ def test_krylov_matches_dense(physics, dims, params, options):
     denom = np.linalg.norm(rd.E.values)
     assert np.linalg.norm(rk.E.values - rd.E.values) <= 1e-8 * denom
     assert np.linalg.norm(rk.J.values - rd.J.values) <= 1e-8 * np.linalg.norm(rd.J.values)
+
+
+def _two_phase_elastic():
+    # 256 points hold a two-phase table (MIN_PHASE_POINTS = 128)
+    grid = Grid((16, 16), (2.0 * np.pi,) * 2)
+    L = build_elastodynamics(grid, 0.6, Checkerboard((1.0, 1.2)),
+                             bulk=Checkerboard((2.0, 6.0)), shear=Checkerboard((1.0, 3.0)))
+    assert L.values.shape == (2, 6, 6)
+    return grid, L, gamma_elastic(2)
+
+
+def _two_phase_definite():
+    # the definite medium of _definite_helmholtz_case as a phase table
+    grid = Grid((8, 8), (2.0 * np.pi,) * 2)
+    lay = BlockLayout((Block("vector", 2), Block("scalar")))
+    index = (grid.coordinates()[:, 0] >= np.pi).astype(int)
+    return grid, LField(lay, [np.eye(3), 3.0 * np.eye(3)], index=index), gamma_helmholtz(2)
+
+
+@pytest.mark.parametrize("case,method", [(_two_phase_elastic, "krylov"),
+                                         (_two_phase_definite, "fixed_point")])
+def test_phase_table_solves_as_its_dense_array(case, method):
+    grid, L, gamma = case()
+    dense = LField(L.layout, L.values[L.index], L.omega, L.orientation, L.physics)
+    s = random_field(grid, L.layout, seed=11)
+    table, per_point = (solve(Problem(grid=grid, L=M, gamma=gamma, source=s, tol=1e-10,
+                                      method=method, max_iter=3000))
+                        for M in (L, dense))
+    assert table.converged
+    assert table.iterations == per_point.iterations
+    scale = np.linalg.norm(per_point.E.values)
+    assert np.linalg.norm(table.E.values - per_point.E.values) <= 1e-12 * scale
+    oracle = solve_dense(Problem(grid=grid, L=L, gamma=gamma, source=s))
+    assert np.linalg.norm(table.E.values - oracle.E.values) <= 1e-8 * scale
 
 
 def test_oseen_matches_dense():
@@ -858,6 +893,33 @@ def test_residual_functional_zero_at_eigenpair_and_positive_off():
     # perturbing the candidate energy raises the functional
     mat_off = build_schrodinger(grid, energies[0] + 0.1, 1.0, V)
     assert residual_functional(states[0], mat_off) > 1e-4
+
+
+def test_resolvent_and_residual_functional_read_a_phase_table():
+    grid = Grid((16, 16), (2.0 * np.pi,) * 2)
+    lay = BlockLayout((Block("vector", 2), Block("scalar")))
+    index = (grid.coordinates()[:, 1] >= np.pi).astype(int)
+    B = LField(lay, [np.diag([1.0, 1.0, 0.1]), np.diag([2.0, 2.0, 0.3])], index=index)
+    dense = LField(lay, B.values[index])
+    f = random_field(grid, scalar_layout(), seed=6)
+    z = 11.3 + 0.5j
+    psi = solve_resolvent(grid, z, B, f, tol=1e-12).values
+    psi_dense = solve_resolvent(grid, z, dense, f, tol=1e-12).values
+    assert np.linalg.norm(psi - psi_dense) <= 1e-12 * np.linalg.norm(psi_dense)
+    mat = build_schrodinger(grid, 0.4 + 0.1j, Layered(1, (np.pi,), (1.0, 2.0)),
+                            Layered(1, (np.pi,), (0.1, 0.3)))
+    assert mat.values.shape == (2, 3, 3)
+    candidate = random_field(grid, scalar_layout(), seed=7)
+    W = residual_functional(candidate, mat)
+    W_dense = residual_functional(candidate, LField(mat.layout, mat.values[mat.index],
+                                                    mat.omega))
+    assert W == pytest.approx(W_dense, rel=1e-13)
+
+
+def test_scalar_preconditioner_pseudo_inverse():
+    # a 1 x 1 per-mode M needs no SVD: 1/m, and 0 where m = 0
+    M = np.array([2.0 - 1.0j, 0.0, 1e-300, -3.0]).reshape(4, 1, 1)
+    assert_allclose(sv._pinv(M), np.linalg.pinv(M, rcond=sv.PINV_CUTOFF), rtol=1e-15)
 
 
 def test_residual_functional_imaginary_energy_floor():
