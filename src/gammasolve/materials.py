@@ -336,7 +336,9 @@ class LField:
     nearly all distinct (a smooth callable, ``ns_perturbation``'s velocity
     gradient) or a grid of fewer than ``2 * MIN_PHASE_POINTS`` points, on
     which no search for phases is made.  ``LField(layout, values)`` keeps
-    the form it is given.
+    the form it is given.  Every builder's matrices are square; a map of
+    the ``c`` components onto ``m != c`` others, as a solver's restriction
+    of a material to its range, has ``(m, c)`` matrices and only applies.
 
     Parameters
     ----------
@@ -361,7 +363,7 @@ class LField:
             raise ValueError(f"unknown orientation {orientation!r}")
         values = np.asarray(values, dtype=np.complex128)
         c = layout.ncomp
-        if values.ndim not in (2, 3) or values.shape[-2:] != (c, c):
+        if values.ndim not in (2, 3) or values.shape[-1] != c:
             raise ValueError(f"values shape {values.shape} incompatible with ncomp={c}")
         if index is not None:
             index = np.asarray(index)
@@ -395,7 +397,7 @@ class LField:
     def _apply(self, matrices, values):
         if self.index is None:
             return _pointwise(matrices, values)
-        out = np.empty_like(values)
+        out = np.empty((len(values), matrices.shape[-2]), values.dtype)
         for M, points in zip(matrices, self._points()):
             out[points] = values.take(points, axis=0) @ M.T
         return out

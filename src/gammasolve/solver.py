@@ -17,10 +17,23 @@ a constant reference medium L0: P = (Gamma1 L0 Gamma1 + Gamma2)^-1 =
 B M^+ B^H + Gamma2 with M = B^H L0 B is exact mode by mode.  The Krylov
 space of A P that starts from b = Gamma1 s never leaves range(B), and B is
 an isometry there, so the iteration runs on the coefficients a = B^H y in
-C^(npts r): right-hand side B^H s, operator K: a -> B^H F L F^-1 (R a)
-with R = B M^+, and E = R a.  Since b - A P y = b - A x for x = P y, the
+C^(npts r): right-hand side B^H s, operator K: a -> B^H F L F^-1 (B M^+ a),
+and E_hat = B (M^+ a).  Since b - A P y = b - A x for x = P y, the
 residual in potentials is the residual |Gamma1 (L E - s)| of E, so
-``tol`` means the same for both methods.
+``tol`` means the same for both methods.  When M's reference L0 is
+Hermitian, so is M, and M^+ comes from an ``eigh`` rather than an SVD.
+
+K runs on the material's joint range (:func:`_joint_range`): with
+orthonormal bases Pr of the joint row space and Qc of the joint column
+space of all L(x), L = Qc Lt Pr^H for the smaller Lt = Qc^H L Pr, and the
+constant Qc and Pr commute with F, so
+
+    K a = (Qc^H B)^H F Lt F^-1 (Pr^H B M^+ a)
+
+transforms and applies c' components per mode instead of c (9 of 12 for
+isotropic elastodynamics, whose stiffness drops the antisymmetric
+gradient).  On a side whose joint space is full the factor stays B^H or
+B M^+.  The reported residual reads Qc^H L E, which holds all of L E.
 
 * ``method="krylov"`` takes L0 as the mean of the canonical material over
   the grid points and runs restarted GMRES on K (:func:`_krylov`, written
@@ -29,7 +42,7 @@ residual in potentials is the residual |Gamma1 (L E - s)| of E, so
   reports a cycle without progress or a happy breakdown short of ``tol``).
 * ``method="fixed_point"`` takes L0 = c I for a reference constant c and
   runs the unit-step Richardson iteration a <- a + (B^H s - K a).  With
-  R = B / c this is the classical scheme E <- E + Gamma1 (s - L E) / c
+  B M^+ = B / c this is the classical scheme E <- E + Gamma1 (s - L E) / c
   (Moulinec & Suquet; Eyre & Milton).
 
 :func:`_krylov` is the one GMRES entry point and :func:`_potential_matvec`
@@ -40,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -65,6 +79,12 @@ __all__ = [
 # norm before is a happy breakdown.
 _EPS = np.finfo(float).eps
 
+# A material's joint range drops the candidate null vectors (Gram eigenvalues
+# at most _NULL_CANDIDATE of the largest) only if it maps each of them to at
+# most _RANGE_TOL * max|L| in every entry.
+_NULL_CANDIDATE = 1e-12
+_RANGE_TOL = 1e-13
+
 
 class ResonanceError(RuntimeError):
     """The resolvent was evaluated too close to the operator spectrum."""
@@ -85,7 +105,7 @@ class Problem:
     shift : array_like or None
         Constant wavevector shift (Bloch phase) applied to the projector.
     tol : float
-        Target relative residual |Gamma1 (L E - s)| / |Gamma1 s|.
+        Target relative residual |Gamma1 (L E - s)| / |Gamma1 s|, positive.
     max_iter : int
         Cap on inner Krylov (or fixed-point) iterations, at least 1.  A
         Krylov cap above the restart length rounds up to whole restart
@@ -95,9 +115,9 @@ class Problem:
         The ``c`` of the fixed-point scheme's reference medium L0 = c I, a
         finite nonzero number (None estimates it as max_x |L(x)|_2).
     restart : int or None
-        Krylov restart length (None picks min(40, n), where n = npts r
-        counts the potential unknowns; raise it for stiff penalized
-        problems where restarting stalls).
+        Krylov restart length, at least 1 (None picks min(40, n), where
+        n = npts r counts the potential unknowns; raise it for stiff
+        penalized problems where restarting stalls).
     """
 
     grid: object
@@ -298,17 +318,21 @@ def _zero_result(problem, method):
     return SolveResult(Field.zeros(grid, layout), J, 0.0, 0, True, method)
 
 
-def _result(problem, Lc, Bh, e_hat, b, iterations, method, history, stop_reason):
+def _result(problem, Lc, left, Qc, e_hat, b, iterations, method, history,
+            stop_reason):
     """SolveResult for a Fourier-space solution e_hat (one material
     application serves J and the residual).  The residual
     |Gamma1 (L E - s)| / |Gamma1 s| is measured in potentials as
-    |B^H F (L E) - b| / |b|, equal since B is a partial isometry;
-    ``stop_reason`` applies only when it misses the tolerance."""
+    |B^H F (L E) - b| / |b|, equal since B is a partial isometry, with
+    B^H F (L E) = left F (Qc^H L E) for left = (Qc^H B)^H (left = B^H when
+    Qc is None); ``stop_reason`` applies only when it misses the
+    tolerance."""
     grid, layout = problem.grid, problem.L.layout
     E = Field(grid, layout, e_hat, "fourier").to_real()
     LE = Lc.apply(E.values)
     J = Field(grid, layout, LE - problem.source.to_real().values)
-    r = _pointwise(Bh, transform(LE, grid)).ravel() - b
+    flux = LE if Qc is None else LE @ Qc.conj()
+    r = _pointwise(left, transform(flux, grid)).ravel() - b
     residual = float(np.linalg.norm(r) / np.linalg.norm(b))
     converged = residual <= problem.tol
     return SolveResult(E, J, residual, iterations, converged, method, list(history),
@@ -324,6 +348,11 @@ def solve(problem):
     """
     if problem.max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    restart = problem.restart
+    if restart is not None and not (isinstance(restart, numbers.Integral) and restart >= 1):
+        raise ValueError(f"restart must be a positive integer or None, got {restart!r}")
+    if not problem.tol > 0:  # also a NaN
+        raise ValueError(f"tol must be a positive number, got {problem.tol!r}")
     c = problem.reference
     if c is not None and not (np.isfinite(c) and c != 0):
         raise ValueError(f"reference must be a finite nonzero number, got {c!r}")
@@ -342,30 +371,84 @@ def solve(problem):
         L0 = c * np.eye(Lc.ncomp)
     else:
         raise ValueError(f"unknown method {problem.method!r}")
-    # R = B M^+ with M = B^H L0 B is the thin factor of the exact per-mode
+    # B M^+ with M = B^H L0 B is the thin factor of the exact per-mode
     # inverse of Gamma1 L0 Gamma1 + Gamma2.  The pseudo-inverse cutoff drops
     # the directions in which M is singular: Brinkman's k = 0 hydrostatic
     # stress, which the mean medium annihilates, and the zero directions of
     # a partial-isometry basis.
-    R = B @ _pinv(Bh @ L0 @ B)
-    matvec = functools.partial(_potential_matvec, problem.grid, Bh, Lc.apply, R)
+    hermitian = np.abs(L0 - L0.conj().T).max() <= 1e-14 * np.abs(L0).max()
+    Minv = _pinv(Bh @ L0 @ B, hermitian)
+    # L = Qc Lt Pr^H, and the constant Qc and Pr commute with F, so
+    # B^H F L F^-1 (B M^+ a) = left F Lt F^-1 (right a) with the c'-wide
+    # factors left = (Qc^H B)^H and right = Pr^H B M^+; each is B^H or
+    # B M^+ when nothing drops on its side.  B^H goes before right is made,
+    # so that the solve holds B, M^+ and the two factors, not B^H beside
+    # them.
+    Qc, Lt, Pr = _joint_range(Lc)
+    npts, r = Bh.shape[:2]  # left as one flat BLAS product
+    left = Bh if Qc is None else (Bh.reshape(npts * r, -1) @ Qc).reshape(npts, r, -1)
+    del Bh
+    right = (B if Pr is None else Pr.conj().T @ B) @ Minv
+    matvec = functools.partial(_potential_matvec, problem.grid, left, Lt.apply, right)
     if problem.method == "krylov":
         a, history, stop_reason = _krylov(matvec, b, problem.tol, problem.max_iter,
-                                          problem.restart)
+                                          restart)
     else:
         a, history, stop_reason = _richardson(matvec, b, problem.tol, problem.max_iter)
-    e_hat = _pointwise(R, a.reshape(problem.grid.npoints, -1))
-    return _result(problem, Lc, Bh, e_hat, b, len(history), problem.method, history,
-                   stop_reason)
+    e_hat = _pointwise(B, _pointwise(Minv, a.reshape(problem.grid.npoints, -1)))
+    return _result(problem, Lc, left, Qc, e_hat, b, len(history), problem.method,
+                   history, stop_reason)
 
 
-def _pinv(M):
+def _joint_range(L):
+    """The material on its joint range: ``(Qc, Lt, Pr)`` with orthonormal
+    bases Qc (c, kc) of the joint column space and Pr (c, kr) of the joint
+    row space of all L(x), and Lt = Qc^H L Pr on L's phase index (kc x kr,
+    possibly rectangular), so that L = Qc Lt Pr^H.  A side with nothing to
+    drop is None, and with neither side Lt is L.  The two sides are found
+    apart: a velocity coupling (Oseen, ``ns_perturbation``) reads the
+    whole field gradient but still returns a symmetric stress."""
+    c = L.ncomp
+    mats = L.values.reshape(-1, c, c)
+    # Qt spans the joint row space of L^T, the conjugate of L's column space
+    Qt = _range_basis(np.swapaxes(mats, -1, -2).reshape(-1, c))
+    Pr = _range_basis(mats.reshape(-1, c))
+    if Qt is None and Pr is None:
+        return None, L, None
+    values = L.values if Pr is None else L.values @ Pr
+    Qc = None
+    if Qt is not None:
+        Qc, values = Qt.conj(), Qt.T @ values  # Qc^H = Qt^T
+    layout = BlockLayout((Block("vector", values.shape[-1]),))
+    return Qc, LField(layout, values, index=L.index), Pr
+
+
+def _range_basis(rows):
+    """Orthonormal basis (c, k) of the complement of the common null space
+    of the ``rows`` (n, c), the span of their conjugates, or None when
+    nothing drops.  The candidates N are the Gram eigenvectors with
+    eigenvalue at most _NULL_CANDIDATE of the largest, and they drop only
+    if max|rows N| <= _RANGE_TOL max|rows|: an eigenvalue threshold alone
+    cannot tell a null vector from a direction that is only small beside a
+    large penalty (``ns_perturbation``'s 1e8 penalty puts its 0.2
+    deviatoric block there)."""
+    w, V = np.linalg.eigh(rows.conj().T @ rows)
+    drop = w <= _NULL_CANDIDATE * w[-1]
+    if (not drop.any() or drop.all()
+            or np.abs(rows @ V[:, drop]).max() > _RANGE_TOL * np.abs(rows).max()):
+        return None
+    return V[:, ~drop]
+
+
+def _pinv(M, hermitian=False):
     """Pseudo-inverses of a stack of per-mode matrices under the relative
     cutoff PINV_CUTOFF.  A 1 x 1 matrix m has the singular value |m|, which
     the cutoff keeps exactly when m != 0, so its pseudo-inverse is 1/m
-    there and 0 elsewhere, with no SVD."""
+    there and 0 elsewhere, with no SVD.  A ``hermitian`` stack has the
+    singular values |lambda| of its eigenvalues, so an ``eigh`` gives the
+    same pseudo-inverse at about half the cost of the SVD."""
     if M.shape[-2:] != (1, 1):
-        return np.linalg.pinv(M, rcond=PINV_CUTOFF)
+        return np.linalg.pinv(M, rcond=PINV_CUTOFF, hermitian=hermitian)
     out = np.zeros_like(M)
     np.divide(1.0, M, out=out, where=M != 0)
     return out
@@ -403,7 +486,7 @@ def solve_dense(problem, limit=4096):
         return _zero_result(problem, "dense")
     x = np.linalg.solve(A, _pointwise(B, b.reshape(problem.grid.npoints, -1)).ravel())
     e_hat = _pointwise(B, _pointwise(Bh, x.reshape(problem.grid.npoints, -1)))
-    return _result(problem, Lc, Bh, e_hat, b, 1, "dense", (), "stalled")
+    return _result(problem, Lc, Bh, None, e_hat, b, 1, "dense", (), "stalled")
 
 
 # ---------------------------------------------------------------------------

@@ -922,6 +922,163 @@ def test_scalar_preconditioner_pseudo_inverse():
     assert_allclose(sv._pinv(M), np.linalg.pinv(M, rcond=sv.PINV_CUTOFF), rtol=1e-15)
 
 
+def test_hermitian_preconditioner_pseudo_inverse():
+    # a Hermitian M (from a Hermitian L0) is inverted by eigh: the same
+    # pseudo-inverse under PINV_CUTOFF, singular and indefinite modes too
+    rng = np.random.default_rng(3)
+    V = np.linalg.qr(rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3)))[0]
+    w = np.array([[2.0, -1.0, 0.5], [1.0, 0.0, -3.0], [1.0, 1e-13, 4.0],
+                  [0.0, 0.0, 0.0], [-1.0, -2.0, 1e-300]])
+    M = (V * w[:, None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+    expected = np.linalg.pinv(M, rcond=sv.PINV_CUTOFF)
+    assert_allclose(sv._pinv(M, hermitian=True), expected, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("field,value", [("restart", 0), ("restart", -3), ("restart", 2.5),
+                                         ("tol", np.nan), ("tol", -1.0), ("tol", 0.0)])
+@pytest.mark.parametrize("method", ["krylov", "fixed_point"])
+def test_solve_rejects_an_invalid_restart_or_tol(method, field, value):
+    # restart=0 used to raise ZeroDivisionError inside the Krylov driver,
+    # -3 numpy's "negative dimensions" and 2.5 a TypeError; a NaN or
+    # negative tol ran silently to the iteration cap
+    grid, L, s = _definite_helmholtz_case()
+    prob = Problem(grid=grid, L=L, gamma=gamma_helmholtz(2), source=s, method=method)
+    setattr(prob, field, value)
+    with pytest.raises(ValueError, match=field):
+        solve(prob)
+
+
+# ---------------------------------------------------------------------------
+# The potential-space operator on the material's joint range
+# ---------------------------------------------------------------------------
+
+
+def _velocity(grid):
+    x = grid.coordinates()
+    return np.stack([0.2 * np.sin(x[:, 1]), 0.1 * np.cos(x[:, 0]),
+                     0.05 * np.ones(grid.npoints)], axis=1)
+
+
+def _two_velocities(grid):
+    # two values on 512 points: a phase table with a rectangular restriction
+    left = grid.coordinates()[:, :1] < np.pi
+    return np.where(left, [0.2, 0.1, 0.05], [-0.1, 0.3, 0.0])
+
+
+# physics, dims, parameters, joint (column, row) ranks of the c components
+JOINT_RANGE_CASES = [
+    ("elastodynamics", (8, 8, 8),
+     dict(rho=Checkerboard((1.0, 2.0)), bulk=Checkerboard((2.0, 6.0)),
+          shear=Checkerboard((1.0, 3.0))), (9, 9)),
+    ("brinkman", (4, 4, 4), dict(rho=1.0, eta=Checkerboard((0.3, 0.4)), permeability=2.0,
+                                 shear_viscosity=0.8), (8, 8)),
+    ("thermoacoustic", (4, 4, 4), dict(rho0=Checkerboard((1.1, 1.6)), eta=0.4, eta_bulk=0.2,
+                                       conductivity=0.5, T0=1.0, alpha0=0.3, beta_T=0.9,
+                                       cp=1.2), (13, 13)),
+    # two velocities couple 11 gradient components; the stress stays symmetric
+    ("oseen", (8, 8, 8), dict(rho=1.0, kappa=2.0, eta=0.3, eta_bulk=0.1,
+                              velocity=_two_velocities), (9, 11)),
+    ("maxwell", (4, 4, 4), dict(epsilon=Checkerboard((1.0, 4.0 + 0.1j)), mu=1.0), (6, 6)),
+    # the 1e8 penalty dwarfs the 0.2 deviatoric block: nothing may drop
+    ("ns_perturbation", (4, 4, 4), dict(rho=1.0, eta=0.3, background_velocity=_velocity,
+                                        penalty=1e8), (12, 12)),
+]
+
+
+def _joint_range_case(physics, dims, params):
+    grid = Grid(dims, (2.0 * np.pi,) * len(dims))
+    params = {k: v(grid) if callable(v) and k in ("velocity", "background_velocity") else v
+              for k, v in params.items()}
+    L = build_material(MaterialSpec(physics, 1.1, params), grid)
+    s = random_field(grid, L.layout, seed=8)
+    if physics == "brinkman":  # a force source keeps clear of the gauge kernel
+        s = brinkman_source(L, s.values[:, :3], grid)
+    return Problem(grid=grid, L=L, gamma=default_projector(physics, grid), tol=1e-10,
+                   source=s)
+
+
+def _solve_operator(monkeypatch, problem):
+    """The potential-space operator ``solve`` iterates on, as (matvec,
+    left, right)."""
+    operator = sv._potential_matvec
+    seen = []
+
+    def spy(grid, left, apply, right, a):
+        seen.append((left, apply, right))
+        return operator(grid, left, apply, right, a)
+
+    monkeypatch.setattr(sv, "_potential_matvec", spy)
+    solve(Problem(**dict(vars(problem), max_iter=1)))
+    monkeypatch.undo()
+    left, apply, right = seen[0]
+    return (lambda a: operator(problem.grid, left, apply, right, a)), left, right
+
+
+def _full_operator(problem):
+    """a -> B^H F L F^-1 (B M^+ a) with the mean-medium M, uncompressed."""
+    Lc, B, Bh, _ = sv._potentials(problem)
+    R = B @ np.linalg.pinv(Bh @ Lc.mean() @ B, rcond=sv.PINV_CUTOFF)
+    return lambda a: sv._potential_matvec(problem.grid, Bh, Lc.apply, R, a)
+
+
+@pytest.mark.parametrize("physics,dims,params,ranks", JOINT_RANGE_CASES,
+                         ids=[c[0] for c in JOINT_RANGE_CASES])
+def test_joint_range_operator_equals_the_full_operator(monkeypatch, physics, dims, params,
+                                                       ranks):
+    problem = _joint_range_case(physics, dims, params)
+    matvec, left, right = _solve_operator(monkeypatch, problem)
+    assert (left.shape[-1], right.shape[-2]) == ranks
+    full = _full_operator(problem)
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        a = rng.normal(size=left.shape[0] * left.shape[1]) + 1j * rng.normal(
+            size=left.shape[0] * left.shape[1])
+        expected = full(a)
+        assert np.linalg.norm(matvec(a) - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+def test_joint_range_keeps_a_perturbed_null_vector():
+    # Moving the material's null vectors by 1e-9 max|L| leaves their Gram
+    # eigenvalues near 1e-18 of the largest, far below the candidate
+    # threshold; only the verification of L N keeps them.
+    grid = Grid((4, 4, 4), (2.0 * np.pi,) * 3)
+    L = canonical_material(build_elastodynamics(grid, 1.1, 1.3, bulk=2.0, shear=0.7))
+    Qc, _, Pr = sv._joint_range(L)
+    assert Qc.shape == Pr.shape == (12, 9)
+    antisym = np.zeros(12)
+    antisym[[1, 3]] = 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)
+    bumped = L.values + 1e-9 * np.abs(L.values).max() * np.outer(antisym, antisym)
+    Qc, Lt, Pr = sv._joint_range(LField(L.layout, bumped))
+    assert Qc is None and Pr is None and Lt.values.shape == (12, 12)
+
+
+def test_joint_range_solve_matches_the_dense_oracle():
+    grid = Grid((8, 8), (2.0 * np.pi,) * 2)
+    L = build_elastodynamics(grid, 1.1, Checkerboard((1.0, 1.5)),
+                             bulk=Checkerboard((2.0, 3.0)), shear=Checkerboard((0.7, 1.1)))
+    Qc, Lt, Pr = sv._joint_range(canonical_material(L))
+    assert Lt.values.shape[-2:] == (5, 5)  # the antisymmetric gradient drops
+    prob = Problem(grid=grid, L=L, gamma=gamma_elastic(2), tol=1e-10,
+                   source=random_field(grid, L.layout, seed=3))
+    rk, rd = solve(prob), solve_dense(prob)
+    assert rk.converged
+    assert np.linalg.norm(rk.E.values - rd.E.values) <= 1e-8 * np.linalg.norm(rd.E.values)
+    assert np.linalg.norm(rk.J.values - rd.J.values) <= 1e-8 * np.linalg.norm(rd.J.values)
+
+
+@pytest.mark.parametrize("physics,dims,params,ranks", JOINT_RANGE_CASES[:4],
+                         ids=[c[0] for c in JOINT_RANGE_CASES[:4]])
+def test_joint_range_keeps_iteration_counts(monkeypatch, physics, dims, params, ranks):
+    problem = _joint_range_case(physics, dims, params)
+    compressed = solve(problem)
+    monkeypatch.setattr(sv, "_joint_range", lambda L: (None, L, None))
+    full = solve(problem)
+    assert compressed.converged and compressed.iterations == full.iterations
+    scale = np.linalg.norm(full.E.values)
+    assert np.linalg.norm(compressed.E.values - full.E.values) <= 1e-10 * scale
+    assert compressed.residual == pytest.approx(full.residual, rel=1e-3)
+
+
 def test_residual_functional_imaginary_energy_floor():
     grid = Grid((16,), (2.0 * np.pi,))
     x = grid.coordinates()[:, 0]
