@@ -381,14 +381,14 @@ def solve(problem):
     # L = Qc Lt Pr^H, and the constant Qc and Pr commute with F, so
     # B^H F L F^-1 (B M^+ a) = left F Lt F^-1 (right a) with the c'-wide
     # factors left = (Qc^H B)^H and right = Pr^H B M^+; each is B^H or
-    # B M^+ when nothing drops on its side.  B^H goes before right is made,
-    # so that the solve holds B, M^+ and the two factors, not B^H beside
-    # them.
+    # B M^+ when nothing drops on its side.  The solve then holds B, M^+
+    # and the two factors: B^H goes before right is made, and M^+ is
+    # applied to Pr^H B in place.
     Qc, Lt, Pr = _joint_range(Lc)
     npts, r = Bh.shape[:2]  # left as one flat BLAS product
     left = Bh if Qc is None else (Bh.reshape(npts * r, -1) @ Qc).reshape(npts, r, -1)
     del Bh
-    right = (B if Pr is None else Pr.conj().T @ B) @ Minv
+    right = B @ Minv if Pr is None else _matmul_in_place(Pr.conj().T @ B, Minv)
     matvec = functools.partial(_potential_matvec, problem.grid, left, Lt.apply, right)
     if problem.method == "krylov":
         a, history, stop_reason = _krylov(matvec, b, problem.tol, problem.max_iter,
@@ -398,6 +398,16 @@ def solve(problem):
     e_hat = _pointwise(B, _pointwise(Minv, a.reshape(problem.grid.npoints, -1)))
     return _result(problem, Lc, left, Qc, e_hat, b, len(history), problem.method,
                    history, stop_reason)
+
+
+def _matmul_in_place(X, M, block=4096):
+    """X @ M for stacks X (n, p, q) and square M (n, q, q), written over X
+    a block of matrices at a time, so that the set-up of a solve holds no
+    second array of X's size (14 MiB for elastic 32^3), which would set
+    its peak memory."""
+    for i in range(0, len(X), block):
+        X[i:i + block] = X[i:i + block] @ M[i:i + block]
+    return X
 
 
 def _joint_range(L):

@@ -953,16 +953,14 @@ def test_solve_rejects_an_invalid_restart_or_tol(method, field, value):
 # ---------------------------------------------------------------------------
 
 
-def _velocity(grid):
-    x = grid.coordinates()
+def _velocity(x):
     return np.stack([0.2 * np.sin(x[:, 1]), 0.1 * np.cos(x[:, 0]),
-                     0.05 * np.ones(grid.npoints)], axis=1)
+                     0.05 * np.ones(len(x))], axis=1)
 
 
-def _two_velocities(grid):
+def _two_velocities(x):
     # two values on 512 points: a phase table with a rectangular restriction
-    left = grid.coordinates()[:, :1] < np.pi
-    return np.where(left, [0.2, 0.1, 0.05], [-0.1, 0.3, 0.0])
+    return np.where(x[:, :1] < np.pi, [0.2, 0.1, 0.05], [-0.1, 0.3, 0.0])
 
 
 # physics, dims, parameters, joint (column, row) ranks of the c components
@@ -987,8 +985,6 @@ JOINT_RANGE_CASES = [
 
 def _joint_range_case(physics, dims, params):
     grid = Grid(dims, (2.0 * np.pi,) * len(dims))
-    params = {k: v(grid) if callable(v) and k in ("velocity", "background_velocity") else v
-              for k, v in params.items()}
     L = build_material(MaterialSpec(physics, 1.1, params), grid)
     s = random_field(grid, L.layout, seed=8)
     if physics == "brinkman":  # a force source keeps clear of the gauge kernel
@@ -1030,17 +1026,17 @@ def test_joint_range_operator_equals_the_full_operator(monkeypatch, physics, dim
     assert (left.shape[-1], right.shape[-2]) == ranks
     full = _full_operator(problem)
     rng = np.random.default_rng(2)
+    n = left.shape[0] * left.shape[1]
     for _ in range(3):
-        a = rng.normal(size=left.shape[0] * left.shape[1]) + 1j * rng.normal(
-            size=left.shape[0] * left.shape[1])
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
         expected = full(a)
         assert np.linalg.norm(matvec(a) - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
 def test_joint_range_keeps_a_perturbed_null_vector():
-    # Moving the material's null vectors by 1e-9 max|L| leaves their Gram
-    # eigenvalues near 1e-18 of the largest, far below the candidate
-    # threshold; only the verification of L N keeps them.
+    # A term 1e-9 max|L| n n^T along the antisymmetric null vector n gives
+    # n a Gram eigenvalue near 1e-18 of the largest, far below the candidate
+    # threshold; only the check of max|L N| keeps it.
     grid = Grid((4, 4, 4), (2.0 * np.pi,) * 3)
     L = canonical_material(build_elastodynamics(grid, 1.1, 1.3, bulk=2.0, shear=0.7))
     Qc, _, Pr = sv._joint_range(L)
