@@ -28,6 +28,7 @@ from .materials import (
     Layered,
     MaterialSpec,
     PHYSICS,
+    ParameterError,
     Voxel,
     acoustic_source,
     block_source,
@@ -41,7 +42,7 @@ from .materials import (
 from .projectors import FAMILIES, apply_projector
 from .solver import Problem, solve
 from .quasiperiodic import effective_tensors
-from .fermionic import GROUND_STATE_MAX_POINTS, ground_state, perturbation_solve
+from .fermionic import ground_state, perturbation_solve
 
 
 class ConfigError(Exception):
@@ -172,23 +173,6 @@ def _parse_material(node, ndim, path="material"):
     return MaterialSpec(physics, omega, params, options)
 
 
-def _misfit_param_path(spec, grid):
-    """Path of the parameter a builder's ValueError most likely concerns:
-    the one array parameter shaped neither as a constant nor as per-point
-    values on ``grid``; ``material.params`` when there is not exactly one."""
-
-    def misfit(value):
-        value = value.values if isinstance(value, Voxel) else value
-        if not isinstance(value, np.ndarray) or value.ndim == 0:
-            return False
-        shape = value.shape
-        return not (shape[0] == grid.npoints or shape[: grid.ndim] == grid.dims
-                    or (value.ndim == 2 and shape[0] == shape[1]))
-
-    keys = [key for key, value in spec.params.items() if misfit(value)]
-    return f"material.params.{keys[0]}" if len(keys) == 1 else "material.params"
-
-
 def _parse_problem(cfg):
     """Grid, material (in its canonical direct form), projector and physics
     name of a config's ``grid`` and ``material`` sections."""
@@ -196,8 +180,11 @@ def _parse_problem(cfg):
     spec = _parse_material(_require(cfg, "material", ""), grid.ndim)
     try:
         L = build_material(spec, grid)
+    except ParameterError as exc:
+        section = "options" if exc.name in spec.options else "params"
+        raise ConfigError(f"'material.{section}.{exc.name}': {exc.reason}")
     except ValueError as exc:
-        raise ConfigError(f"'{_misfit_param_path(spec, grid)}': {exc}")
+        raise ConfigError(f"'material': {exc}")
     try:
         # Every solve needs the direct form; inverting here does it once
         # and reports a singular material before any solve starts.
@@ -480,11 +467,10 @@ def _cmd_schrodinger(args):
     try:
         energies, states = ground_state(grid, kinetic, potential,
                                         nstates=state_index + 1)
+    except ParameterError as exc:
+        raise ConfigError(f"'{exc.name}': {exc.reason}")
     except ValueError as exc:
-        # ground_state checks the grid size first; its only other check is
-        # on kinetic (potential is already resolved on the grid).
-        where = "grid" if grid.npoints > GROUND_STATE_MAX_POINTS else "kinetic"
-        raise ConfigError(f"'{where}': {exc}")
+        raise ConfigError(f"'grid': {exc}")
     energy = float(energies[state_index])
     psi = states[state_index]
     material = build_schrodinger(grid, energy, kinetic, potential)

@@ -333,16 +333,17 @@ def ground_state(grid, kinetic, potential, nstates=1):
     Returns (energies, states): ndarray (nstates,) and a list of
     unit-norm scalar Fields with fixed phase.
     """
-    from .materials import _matrix, _parameter, resolve_parameter
+    from .materials import ParameterError, _matrix, _parameter, _read, resolve_parameter
 
     npts = grid.npoints
     if npts > GROUND_STATE_MAX_POINTS:
         raise ValueError(f"dense stationary-state solve limited to "
                          f"{GROUND_STATE_MAX_POINTS} points")
     nd = grid.ndim
-    A, index = _parameter(kinetic, grid, (nd, nd), ())
+    A, index = _read("kinetic", _parameter, kinetic, grid, (nd, nd), ())
     if index is not None:
-        raise ValueError("dense stationary-state solve needs constant kinetic matrix")
+        raise ParameterError("kinetic", "dense stationary-state solve needs a constant "
+                                        "kinetic matrix")
     A = _matrix(A, nd)
     V = np.broadcast_to(resolve_parameter(potential, grid, ()), (npts,))
     K = grid.wavevectors()

@@ -52,6 +52,7 @@ __all__ = [
     "Checkerboard",
     "Voxel",
     "resolve_parameter",
+    "ParameterError",
     "MaterialSpec",
     "MIN_PHASE_POINTS",
     "LField",
@@ -120,10 +121,6 @@ class Layered:
         region = np.searchsorted(bp, grid.axis_coordinates(self.axis), side="right")
         return np.asarray(self.values), np.broadcast_to(region, grid.dims).ravel()
 
-    def evaluate(self, grid):
-        vals, index = self.phases(grid)
-        return vals[index]
-
 
 @dataclass(frozen=True)
 class Checkerboard:
@@ -139,10 +136,6 @@ class Checkerboard:
         halves = sum(np.floor(2.0 * grid.axis_coordinates(axis) / length).astype(int)
                      for axis, length in enumerate(grid.lengths))
         return np.asarray(self.values), np.broadcast_to(halves % 2, grid.dims).ravel()
-
-    def evaluate(self, grid):
-        vals, index = self.phases(grid)
-        return vals[index]
 
 
 @dataclass(frozen=True)
@@ -166,7 +159,10 @@ def _evaluate(value, grid):
     """A descriptor or callable evaluated on the grid; other values as given."""
     if isinstance(value, Constant):
         value = value.value
-    if isinstance(value, (Layered, Checkerboard, Voxel)):
+    if isinstance(value, (Layered, Checkerboard)):
+        table, index = value.phases(grid)
+        return table[index]
+    if isinstance(value, Voxel):
         return value.evaluate(grid)
     if callable(value):
         return value(grid.coordinates())
@@ -193,6 +189,24 @@ def resolve_parameter(value, grid, shape=()):
         f"cannot interpret parameter of shape {out.shape} as a field of "
         f"shape {shape} on {grid.npoints} points"
     )
+
+
+class ParameterError(ValueError):
+    """A material parameter that cannot be read: ``name`` is its keyword
+    argument and ``reason`` what is wrong with it."""
+
+    def __init__(self, name, reason):
+        super().__init__(f"parameter {name!r}: {reason}")
+        self.name, self.reason = name, reason
+
+
+def _read(name, reader, value, grid, *shapes):
+    """``reader(value, grid, *shapes)``, with a ValueError raised again as a
+    :class:`ParameterError` that names the parameter."""
+    try:
+        return reader(value, grid, *shapes)
+    except ValueError as exc:
+        raise ParameterError(name, str(exc)) from exc
 
 
 # A builder keeps the phase table when the phases average at least this many
@@ -276,7 +290,9 @@ def _joint_index(columns):
 
 
 def _phases(grid, **params):
-    """The joint phases of a builder's ``(table, index)`` parameters.
+    """The joint phases of a builder's parameters, each given as
+    ``name=(value, *shapes)`` and read by :func:`_parameter`; one that
+    cannot be read raises :class:`ParameterError` with its name.
 
     Returns ``(index, values)`` with one row per phase in each varying
     parameter's value; ``index`` is None when no parameter varies or all
@@ -284,6 +300,8 @@ def _phases(grid, **params):
     phases are too many for a table or the grid too small for one (the
     values are then per point).
     """
+    params = {name: _read(name, _parameter, value, grid, *shapes)
+              for name, (value, *shapes) in params.items()}
     varying = [(index, len(table)) for table, index in params.values()
                if index is not None]
     if not varying:
@@ -528,8 +546,7 @@ def build_acoustics(grid, omega, kappa, rho, scale_by_omega=False):
     d = grid.ndim
     layout = BlockLayout((Block("vector", d), Block("scalar")))
     rho_shapes = ((),) if scale_by_omega else ((d, d), ())
-    index, p = _phases(grid, kappa=_parameter(kappa, grid),
-                       rho=_parameter(rho, grid, *rho_shapes))
+    index, p = _phases(grid, kappa=(kappa,), rho=(rho, *rho_shapes))
     kap = _coef(p["kappa"])
     if scale_by_omega:
         vals = _assemble(layout, {(0, 0): -kap * np.eye(d),
@@ -560,15 +577,15 @@ def build_elastodynamics(
     """
     d = grid.ndim
     layout = BlockLayout((Block("matrix", d), Block("vector", d)))
-    params = {"rho": _parameter(rho, grid, (d, d), ())}
+    params = {"rho": (rho, (d, d), ())}
     if stiffness is None:
         if bulk is None or shear is None:
             raise ValueError("need stiffness or both bulk and shear")
-        params.update(bulk=_parameter(bulk, grid), shear=_parameter(shear, grid))
+        params.update(bulk=(bulk,), shear=(shear,))
     else:
-        params["stiffness"] = _parameter(stiffness, grid, (d * d, d * d))
+        params["stiffness"] = (stiffness, (d * d, d * d))
     if coupling is not None:
-        params["coupling"] = _parameter(coupling, grid, (d * d, d))
+        params["coupling"] = (coupling, (d * d, d))
     index, p = _phases(grid, **params)
     if stiffness is None:
         C = isotropic_stiffness(d, _coef(p["bulk"]), _coef(p["shear"]))
@@ -593,8 +610,7 @@ def build_maxwell(grid, omega, epsilon, mu):
     if grid.ndim != 3:
         raise ValueError("electromagnetic build requires a 3-D grid")
     layout = BlockLayout((Block("vector", 3), Block("vector", 3)))
-    index, p = _phases(grid, epsilon=_parameter(epsilon, grid, (3, 3), ()),
-                       mu=_parameter(mu, grid, (3, 3), ()))
+    index, p = _phases(grid, epsilon=(epsilon, (3, 3), ()), mu=(mu, (3, 3), ()))
     vals = _assemble(layout, {
         (0, 0): omega * _matrix(p["epsilon"], 3),
         (1, 1): -np.linalg.inv(omega * _matrix(p["mu"], 3)),
@@ -624,23 +640,23 @@ def build_brinkman(
         raise ValueError("viscous-flow build requires a 3-D grid")
     d = 3
     layout = BlockLayout((Block("sym", d), Block("vector", d)))
-    params = {"rho": _parameter(rho, grid, (d, d), ()), "eta": _parameter(eta, grid),
-              "permeability": _parameter(permeability, grid, (d, d), ())}
+    params = {"rho": (rho, (d, d), ()), "eta": (eta,),
+              "permeability": (permeability, (d, d), ())}
     if viscosity_matrix is None:
         if shear_viscosity is None:
             raise ValueError("need shear_viscosity or viscosity_matrix")
-        params["shear_viscosity"] = _parameter(shear_viscosity, grid)
+        params["shear_viscosity"] = (shear_viscosity,)
     else:
-        params["viscosity_matrix"] = _parameter(viscosity_matrix, grid, (6, 6))
+        params["viscosity_matrix"] = (viscosity_matrix, (6, 6))
     index, p = _phases(grid, **params)
     if viscosity_matrix is None:
         V = 2.0 * _coef(p["shear_viscosity"]) * kelvin_deviatoric(d)
     else:
-        V = p["viscosity_matrix"]
-    H = kelvin_hydrostatic(d)
-    scale = max(np.max(np.abs(V)), 1.0)
-    if np.max(np.abs(H @ V)) > 1e-10 * scale or np.max(np.abs(V @ H)) > 1e-10 * scale:
-        raise ValueError("viscosity matrix must annihilate the hydrostatic subspace")
+        V, H = p["viscosity_matrix"], kelvin_hydrostatic(d)
+        scale = max(np.max(np.abs(V)), 1.0)
+        if np.max(np.abs(H @ V)) > 1e-10 * scale or np.max(np.abs(V @ H)) > 1e-10 * scale:
+            raise ParameterError("viscosity_matrix",
+                                 "must annihilate the hydrostatic subspace")
     drag = omega * _matrix(p["rho"], d) + 1j * _coef(p["eta"]) * np.linalg.inv(
         _matrix(p["permeability"], d)
     )
@@ -674,10 +690,8 @@ def build_oseen_inverse(
     """
     d = grid.ndim
     layout = BlockLayout((Block("matrix", d), Block("vector", d)))
-    index, p = _phases(grid, kappa=_parameter(kappa, grid),
-                       eta_bulk=_parameter(eta_bulk, grid), eta=_parameter(eta, grid),
-                       velocity=_parameter(velocity, grid, (d,)),
-                       rho=_parameter(rho, grid, (d, d), ()))
+    index, p = _phases(grid, kappa=(kappa,), eta_bulk=(eta_bulk,), eta=(eta,),
+                       velocity=(velocity, (d,)), rho=(rho, (d, d), ()))
     kap, eb, e = (_coef(p[k]) for k in ("kappa", "eta_bulk", "eta"))
     C = ((kap - 1j * omega * eb) / 3.0) * hydrostatic_projector(d) - (
         2j * omega * e
@@ -714,17 +728,17 @@ def build_ns_perturbation(
     """
     d = grid.ndim
     layout = BlockLayout((Block("matrix", d), Block("vector", d)))
-    velocity = _parameter(background_velocity, grid, (d,))
-    table, index = velocity
-    v = np.broadcast_to(table if index is None else table[index], (grid.npoints, d))
+    velocity = _read("background_velocity", resolve_parameter, background_velocity,
+                     grid, (d,))
+    v = np.broadcast_to(velocity, (grid.npoints, d))
     # grad_v[p, i, j] = d_i v_j, computed spectrally component by component
     grad_v = np.zeros((grid.npoints, d, d), dtype=np.complex128)
     for j in range(d):
         comp = Field(grid, scalar_layout(), v[:, j : j + 1].astype(np.complex128))
         grad_v[:, :, j] = gradient(comp).values
-    index, p = _phases(grid, eta=_parameter(eta, grid), rho=_parameter(rho, grid),
-                       velocity=velocity, grad_v=_point_phases(grad_v))
-    e, r, v = _coef(p["eta"]), _coef(p["rho"]), np.asarray(p["velocity"])
+    index, p = _phases(grid, eta=(eta,), rho=(rho,), background_velocity=(velocity, (d,)),
+                       grad_v=(grad_v, (d, d)))
+    e, r, v = _coef(p["eta"]), _coef(p["rho"]), np.asarray(p["background_velocity"])
     if penalty is None:
         penalty = 1e8 * float(np.max(np.abs(2.0 * e)))
     gvT = np.swapaxes(p["grad_v"], -1, -2)
@@ -760,9 +774,9 @@ def build_thermoacoustic(
     layout = BlockLayout(
         (Block("matrix", d), Block("vector", d), Block("vector", d), Block("scalar"))
     )
-    index, p = _phases(grid, **{k: _parameter(v, grid) for k, v in dict(
-        rho0=rho0, eta=eta, eta_bulk=eta_bulk, conductivity=conductivity,
-        T0=T0, alpha0=alpha0, beta_T=beta_T, cp=cp).items()})
+    index, p = _phases(grid, rho0=(rho0,), eta=(eta,), eta_bulk=(eta_bulk,),
+                       conductivity=(conductivity,), T0=(T0,), alpha0=(alpha0,),
+                       beta_T=(beta_T,), cp=(cp,))
     p = {k: _coef(v) for k, v in p.items()}
     Dv = (p["eta_bulk"] / 3.0) * hydrostatic_projector(d) + 2.0 * p["eta"] * deviatoric_projector(d)
     # tr(.) I on row-major matrix components is d * hydrostatic projector
@@ -778,15 +792,8 @@ def build_thermoacoustic(
         (3, 3): omega * p["T0"] * (p["alpha0"] ** 2 * p["T0"] / p["beta_T"]
                                    - p["rho0"] * p["cp"]),
     }
-    vals = _assemble(layout, entries)
-    # structural self-check: the stress/temperature coupling blocks are
-    # negative transposes of each other
-    sl = layout.slices()
-    a = vals[..., sl[0], sl[3]]
-    b = vals[..., sl[3], sl[0]]
-    if not np.allclose(a, -np.swapaxes(b, -1, -2), atol=1e-12 * max(1.0, np.max(np.abs(a)))):
-        raise AssertionError("coupling blocks violate the anti-transpose relation")
-    return LField(layout, vals, omega, "direct", "thermoacoustic", index)
+    return LField(layout, _assemble(layout, entries), omega, "direct", "thermoacoustic",
+                  index)
 
 
 def build_love(grid, omega, k1, mu, rho):
@@ -799,7 +806,7 @@ def build_love(grid, omega, k1, mu, rho):
     if grid.ndim != 1:
         raise ValueError("layered shear build requires a 1-D grid")
     layout = BlockLayout((Block("vector", 1), Block("scalar")))
-    index, p = _phases(grid, mu=_parameter(mu, grid), rho=_parameter(rho, grid))
+    index, p = _phases(grid, mu=(mu,), rho=(rho,))
     m = _coef(p["mu"])
     vals = _assemble(layout, {(0, 0): m,
                               (1, 1): k1**2 * m - omega**2 * _coef(p["rho"])})
@@ -813,8 +820,7 @@ def build_schrodinger(grid, energy, kinetic, potential):
     potential, E the energy."""
     nd = grid.ndim
     layout = BlockLayout((Block("vector", nd), Block("scalar")))
-    index, p = _phases(grid, kinetic=_parameter(kinetic, grid, (nd, nd), ()),
-                       potential=_parameter(potential, grid))
+    index, p = _phases(grid, kinetic=(kinetic, (nd, nd), ()), potential=(potential,))
     vals = _assemble(layout, {(0, 0): -_matrix(p["kinetic"], nd),
                               (1, 1): energy - _coef(p["potential"])})
     return LField(layout, vals, energy, "direct", "schrodinger", index)

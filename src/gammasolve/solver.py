@@ -107,9 +107,7 @@ class Problem:
     tol : float
         Target relative residual |Gamma1 (L E - s)| / |Gamma1 s|, positive.
     max_iter : int
-        Cap on inner Krylov (or fixed-point) iterations, at least 1.  A
-        Krylov cap above the restart length rounds up to whole restart
-        cycles.
+        Cap on inner Krylov (or fixed-point) iterations, at least 1.
     method : {"krylov", "fixed_point"}
     reference : complex or None
         The ``c`` of the fixed-point scheme's reference medium L0 = c I, a
@@ -167,8 +165,8 @@ def _krylov(matvec, b, tol, max_iter, restart=None):
     least-squares residual estimate with Givens rotations.  A cycle ends
     when that estimate reaches 0.25 * tol * |b|, on a happy breakdown or
     after the restart length min(40, n, max_iter) unless given, with
-    n = b.size (npts r potential unknowns for the canonical solve); a cap
-    above the restart length rounds up to whole cycles.  The cycle's
+    n = b.size (npts r potential unknowns for the canonical solve), or when
+    the budget of ``max_iter`` iterations runs out.  The cycle's
     correction solves the small least-squares problem by truncated SVD, and
     one more matvec measures the true residual |b - K x|, which replaces
     the cycle's last history entry, so the history ends in the norm of the
@@ -192,9 +190,9 @@ def _krylov(matvec, b, tol, max_iter, restart=None):
     np.multiply(b, 1.0 / b_norm, out=V[0])
     x, beta = np.zeros(n, dtype=np.complex128), b_norm
     history = []
-    for _ in range(math.ceil(max_iter / m)):
+    while len(history) < max_iter:
         cols, rots, g = [], [], [complex(beta)]
-        for j in range(m):
+        for j in range(min(m, max_iter - len(history))):
             w = matvec(V[j])
             Vj = V[: j + 1]
             h = (Vj @ w.conj()).conj()
@@ -418,11 +416,10 @@ def _joint_range(L):
     drop is None, and with neither side Lt is L.  The two sides are found
     apart: a velocity coupling (Oseen, ``ns_perturbation``) reads the
     whole field gradient but still returns a symmetric stress."""
-    c = L.ncomp
-    mats = L.values.reshape(-1, c, c)
+    mats = L.values.reshape(-1, L.ncomp, L.ncomp)
     # Qt spans the joint row space of L^T, the conjugate of L's column space
-    Qt = _range_basis(np.swapaxes(mats, -1, -2).reshape(-1, c))
-    Pr = _range_basis(mats.reshape(-1, c))
+    Qt = _range_basis(mats, transpose=True)
+    Pr = _range_basis(mats)
     if Qt is None and Pr is None:
         return None, L, None
     values = L.values if Pr is None else L.values @ Pr
@@ -433,19 +430,30 @@ def _joint_range(L):
     return Qc, LField(layout, values, index=L.index), Pr
 
 
-def _range_basis(rows):
+def _range_basis(mats, transpose=False, block=512):
     """Orthonormal basis (c, k) of the complement of the common null space
-    of the ``rows`` (n, c), the span of their conjugates, or None when
+    of the rows of the matrices ``mats`` (n, c, c) (of their transposes
+    with ``transpose``), the span of the rows' conjugates, or None when
     nothing drops.  The candidates N are the Gram eigenvectors with
     eigenvalue at most _NULL_CANDIDATE of the largest, and they drop only
     if max|rows N| <= _RANGE_TOL max|rows|: an eigenvalue threshold alone
     cannot tell a null vector from a direction that is only small beside a
     large penalty (``ns_perturbation``'s 1e8 penalty puts its 0.2
-    deviatoric block there)."""
-    w, V = np.linalg.eigh(rows.conj().T @ rows)
+    deviatoric block there).  The Gram and both maxima are taken over
+    ``block`` matrices at a time, so that a per-point material is not
+    copied whole (a phase table is one block)."""
+
+    def blocks():
+        for i in range(0, len(mats), block):
+            part = mats[i:i + block]
+            part = np.swapaxes(part, -1, -2) if transpose else part
+            yield part.reshape(-1, mats.shape[-1])
+
+    w, V = np.linalg.eigh(sum(rows.conj().T @ rows for rows in blocks()))
     drop = w <= _NULL_CANDIDATE * w[-1]
     if (not drop.any() or drop.all()
-            or np.abs(rows @ V[:, drop]).max() > _RANGE_TOL * np.abs(rows).max()):
+            or max(np.abs(rows @ V[:, drop]).max() for rows in blocks())
+            > _RANGE_TOL * max(np.abs(rows).max() for rows in blocks())):
         return None
     return V[:, ~drop]
 

@@ -139,12 +139,32 @@ _ACOUSTICS_2D = {"grid": {"dims": [4, 4]},
     ({}, {"type": "force_constant", "force": [1.0]}, "source.force"),
     ({"params": {"kappa": 0.0, "rho": 1.0}},
      {"type": "constant", "amplitude": [0.0, 0.0, 1.0]}, "'material'"),
+    ({"params": {"kappa": {"type": "layered", "axis": 0, "breakpoints": [1.0],
+                           "values": [1.0, 2.0, 3.0]}, "rho": 1.0}},
+     {"type": "constant", "amplitude": [0.0, 0.0, 1.0]}, "'material.params.kappa'"),
+    ({"params": {"kappa": {"type": "array", "values": [[1.0, 0.0], [0.0, 1.0]]},
+                 "rho": 1.0}},
+     {"type": "constant", "amplitude": [0.0, 0.0, 1.0]}, "'material.params.kappa'"),
+    ({"params": {"kappa": {"type": "array", "values": [1.0, 2.0, 3.0]},
+                 "rho": {"type": "array", "values": [1.0, 2.0, 3.0]}}},
+     {"type": "constant", "amplitude": [0.0, 0.0, 1.0]}, "'material.params.kappa'"),
+    ({"physics": "brinkman", "params": {
+        "rho": 1.0, "eta": 0.3, "permeability": 2.0,
+        "viscosity_matrix": {"type": "array", "values": np.eye(6).tolist()}}},
+     {"type": "force_constant", "force": [1.0, 0.0, 0.0]},
+     "'material.params.viscosity_matrix'"),
+    ({"physics": "elastodynamics", "params": {"rho": 1.0}, "options": {"stiffness": 2.0}},
+     {"type": "force_constant", "force": [1.0, 0.0]}, "'material.options.stiffness'"),
 ], ids=["unknown-physics", "unknown-param", "missing-param", "force-length",
-        "block-range", "param-array-length", "force-one-entry", "singular-material"])
+        "block-range", "param-array-length", "force-one-entry", "singular-material",
+        "layered-values-count", "param-matrix-for-scalar", "params-both-misfit",
+        "brinkman-viscosity-not-trace-free", "option-not-a-matrix"])
 def test_config_errors_exit_1_with_path(tmp_path, capsys, material, source, path):
+    # Brinkman is a 3-D family; every other case runs on the 2-D grid
+    grid = {"dims": [4, 4, 4]} if material.get("physics") == "brinkman" else None
     cfg = _write_config(tmp_path / "bad.json", dict(
-        _ACOUSTICS_2D, material=dict(_ACOUSTICS_2D["material"], **material),
-        source=source))
+        _ACOUSTICS_2D, grid=grid or _ACOUSTICS_2D["grid"],
+        material=dict(_ACOUSTICS_2D["material"], **material), source=source))
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and path in err

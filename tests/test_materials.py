@@ -14,6 +14,7 @@ from gammasolve.materials import (
     Layered,
     LField,
     MaterialSpec,
+    ParameterError,
     Voxel,
     acoustic_source,
     block_source,
@@ -395,6 +396,12 @@ def test_builders_broadcast_over_the_parameters_leading_shape(physics):
         assert at_points(L, n).shape == (n, constant.ncomp, constant.ncomp), keys
         assert_allclose(at_points(L, n), at_points(constant, n), rtol=1e-14, atol=0.0,
                         err_msg=str(keys))
+        # one more point than the grid holds: the error names the parameter
+        wrong = {k: np.ones((n + 1,) + np.shape(v)) if k in keys else v
+                 for k, v in params.items()}
+        with pytest.raises(ParameterError) as info:
+            build(grid, omega, **wrong)
+        assert info.value.name in keys, keys
 
 
 # Every form a two-phase parameter can take: the phase pattern it puts on the

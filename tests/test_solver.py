@@ -686,6 +686,19 @@ def test_krylov_history_ends_in_the_reported_residual(max_iter, reason):
     assert res.residual < 1.5e-2
 
 
+@pytest.mark.parametrize("max_iter,restart", [(7, 3), (25, 10), (50, None)])
+def test_krylov_budget_counts_iterations(max_iter, restart):
+    # The budget is max_iter iterations whatever the restart length: a cap
+    # that is not a whole number of cycles is not rounded up to one.
+    grid = Grid((8, 8, 8), (2.0 * np.pi,) * 3)
+    L = build_maxwell(grid, 1.3, Checkerboard((1.0, 4.0 + 0.1j)), 1.0)
+    res = solve(Problem(grid=grid, L=L, gamma=gamma_maxwell(), tol=1e-12,
+                        max_iter=max_iter, restart=restart,
+                        source=random_field(grid, L.layout, seed=2)))
+    assert res.stop_reason == "max_iter"
+    assert res.iterations == len(res.residual_history) == max_iter
+
+
 def test_unknown_method_rejected():
     grid = Grid((4, 4), (1.0, 1.0))
     L = build_acoustics(grid, 1.0, 1.0, 1.0)
@@ -1046,6 +1059,28 @@ def test_joint_range_keeps_a_perturbed_null_vector():
     bumped = L.values + 1e-9 * np.abs(L.values).max() * np.outer(antisym, antisym)
     Qc, Lt, Pr = sv._joint_range(LField(L.layout, bumped))
     assert Qc is None and Pr is None and Lt.values.shape == (12, 12)
+
+
+def test_joint_range_of_a_per_point_material_is_found_without_copying_it():
+    # 16^3 ns_perturbation about a smooth flow: a 9 MiB per-point material
+    # with nothing to drop.  The Grams are summed a block of matrices at a
+    # time, so detection holds no copy of the material (it held two).
+    import tracemalloc
+
+    from gammasolve.materials import build_ns_perturbation
+
+    grid = Grid((16, 16, 16), (2.0 * np.pi,) * 3)
+    L = build_ns_perturbation(grid, 1.0, 1.0, 0.2, lambda x: np.stack(
+        [np.sin(x[:, 1]), np.cos(x[:, 2]), np.sin(x[:, 0])], axis=1))
+    assert L.index is None and L.values.shape == (grid.npoints, 12, 12)
+    tracemalloc.start()
+    try:
+        Qc, Lt, Pr = sv._joint_range(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Qc is None and Pr is None and Lt is L
+    assert peak < L.values.nbytes, peak
 
 
 def test_joint_range_solve_matches_the_dense_oracle():
