@@ -282,7 +282,12 @@ class Field:
 
 def transform(values, grid, forward=True):
     """Unitary DFT (or its inverse) along the grid axes of a raw
-    (npoints, c) array; the one FFT entry point of the package."""
+    (npoints, c) array; the one FFT entry point of the package.  A 1-D grid
+    goes through ``fft``/``ifft``, which give the same values as
+    ``fftn``/``ifftn`` with less overhead per call."""
+    if grid.ndim == 1:
+        fn = scipy.fft.fft if forward else scipy.fft.ifft
+        return fn(values, axis=0, norm="ortho", workers=_fft_workers)
     fn = scipy.fft.fftn if forward else scipy.fft.ifftn
     out = fn(
         values.reshape(*grid.dims, values.shape[-1]),

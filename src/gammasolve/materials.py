@@ -420,6 +420,14 @@ class LField:
             out[points] = values.take(points, axis=0) @ M.T
         return out
 
+    def with_matrices(self, layout, values):
+        """The map with ``values`` (one matrix per phase, or the same form
+        as this one's) in place of this one's matrices, on the same phase
+        index and sharing its per-phase point lists once they are made."""
+        out = LField(layout, values, index=self.index)
+        out._phase_points = self._phase_points
+        return out
+
     def _points(self):
         """Each phase's points (in increasing order), computed on first
         use."""

@@ -23,17 +23,33 @@ residual in potentials is the residual |Gamma1 (L E - s)| of E, so
 ``tol`` means the same for both methods.  When M's reference L0 is
 Hermitian, so is M, and M^+ comes from an ``eigh`` rather than an SVD.
 
-K runs on the material's joint range (:func:`_joint_range`): with
-orthonormal bases Pr of the joint row space and Qc of the joint column
-space of all L(x), L = Qc Lt Pr^H for the smaller Lt = Qc^H L Pr, and the
-constant Qc and Pr commute with F, so
+K transforms only what it must.  With a reference L_ref, either 0 or L0,
+and the contrast Delta = L - L_ref,
 
-    K a = (Qc^H B)^H F Lt F^-1 (Pr^H B M^+ a)
+    K a = B^H L_ref B M^+ a + B^H F Delta F^-1 (B M^+ a),
 
-transforms and applies c' components per mode instead of c (9 of 12 for
-isotropic elastodynamics, whose stiffness drops the antisymmetric
-gradient).  On a side whose joint space is full the factor stays B^H or
-B M^+.  The reported residual reads Qc^H L E, which holds all of L E.
+where the first term is 0 for L_ref = 0 and M M^+ a for L_ref = L0, a
+per-mode map that needs no FFT (the polarization form of Moulinec &
+Suquet and Eyre & Milton).  The contrast runs on its joint range
+(:func:`_joint_range`): with orthonormal bases Vr of the joint row space
+and Uc of the joint column space of all Delta(x), Delta = Uc Dt Vr^H for
+the smaller Dt = Uc^H Delta Vr, and the constant Uc and Vr commute with F,
+so the second term is
+
+    (Uc^H B)^H F Dt F^-1 (Vr^H B M^+ a),
+
+which transforms c' components per mode instead of c.  L_ref = 0 gives
+L's own joint range (9 of 12 components for isotropic elastodynamics,
+whose stiffness drops the antisymmetric gradient).  L_ref = L0 is picked
+when the contrast's joint range is strictly narrower (Maxwell with only
+epsilon varying: 6 -> 3; a constant material: 0, and K = M M^+ with no
+FFT) and when the rounding of the split, about 1e-15 max|L0| max|M^+|,
+stays below the Krylov target.  On range(B^H), where b and every Krylov
+vector lie, M M^+ a = a + D a with D = M M^+ - B^H B, which is zero except
+at the modes where M is singular inside range(B^H) (Brinkman's k = 0
+hydrostatic gauge); D is kept at those modes only.  The reported residual
+reads B^H F (L E) for L_ref = L0, and (Uc^H B)^H F (Uc^H L E) for
+L_ref = 0, which holds all of L E.
 
 * ``method="krylov"`` takes L0 as the mean of the canonical material over
   the grid points and runs restarted GMRES on K (:func:`_krylov`, written
@@ -85,6 +101,12 @@ _EPS = np.finfo(float).eps
 _NULL_CANDIDATE = 1e-12
 _RANGE_TOL = 1e-13
 
+# The contrast form applies L0's part of L exactly and the contrast through
+# the FFTs, so the two no longer cancel before rounding: it adds a relative
+# error of about _SPLIT_ROUNDING max|L0| max|M^+| to K a, which must stay
+# below the Krylov target 0.25 tol.
+_SPLIT_ROUNDING = 1e-15
+
 
 class ResonanceError(RuntimeError):
     """The resolvent was evaluated too close to the operator spectrum."""
@@ -113,9 +135,10 @@ class Problem:
         The ``c`` of the fixed-point scheme's reference medium L0 = c I, a
         finite nonzero number (None estimates it as max_x |L(x)|_2).
     restart : int or None
-        Krylov restart length, at least 1 (None picks min(40, n), where
-        n = npts r counts the potential unknowns; raise it for stiff
-        penalized problems where restarting stalls).
+        Krylov restart length, at least 1 (None picks
+        min(40, n, max_iter), where n = npts r counts the potential
+        unknowns; raise it for stiff penalized problems where restarting
+        stalls).
     """
 
     grid: object
@@ -140,7 +163,9 @@ class SolveResult:
     E is the iterate from the start of that cycle), ``"breakdown"`` (GMRES
     found its Krylov space invariant with residual > tol, as for a source
     outside the operator's range), ``"diverged"`` (the fixed-point scheme
-    blew up) or ``"stalled"`` (the dense oracle's direct solve missed tol).
+    blew up) or ``"stalled"`` (the method's own test passed but the
+    residual of E missed tol: the dense oracle's direct solve, or a GMRES
+    residual that rounding moved when measured again for E).
     An iterative solve's ``residual_history`` holds one relative residual
     per iteration and ends in ``residual``.
     """
@@ -294,6 +319,22 @@ def _potential_matvec(grid, left, apply, right, a):
     return _pointwise(left, transform(apply(real), grid)).ravel()
 
 
+def _contrast_matvec(grid, left, apply, right, modes, D, a):
+    """K a = M M^+ a + left F apply(F^-1 (right a)) for flat potentials a
+    in range(B^H), where M M^+ a = a + D a and ``D`` holds
+    M M^+ - B^H B at the ``modes`` where it is not zero.  A contrast of
+    width 0 (``right`` has no rows) transforms nothing."""
+    if right.shape[-2]:
+        Ka = _potential_matvec(grid, left, apply, right, a)
+        Ka += a
+    else:
+        Ka = a.copy()
+    if len(modes):
+        x = a.reshape(len(right), -1)
+        Ka.reshape(x.shape)[modes] += _pointwise(D, x[modes])
+    return Ka
+
+
 def _potentials(problem):
     """The canonical material Lc, the projector's per-mode basis B and
     Bh = B^H, and the source's potential coefficients b = B^H s_hat (flat):
@@ -316,25 +357,35 @@ def _zero_result(problem, method):
     return SolveResult(Field.zeros(grid, layout), J, 0.0, 0, True, method)
 
 
-def _result(problem, Lc, left, Qc, e_hat, b, iterations, method, history,
-            stop_reason):
+def _result(problem, Lc, B, e_hat, b, iterations, method, history, stop_reason,
+            left=None, Qc=None):
     """SolveResult for a Fourier-space solution e_hat (one material
     application serves J and the residual).  The residual
     |Gamma1 (L E - s)| / |Gamma1 s| is measured in potentials as
     |B^H F (L E) - b| / |b|, equal since B is a partial isometry, with
-    B^H F (L E) = left F (Qc^H L E) for left = (Qc^H B)^H (left = B^H when
-    Qc is None); ``stop_reason`` applies only when it misses the
-    tolerance."""
+    B^H F (L E) = left F (Qc^H L E) for a given left = (Qc^H B)^H (left =
+    B^H when Qc is None).  Without ``left``, B^H is read as the conjugate
+    of a transposed view of B, so no second basis-sized array is made.
+    ``stop_reason`` applies only when the residual misses the tolerance;
+    a method that stopped as converged then reports ``"stalled"``."""
     grid, layout = problem.grid, problem.L.layout
     E = Field(grid, layout, e_hat, "fourier").to_real()
     LE = Lc.apply(E.values)
     J = Field(grid, layout, LE - problem.source.to_real().values)
-    flux = LE if Qc is None else LE @ Qc.conj()
-    r = _pointwise(left, transform(flux, grid)).ravel() - b
+    if left is None:
+        flux = transform(LE, grid).conj()
+        r = _pointwise(np.swapaxes(B, -1, -2), flux).conj().ravel() - b
+    else:
+        flux = LE if Qc is None else LE @ Qc.conj()
+        r = _pointwise(left, transform(flux, grid)).ravel() - b
     residual = float(np.linalg.norm(r) / np.linalg.norm(b))
     converged = residual <= problem.tol
+    if converged:
+        stop_reason = "converged"
+    elif stop_reason == "converged":
+        stop_reason = "stalled"
     return SolveResult(E, J, residual, iterations, converged, method, list(history),
-                       "converged" if converged else stop_reason)
+                       stop_reason)
 
 
 def solve(problem):
@@ -376,26 +427,50 @@ def solve(problem):
     # a partial-isometry basis.
     hermitian = np.abs(L0 - L0.conj().T).max() <= 1e-14 * np.abs(L0).max()
     Minv = _pinv(Bh @ L0 @ B, hermitian)
-    # L = Qc Lt Pr^H, and the constant Qc and Pr commute with F, so
-    # B^H F L F^-1 (B M^+ a) = left F Lt F^-1 (right a) with the c'-wide
-    # factors left = (Qc^H B)^H and right = Pr^H B M^+; each is B^H or
-    # B M^+ when nothing drops on its side.  The solve then holds B, M^+
+    # The reference is L0 when the contrast L - L0 has the narrower joint
+    # range and the split is faithful; the width test comes first, so a tie
+    # never scans M^+.
+    Qc, Lt, Pr = _joint_range(Lc)
+    Uc, Dt, Vr = _joint_range(Lc.with_matrices(Lc.layout, Lc.values - L0))
+    contrast = (sum(Dt.values.shape[-2:]) < sum(Lt.values.shape[-2:])
+                and _SPLIT_ROUNDING * np.abs(L0).max() * np.abs(Minv).max()
+                <= 0.25 * problem.tol)
+    npts, r = Bh.shape[:2]  # left as one flat BLAS product
+    if contrast:
+        Qc, Lt, Pr = Uc, Dt, Vr
+        # D = M M^+ - B^H B is minus the projector onto the directions of
+        # range(B^H) that M annihilates: at a mode it is either rounding, at
+        # most about eps / PINV_CUTOFF, or has a diagonal entry of at least
+        # 1 / r.  M is formed again here rather than held through the
+        # joint-range search, which adds no array to the other path's set-up.
+        D = Bh @ L0 @ B @ Minv - Bh @ B
+        modes = np.flatnonzero(np.abs(D).max(axis=(-2, -1)) > 0.5 / r)
+        D = D[modes]
+    del Uc, Dt, Vr  # a per-point contrast the solve does not use
+    # Delta = Qc Lt Pr^H, and the constant Qc and Pr commute with F, so
+    # B^H F Delta F^-1 (B M^+ a) = left F Lt F^-1 (right a) with the
+    # c'-wide factors left = (Qc^H B)^H and right = Pr^H B M^+; each is B^H
+    # or B M^+ when nothing drops on its side.  The solve then holds B, M^+
     # and the two factors: B^H goes before right is made, and M^+ is
     # applied to Pr^H B in place.
-    Qc, Lt, Pr = _joint_range(Lc)
-    npts, r = Bh.shape[:2]  # left as one flat BLAS product
     left = Bh if Qc is None else (Bh.reshape(npts * r, -1) @ Qc).reshape(npts, r, -1)
     del Bh
     right = B @ Minv if Pr is None else _matmul_in_place(Pr.conj().T @ B, Minv)
-    matvec = functools.partial(_potential_matvec, problem.grid, left, Lt.apply, right)
+    if contrast:
+        matvec = functools.partial(_contrast_matvec, problem.grid, left, Lt.apply, right,
+                                   modes, D)
+    else:
+        matvec = functools.partial(_potential_matvec, problem.grid, left, Lt.apply, right)
     if problem.method == "krylov":
         a, history, stop_reason = _krylov(matvec, b, problem.tol, problem.max_iter,
                                           restart)
     else:
         a, history, stop_reason = _richardson(matvec, b, problem.tol, problem.max_iter)
     e_hat = _pointwise(B, _pointwise(Minv, a.reshape(problem.grid.npoints, -1)))
-    return _result(problem, Lc, left, Qc, e_hat, b, len(history), problem.method,
-                   history, stop_reason)
+    if contrast:  # Uc^H L E does not hold all of L E
+        left = Qc = None
+    return _result(problem, Lc, B, e_hat, b, len(history), problem.method, history,
+                   stop_reason, left, Qc)
 
 
 def _matmul_in_place(X, M, block=4096):
@@ -413,9 +488,10 @@ def _joint_range(L):
     bases Qc (c, kc) of the joint column space and Pr (c, kr) of the joint
     row space of all L(x), and Lt = Qc^H L Pr on L's phase index (kc x kr,
     possibly rectangular), so that L = Qc Lt Pr^H.  A side with nothing to
-    drop is None, and with neither side Lt is L.  The two sides are found
-    apart: a velocity coupling (Oseen, ``ns_perturbation``) reads the
-    whole field gradient but still returns a symmetric stress."""
+    drop is None, and with neither side Lt is L; the zero map has width 0.
+    The two sides are found apart: a velocity coupling (Oseen,
+    ``ns_perturbation``) reads the whole field gradient but still returns a
+    symmetric stress.  Lt shares L's per-phase point lists."""
     mats = L.values.reshape(-1, L.ncomp, L.ncomp)
     # Qt spans the joint row space of L^T, the conjugate of L's column space
     Qt = _range_basis(mats, transpose=True)
@@ -426,20 +502,21 @@ def _joint_range(L):
     Qc = None
     if Qt is not None:
         Qc, values = Qt.conj(), Qt.T @ values  # Qc^H = Qt^T
-    layout = BlockLayout((Block("vector", values.shape[-1]),))
-    return Qc, LField(layout, values, index=L.index), Pr
+    width = values.shape[-1]
+    layout = BlockLayout((Block("vector", width),) if width else ())
+    return Qc, L.with_matrices(layout, values), Pr
 
 
 def _range_basis(mats, transpose=False, block=512):
     """Orthonormal basis (c, k) of the complement of the common null space
     of the rows of the matrices ``mats`` (n, c, c) (of their transposes
     with ``transpose``), the span of the rows' conjugates, or None when
-    nothing drops.  The candidates N are the Gram eigenvectors with
-    eigenvalue at most _NULL_CANDIDATE of the largest, and they drop only
-    if max|rows N| <= _RANGE_TOL max|rows|: an eigenvalue threshold alone
-    cannot tell a null vector from a direction that is only small beside a
-    large penalty (``ns_perturbation``'s 1e8 penalty puts its 0.2
-    deviatoric block there).  The Gram and both maxima are taken over
+    nothing drops ((c, 0) for zero matrices).  The candidates N are the
+    Gram eigenvectors with eigenvalue at most _NULL_CANDIDATE of the
+    largest, and they drop only if max|rows N| <= _RANGE_TOL max|rows|: an
+    eigenvalue threshold alone cannot tell a null vector from a direction
+    that is only small beside a large penalty (``ns_perturbation``'s 1e8
+    penalty puts its 0.2 deviatoric block there).  The Gram and both maxima are taken over
     ``block`` matrices at a time, so that a per-point material is not
     copied whole (a phase table is one block)."""
 
@@ -451,7 +528,7 @@ def _range_basis(mats, transpose=False, block=512):
 
     w, V = np.linalg.eigh(sum(rows.conj().T @ rows for rows in blocks()))
     drop = w <= _NULL_CANDIDATE * w[-1]
-    if (not drop.any() or drop.all()
+    if (not drop.any()
             or max(np.abs(rows @ V[:, drop]).max() for rows in blocks())
             > _RANGE_TOL * max(np.abs(rows).max() for rows in blocks())):
         return None
@@ -504,7 +581,7 @@ def solve_dense(problem, limit=4096):
         return _zero_result(problem, "dense")
     x = np.linalg.solve(A, _pointwise(B, b.reshape(problem.grid.npoints, -1)).ravel())
     e_hat = _pointwise(B, _pointwise(Bh, x.reshape(problem.grid.npoints, -1)))
-    return _result(problem, Lc, Bh, None, e_hat, b, 1, "dense", (), "stalled")
+    return _result(problem, Lc, B, e_hat, b, 1, "dense", (), "stalled", Bh)
 
 
 # ---------------------------------------------------------------------------

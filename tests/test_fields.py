@@ -82,6 +82,19 @@ def test_mode_flat_index_wraps():
     assert_allclose(k[idx], 2.0 * np.pi * np.array([-1.0, -2.0]))
 
 
+@pytest.mark.parametrize("forward", [True, False])
+def test_one_dimensional_transform_equals_the_n_dimensional_one(forward):
+    import scipy.fft
+
+    from gammasolve.fields import transform
+
+    g = Grid((192,), (2.0 * np.pi,))
+    values = random_field(g, BlockLayout((Block("vector", 2),)), seed=3).values
+    fn = scipy.fft.fftn if forward else scipy.fft.ifftn
+    expected = fn(values, axes=(0,), norm="ortho")
+    np.testing.assert_array_equal(transform(values, g, forward), expected)
+
+
 def test_fft_roundtrip_and_plane_wave_coefficient():
     f = random_field(GRID, LAYOUT, seed=1)
     back = f.to_fourier().to_real()
