@@ -52,10 +52,13 @@ reads B^H F (L E) for L_ref = L0, and (Uc^H B)^H F (Uc^H L E) for
 L_ref = 0, which holds all of L E.
 
 * ``method="krylov"`` takes L0 as the mean of the canonical material over
-  the grid points and runs restarted GMRES on K (:func:`_krylov`, written
-  here on numpy: it checks the true residual |B^H s - K a| at every
-  restart, so the residual history ends in the reported norm, and it
-  reports a cycle without progress or a happy breakdown short of ``tol``).
+  the grid points and runs GMRES-DR(m, m // 4) on K, restarted GMRES that
+  carries a quarter of each cycle's m directions, the harmonic Ritz
+  vectors of smallest modulus, into the next (Morgan 2002).  The driver
+  (:func:`_krylov`, written here on numpy) checks the true residual
+  |B^H s - K a| at every restart, so the residual history ends in the
+  reported norm, and it reports a cycle without progress or a happy
+  breakdown short of ``tol``.
 * ``method="fixed_point"`` takes L0 = c I for a reference constant c and
   runs the unit-step Richardson iteration a <- a + (B^H s - K a).  With
   B M^+ = B / c this is the classical scheme E <- E + Gamma1 (s - L E) / c
@@ -135,10 +138,11 @@ class Problem:
         The ``c`` of the fixed-point scheme's reference medium L0 = c I, a
         finite nonzero number (None estimates it as max_x |L(x)|_2).
     restart : int or None
-        Krylov restart length, at least 1 (None picks
-        min(40, n, max_iter), where n = npts r counts the potential
-        unknowns; raise it for stiff penalized problems where restarting
-        stalls).
+        Krylov restart length m, at least 1: the GMRES basis holds m + 1
+        vectors, and each restart carries m // 4 of its directions into
+        the next cycle (None picks min(40, n, max_iter), where n = npts r
+        counts the potential unknowns; raise it for stiff penalized
+        problems where restarting stalls).
     """
 
     grid: object
@@ -181,26 +185,42 @@ class SolveResult:
 
 
 def _krylov(matvec, b, tol, max_iter, restart=None):
-    """Restarted GMRES (Saad & Schultz 1986) on a flat complex right-hand
-    side ``b``, from x = 0.
+    """Restarted GMRES with deflated restarts, GMRES-DR(m, m // 4) (Saad &
+    Schultz 1986; Morgan 2002), on a flat complex right-hand side ``b``,
+    from x = 0.
 
     Each cycle builds an orthonormal Krylov basis by classical Gram-Schmidt
     with reorthogonalization (CGS2: two passes, each two matrix-vector
     products on a preallocated basis; Giraud et al. 2005) and tracks the
     least-squares residual estimate with Givens rotations.  A cycle ends
     when that estimate reaches 0.25 * tol * |b|, on a happy breakdown or
-    after the restart length min(40, n, max_iter) unless given, with
-    n = b.size (npts r potential unknowns for the canonical solve), or when
-    the budget of ``max_iter`` iterations runs out.  The cycle's
-    correction solves the small least-squares problem by truncated SVD, and
-    one more matvec measures the true residual |b - K x|, which replaces
-    the cycle's last history entry, so the history ends in the norm of the
-    returned iterate.  The solve stops as ``"converged"`` when the true
-    residual is at most 0.25 * tol * |b|.  A cycle that does not lower the
-    true residual returns its starting iterate as
-    ``"stagnated"`` (the better iterate, as for singular or inconsistent
-    systems: Brown & Walker 1997); a happy breakdown that misses the target
-    returns ``"breakdown"``; else the budget ends it as ``"max_iter"``.
+    when the basis holds m + 1 vectors, m = min(40, n, max_iter) unless
+    ``restart`` gives it, with n = b.size (npts r potential unknowns for
+    the canonical solve), or when the budget of ``max_iter`` iterations
+    runs out.  The cycle's correction solves the small least-squares
+    problem by truncated SVD, and one more matvec measures the true
+    residual |b - K x|, which replaces the cycle's last history entry, so
+    the history ends in the norm of the returned iterate.  The solve stops
+    as ``"converged"`` when the true residual is at most 0.25 * tol * |b|.
+    A cycle that does not lower the true residual returns its starting
+    iterate as ``"stagnated"`` (the better iterate, as for singular or
+    inconsistent systems: Brown & Walker 1997); a happy breakdown that
+    misses the target returns ``"breakdown"``; else the budget ends it as
+    ``"max_iter"``.
+
+    A cycle that ran to its full length keeps k = m // 4 directions
+    (:func:`_deflate`): the next cycle starts from the k harmonic Ritz
+    vectors of smallest modulus and the cycle's residual, and adds m - k
+    new ones, so the eigenvalues near 0 that stall plain restarted GMRES
+    stay deflated across restarts.  Its first k + 1 basis vectors span
+    the previous residual, which the next least-squares problem then
+    minimizes over all m directions; a Householder QR of its full
+    (k + 1) x k leading block starts the Givens rotations.  A cycle
+    restarts plainly from the true residual when m < 4, when the harmonic
+    Ritz vectors cannot be formed, or when its estimate met the target
+    but the true residual did not.  The first cycle is plain GMRES, so a
+    solve that converges within it does not depend on the restart scheme.
+
     Returns ``(x, history, stop_reason)`` with the relative residual after
     each inner iteration in ``history``.  ``matvec`` must return a new
     complex array, which the orthogonalization overwrites.
@@ -209,15 +229,29 @@ def _krylov(matvec, b, tol, max_iter, restart=None):
         raise ValueError("max_iter must be at least 1")
     n = b.size
     m = min(40 if restart is None else restart, n, max_iter)
+    keep = m // 4
     b_norm = _norm(b)
     target = 0.25 * tol * b_norm
     V = np.empty((m + 1, n), dtype=np.complex128)
     np.multiply(b, 1.0 / b_norm, out=V[0])
-    x, beta = np.zeros(n, dtype=np.complex128), b_norm
+    # The cycle's Arnoldi relation K V[:m] = V H and its residual V rhs;
+    # a cycle starts at column ``start`` (0, or keep after a deflation).
+    H = np.zeros((m + 1, m), dtype=np.complex128)
+    rhs = np.zeros(m + 1, dtype=np.complex128)
+    rhs[0] = b_norm
+    x, beta, start = np.zeros(n, dtype=np.complex128), b_norm, 0
     history = []
     while len(history) < max_iter:
-        cols, rots, g = [], [], [complex(beta)]
-        for j in range(min(m, max_iter - len(history))):
+        if start:
+            # Q^H of the leading block's QR plays the role of the rotations
+            Q, Rk = np.linalg.qr(H[: start + 1, :start], mode="complete")
+            Qh = Q.conj().T
+            cols = [Rk[: i + 1, i].tolist() for i in range(start)]
+            g = (Qh @ rhs[: start + 1]).tolist()
+        else:
+            cols, g = [], [complex(beta)]
+        rots = []
+        for j in range(start, min(m, start + max_iter - len(history))):
             w = matvec(V[j])
             Vj = V[: j + 1]
             h = (Vj @ w.conj()).conj()
@@ -229,8 +263,11 @@ def _krylov(matvec, b, tol, max_iter, restart=None):
             breakdown = h_next <= _EPS * math.hypot(_norm(h), h_next)
             if not breakdown:
                 np.multiply(w, 1.0 / h_next, out=V[j + 1])
+            H[: j + 1, j], H[j + 1, j] = h, h_next
             col = h.tolist()
-            for i, (c, s) in enumerate(rots):
+            if start:
+                col[: start + 1] = (Qh @ h[: start + 1]).tolist()
+            for i, (c, s) in enumerate(rots, start):
                 col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
                                       c * col[i + 1] - s.conjugate() * col[i])
             c, s, col[j] = _givens(col[j], h_next)
@@ -251,8 +288,9 @@ def _krylov(matvec, b, tol, max_iter, restart=None):
         # inconsistent K) turns rounding into a huge, useless correction.
         y = np.linalg.lstsq(R, g[:k], rcond=None)[0]
         x_new = x + y @ V[:k]
-        np.subtract(b, matvec(x_new), out=V[0])  # the next cycle's start
-        r_norm = _norm(V[0])
+        r = matvec(x_new)
+        np.subtract(b, r, out=r)
+        r_norm = _norm(r)
         if r_norm <= target:
             history[-1] = r_norm / b_norm
             return x_new, history, "converged"
@@ -263,8 +301,64 @@ def _krylov(matvec, b, tol, max_iter, restart=None):
         if breakdown:
             return x_new, history, "breakdown"
         x, beta = x_new, r_norm
-        V[0] *= 1.0 / beta
+        if (keep and k == m and estimate > target and len(history) < max_iter
+                and _deflate(V, H, rhs, keep)):
+            start = keep
+        else:
+            np.multiply(r, 1.0 / beta, out=V[0])
+            H[:] = 0.0
+            rhs[:] = 0.0
+            rhs[0] = beta
+            start = 0
+        del r  # the next cycle holds no residual beside V
     return x, history, "max_iter"
+
+
+def _deflate(V, H, rhs, k, block=1024):
+    """The deflated restart of GMRES-DR (Morgan 2002) after a full cycle
+    with K V[:m] = V H that started from the residual V rhs.
+
+    The cycle's least-squares residual is V s with s = q q^H rhs, where
+    the unit q spans the null space of H^H (the last column of H's
+    complete QR): formed so, s stays orthogonal to range(H) to rounding
+    even when it is many orders below rhs, which rhs - H y does not.  The
+    harmonic Ritz pairs (theta, g) of K on range(V[:m]) solve
+    (H_m + |h_(m+1,m)|^2 f e_m^H) g = theta g with f = H_m^-H e_m, and H
+    maps each g into the span of (g, 0) and s.  So with P ((m + 1) x
+    (k + 1)) an orthonormal basis of the k pairs of smallest |theta|,
+    padded with a zero, and s, the Arnoldi relation
+    K (P^T V)[:k] = (P^T V)[:k + 1] (P^H H P[:m, :k]) holds again.
+
+    Writes the new basis V[:k + 1] = P^T V (``block`` columns at a time,
+    so no (k + 1, n) array is made), its (k + 1) x k matrix H and the
+    residual's coordinates rhs = P^H s in place and returns True.  Returns
+    False and changes nothing when H_m is singular or the pairs are not
+    finite."""
+    m = H.shape[1]
+    q = np.linalg.qr(H, mode="complete")[0][:, m]
+    s = q * np.vdot(q, rhs)
+    Hm = H[:m]
+    try:
+        f = np.linalg.solve(Hm.conj().T, np.eye(m)[-1])
+        A = Hm.copy()
+        A[:, -1] += abs(H[m, m - 1]) ** 2 * f
+        theta, G = np.linalg.eig(A)
+    except np.linalg.LinAlgError:
+        return False
+    if not (np.isfinite(theta).all() and np.isfinite(G).all()):
+        return False
+    W = np.zeros((m + 1, k + 1), dtype=np.complex128)
+    W[:m, :k] = G[:, np.argsort(np.abs(theta))[:k]]
+    W[:, k] = s
+    P = np.linalg.qr(W)[0]
+    Hk = P.conj().T @ H @ P[:m, :k]
+    for i in range(0, V.shape[1], block):
+        V[: k + 1, i:i + block] = P.T @ V[:, i:i + block]
+    H[:] = 0.0
+    H[: k + 1, :k] = Hk
+    rhs[:] = 0.0
+    rhs[: k + 1] = P.conj().T @ s
+    return True
 
 
 def _norm(v):

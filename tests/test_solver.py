@@ -686,10 +686,12 @@ def test_krylov_history_ends_in_the_reported_residual(max_iter, reason):
     assert res.residual < 1.5e-2
 
 
-@pytest.mark.parametrize("max_iter,restart", [(7, 3), (25, 10), (50, None)])
+@pytest.mark.parametrize("max_iter,restart", [(7, 3), (25, 10), (50, None), (100, 10)])
 def test_krylov_budget_counts_iterations(max_iter, restart):
     # The budget is max_iter iterations whatever the restart length: a cap
-    # that is not a whole number of cycles is not rounded up to one.
+    # that is not a whole number of cycles is not rounded up to one.  With
+    # restart 10 a deflated cycle adds 8 iterations, so (100, 10) ends
+    # inside the twelfth cycle.
     grid = Grid((8, 8, 8), (2.0 * np.pi,) * 3)
     L = build_maxwell(grid, 1.3, Checkerboard((1.0, 4.0 + 0.1j)), 1.0)
     res = solve(Problem(grid=grid, L=L, gamma=gamma_maxwell(), tol=1e-12,
@@ -697,6 +699,103 @@ def test_krylov_budget_counts_iterations(max_iter, restart):
                         source=random_field(grid, L.layout, seed=2)))
     assert res.stop_reason == "max_iter"
     assert res.iterations == len(res.residual_history) == max_iter
+
+
+def _outlier_system(seed, n=120):
+    """_nonnormal_system with four eigenvalues moved to modulus 0.2, which
+    plain restarted GMRES loses at every restart."""
+    A, b = _nonnormal_system(seed, n)
+    A[np.arange(4), np.arange(4)] = 0.2 * np.array([1.0, -1.0, 1j, -1j])
+    return A, b
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_deflated_restarts_beat_plain_restarts(seed):
+    # GMRES-DR(20, 5) keeps the four small eigenvalues deflated (47-49
+    # iterations); scipy's GMRES(20) needs 120-137.
+    import scipy.sparse.linalg
+
+    A, b = _outlier_system(seed)
+    tol, restart = 1e-8, 20
+    x, history, reason = _krylov(lambda v: A @ v, b, tol, 1000, restart)
+    oracle = []
+    xs, info = scipy.sparse.linalg.gmres(A, b, rtol=0.25 * tol, atol=0.0, restart=restart,
+                                         maxiter=100, callback=oracle.append,
+                                         callback_type="pr_norm")
+    assert reason == "converged" and info == 0
+    assert len(history) < len(oracle) / 2
+    assert np.linalg.norm(x - xs) <= 1e-7 * np.linalg.norm(xs)
+    assert history[-1] == pytest.approx(np.linalg.norm(b - A @ x) / np.linalg.norm(b),
+                                        rel=1e-12)
+
+
+def test_krylov_within_one_cycle_ignores_the_restart_scheme():
+    # Full GMRES needs about 30 iterations here, so both runs end inside
+    # their first, plain cycle and must agree bit for bit.
+    A, b = _nonnormal_system(0)
+    x40, h40, r40 = _krylov(lambda v: A @ v, b, 1e-8, 1000, 40)
+    xn, hn, rn = _krylov(lambda v: A @ v, b, 1e-8, 1000, b.size)
+    assert r40 == rn == "converged" and len(h40) < 40
+    assert h40 == hn
+    assert np.array_equal(x40, xn)
+
+
+def test_deflated_restart_keeps_the_arnoldi_relation(monkeypatch):
+    # Each deflated restart leaves K V[:k] = V[:k+1] H[:k+1, :k] with
+    # orthonormal V[:k+1], whose combination rhs is the least-squares
+    # residual of the cycle before (up to rounding of the cycle's start).
+    A, b = _outlier_system(1)
+    deflate, checked = sv._deflate, []
+
+    def spy(V, H, rhs, k):
+        y = np.linalg.lstsq(H, rhs, rcond=None)[0]
+        residual, start = (rhs - H @ y) @ V, np.linalg.norm(rhs)
+        assert deflate(V, H, rhs, k)
+        Vk = V[: k + 1]
+        assert np.abs(Vk.conj() @ Vk.T - np.eye(k + 1)).max() <= 1e-13
+        assert np.linalg.norm(Vk[:k] @ A.T - H[: k + 1, :k].T @ Vk) <= (
+            1e-13 * np.linalg.norm(H))
+        assert not H[k + 1:].any() and not H[:, k:].any() and not rhs[k + 1:].any()
+        assert np.linalg.norm(rhs[: k + 1] @ Vk - residual) <= 1e-13 * start
+        checked.append(k)
+        return True
+
+    monkeypatch.setattr(sv, "_deflate", spy)
+    assert _krylov(lambda v: A @ v, b, 1e-8, 1000, 20)[2] == "converged"
+    assert len(checked) >= 2 and set(checked) == {5}
+
+
+def test_deflated_restart_falls_back_on_a_singular_hessenberg_matrix():
+    rng = np.random.default_rng(0)
+    m, k = 8, 2
+    V = rng.normal(size=(m + 1, 30)) + 1j * rng.normal(size=(m + 1, 30))
+    H = np.triu(rng.normal(size=(m + 1, m)), -1).astype(complex)
+    H[:, 3] = 0.0  # H_m singular: no harmonic Ritz pairs
+    rhs = rng.normal(size=m + 1) + 0j
+    before = V.copy(), H.copy(), rhs.copy()
+    assert not sv._deflate(V, H, rhs, k)
+    for kept, old in zip((V, H, rhs), before):
+        assert np.array_equal(kept, old)
+
+
+@pytest.mark.parametrize("case", ["acoustics", "elastodynamics"])
+def test_deflated_restarts_solve_a_high_contrast_cell(case):
+    # Lossless, contrast 10: GMRES(40) needed 639 (acoustics 12x12) and
+    # 199 (elastodynamics 8x8) iterations, GMRES-DR(40, 10) 260 and 111.
+    if case == "acoustics":
+        grid = Grid((12, 12), (2.0 * np.pi,) * 2)
+        L = build_acoustics(grid, 1.1, 1.0, Checkerboard((1.0, 10.0)))
+        gamma, cap = gamma_helmholtz(2), 400
+    else:
+        grid = Grid((8, 8), (2.0 * np.pi,) * 2)
+        L = build_elastodynamics(grid, 2.0, 1.0, bulk=1.0,
+                                 shear=Checkerboard((1.0, 10.0)))
+        gamma, cap = gamma_elastic(2), 150
+    prob = Problem(grid=grid, L=L, gamma=gamma, tol=1e-8,
+                   source=random_field(grid, L.layout, seed=1))
+    rk, rd = solve(prob), solve_dense(prob)
+    assert rk.converged and rk.iterations <= cap
+    assert np.linalg.norm(rk.E.values - rd.E.values) <= 1e-7 * np.linalg.norm(rd.E.values)
 
 
 def test_unknown_method_rejected():
