@@ -691,7 +691,7 @@ def test_krylov_budget_counts_iterations(max_iter, restart):
     # The budget is max_iter iterations whatever the restart length: a cap
     # that is not a whole number of cycles is not rounded up to one.  With
     # restart 10 a deflated cycle adds 8 iterations, so (100, 10) ends
-    # inside the twelfth cycle.
+    # 2 iterations into the thirteenth cycle, after 12 deflations.
     grid = Grid((8, 8, 8), (2.0 * np.pi,) * 3)
     L = build_maxwell(grid, 1.3, Checkerboard((1.0, 4.0 + 0.1j)), 1.0)
     res = solve(Problem(grid=grid, L=L, gamma=gamma_maxwell(), tol=1e-12,
