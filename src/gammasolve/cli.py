@@ -396,6 +396,7 @@ def _cmd_effective(args):
         "fluctuation_e": tensors.fluctuation_e,
         "fluctuation_j": tensors.fluctuation_j,
         "converged": bool(converged),
+        "iterations": [r.iterations for r in tensors.results],
         "elapsed_s": elapsed,
         "config_sha256": _config_digest(args.config),
     })

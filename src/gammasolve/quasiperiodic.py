@@ -13,7 +13,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import Field
+from .fields import Field, transform
+from .projectors import PINV_CUTOFF, _basis_on
 from .solver import Problem, solve
 
 __all__ = ["QuasiSource", "EffectiveTensors", "solve_quasiperiodic", "effective_tensors", "modulate"]
@@ -40,28 +41,36 @@ class EffectiveTensors:
     results: list = dc_field(default_factory=list)
 
 
+def _profile(grid, modulation):
+    """The source's periodic profile 1 + alpha(x) on the grid points."""
+    profile = np.ones(grid.npoints, dtype=np.complex128)
+    if modulation is not None:
+        if isinstance(modulation, Field):
+            modulation = modulation.to_real().values[:, 0]
+        profile = profile + np.asarray(modulation)
+    return profile
+
+
 def _source_field(grid, layout, qsource):
     amp = np.asarray(qsource.amplitude, dtype=np.complex128)
     if amp.shape != (layout.ncomp,):
         raise ValueError(f"amplitude must have {layout.ncomp} entries")
-    profile = np.ones(grid.npoints, dtype=np.complex128)
-    if qsource.modulation is not None:
-        mod = qsource.modulation
-        mvals = mod.to_real().values[:, 0] if isinstance(mod, Field) else np.asarray(mod)
-        profile = profile + mvals
+    profile = _profile(grid, qsource.modulation)
     return Field(grid, layout, profile[:, None] * amp[None, :], "real")
 
 
-def solve_quasiperiodic(grid, L, gamma, qsource, tol=1e-10, max_iter=2000, method="krylov"):
+def solve_quasiperiodic(grid, L, gamma, qsource, tol=1e-10, max_iter=2000, method="krylov",
+                        x0=None):
     """Solve the canonical problem for the periodic parts of the fields
     under a quasiperiodic excitation; returns the usual SolveResult (E and
     J are the periodic parts; multiply by the Bloch phase via
-    :func:`modulate` to reconstruct the full fields)."""
+    :func:`modulate` to reconstruct the full fields).  ``x0`` is an
+    optional guess for the periodic part of E (``Problem.x0``)."""
     s = _source_field(grid, L.layout, qsource)
     problem = Problem(
         grid=grid, L=L, gamma=gamma, source=s,
         shift=np.asarray(qsource.k0, dtype=float),
-        tol=tol, max_iter=max_iter, method=method,
+        tol=tol, max_iter=max_iter, method=method, x0=x0,
     )
     return solve(problem)
 
@@ -73,6 +82,33 @@ def _fluctuation(values, mean):
     return float(np.linalg.norm(values - mean) / denom)
 
 
+def _source_gram_root(grid, gamma, k0, modulation):
+    """R with R^H R = G = sum_k |p_hat(k)|^2 Gamma(k + k0) for the profile
+    p = 1 + alpha, so that |Gamma1 s|^2 = |R a|^2 for the source
+    s = a p(x) of amplitude a: the source's projection, and with it E, sees
+    a only through R a.  Without modulation G is Gamma(k0); with it, one
+    pass over the projector's kept basis, which the first solve built."""
+    if modulation is None:
+        G = gamma.symbol(k0)
+    else:
+        w = np.abs(transform(_profile(grid, modulation)[:, None], grid)[:, 0]) ** 2
+        B = _basis_on(gamma, grid, np.asarray(k0, dtype=float))
+        G = np.einsum("k,kcr,kdr->cd", w, B, B.conj())
+    lam, U = np.linalg.eigh(G)
+    return np.sqrt(np.clip(lam, 0.0, None))[:, None] * U.conj().T
+
+
+def _combine(out, weights, arrays, block=1024):
+    """out = sum_i weights[i] arrays[i] for (npts, c) arrays, ``block``
+    rows at a time, so that no temporary of out's size is made."""
+    for lo in range(0, len(out), block):
+        part = out[lo:lo + block]
+        np.multiply(arrays[0][lo:lo + block], weights[0], out=part)
+        for w, a in zip(weights[1:], arrays[1:]):
+            part += w * a[lo:lo + block]
+    return out
+
+
 def effective_tensors(grid, L, gamma, k0, modulation=None, tol=1e-12, max_iter=4000):
     """Mean-response tensors at Bloch wavevector k0.
 
@@ -81,18 +117,37 @@ def effective_tensors(grid, L, gamma, k0, modulation=None, tol=1e-12, max_iter=4
     recorded fluctuation norms are the largest relative size of the
     zero-mean fluctuating parts across the solves — zero for homogeneous
     media, growing with heterogeneity.
+
+    E is linear in the source amplitude and sees it only through its
+    projection, so the c columns span at most rank G independent solves,
+    G = sum_k |p_hat(k)|^2 Gamma(k + k0) (G = Gamma(k0) without
+    modulation).  Each column is still one solve, seeded (``Problem.x0``)
+    with sum_i g_i E_i over the columns already solved, where e_j ~
+    sum_i g_i e_i is the least-squares fit in the G^(1/2) norm: a column in
+    their span starts at its solution and, when that meets the target,
+    returns it with 0 iterations.  ``results`` holds one SolveResult per
+    column.
     """
     c = L.layout.ncomp
     TE = np.zeros((c, c), dtype=np.complex128)
     TJ = np.zeros((c, c), dtype=np.complex128)
     fe = fj = 0.0
     results = []
+    R = seed = None
     for j in range(c):
         amp = np.zeros(c, dtype=np.complex128)
         amp[j] = 1.0
+        x0 = None
+        if j:
+            if R is None:  # after the first solve, which keeps the basis
+                R = _source_gram_root(grid, gamma, k0, modulation)
+                seed = np.empty((grid.npoints, c), dtype=np.complex128)
+            g = np.linalg.lstsq(R[:, :j], R[:, j], rcond=PINV_CUTOFF)[0]
+            if g.any():
+                x0 = Field(grid, L.layout, _combine(seed, g, [r.E.values for r in results]))
         res = solve_quasiperiodic(
             grid, L, gamma, QuasiSource(k0, amp, modulation),
-            tol=tol, max_iter=max_iter,
+            tol=tol, max_iter=max_iter, x0=x0,
         )
         e_mean = res.E.values.mean(axis=0)
         j_mean = res.J.values.mean(axis=0)

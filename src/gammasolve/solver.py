@@ -110,6 +110,10 @@ _RANGE_TOL = 1e-13
 # below the Krylov target 0.25 tol.
 _SPLIT_ROUNDING = 1e-15
 
+# Per-point materials are scanned and restricted this many matrices at a
+# time, so that no copy of the whole material is made.
+_BLOCK = 512
+
 
 class ResonanceError(RuntimeError):
     """The resolvent was evaluated too close to the operator spectrum."""
@@ -143,6 +147,13 @@ class Problem:
         the next cycle (None picks min(40, n, max_iter), where n = npts r
         counts the potential unknowns; raise it for stiff penalized
         problems where restarting stalls).
+    x0 : Field or None
+        Initial guess for E, on the source's grid and layout (either
+        representation); it is read during the solve only.  The solve takes
+        its projection Gamma1 x0.  When that meets 0.25 tol, the Krylov
+        target, it is returned with no iteration and no operator set-up;
+        otherwise both methods start from it, or from zero when its
+        residual is no smaller than |Gamma1 s|.
     """
 
     grid: object
@@ -155,6 +166,7 @@ class Problem:
     method: str = "krylov"
     reference: object = None
     restart: object = None
+    x0: object = None
 
 
 @dataclass
@@ -171,7 +183,8 @@ class SolveResult:
     residual of E missed tol: the dense oracle's direct solve, or a GMRES
     residual that rounding moved when measured again for E).
     An iterative solve's ``residual_history`` holds one relative residual
-    per iteration and ends in ``residual``.
+    per iteration and ends in ``residual``.  A solve whose guess ``x0``
+    already met the target reports 0 iterations and an empty history.
     """
 
     E: object
@@ -184,10 +197,12 @@ class SolveResult:
     stop_reason: str = "converged"
 
 
-def _krylov(matvec, b, tol, max_iter, restart=None):
+def _krylov(matvec, b, tol, max_iter, restart=None, x0=None):
     """Restarted GMRES with deflated restarts, GMRES-DR(m, m // 4) (Saad &
     Schultz 1986; Morgan 2002), on a flat complex right-hand side ``b``,
-    from x = 0.
+    from x = ``x0``, or from x = 0 when ``x0`` is None or its residual
+    |b - K x0| is no smaller than |b| (:func:`_start`).  Every tolerance
+    and history entry stays relative to |b|.
 
     Each cycle builds an orthonormal Krylov basis by classical Gram-Schmidt
     with reorthogonalization (CGS2: two passes, each two matrix-vector
@@ -232,14 +247,16 @@ def _krylov(matvec, b, tol, max_iter, restart=None):
     keep = m // 4
     b_norm = _norm(b)
     target = 0.25 * tol * b_norm
+    x, r = _start(matvec, b, x0)
+    beta, start = _norm(r), 0
     V = np.empty((m + 1, n), dtype=np.complex128)
-    np.multiply(b, 1.0 / b_norm, out=V[0])
+    np.multiply(r, 1.0 / beta, out=V[0])
+    del r
     # The cycle's Arnoldi relation K V[:m] = V H and its residual V rhs;
     # a cycle starts at column ``start`` (0, or keep after a deflation).
     H = np.zeros((m + 1, m), dtype=np.complex128)
     rhs = np.zeros(m + 1, dtype=np.complex128)
-    rhs[0] = b_norm
-    x, beta, start = np.zeros(n, dtype=np.complex128), b_norm, 0
+    rhs[0] = beta
     history = []
     while len(history) < max_iter:
         if start:
@@ -379,8 +396,21 @@ def _givens(a, b):
     return abs(a) / d, phase * (b / d), phase * d
 
 
-def _richardson(matvec, b, tol, max_iter):
-    """Unit-step Richardson iteration a <- a + (b - K a) from a = 0.
+def _start(matvec, b, x0):
+    """The starting iterate x of a solve of K x = b and its residual
+    b - K x: ``x0`` when that residual is smaller than |b|, else x = 0 and
+    b itself (a guess that is no better than zero costs one matvec)."""
+    if x0 is not None:
+        r = matvec(x0)
+        np.subtract(b, r, out=r)
+        if _norm(r) < _norm(b):
+            return x0, r
+    return np.zeros_like(b), b
+
+
+def _richardson(matvec, b, tol, max_iter, x0=None):
+    """Unit-step Richardson iteration a <- a + (b - K a) from the start
+    :func:`_start` picks: ``x0``, or a = 0.
 
     Records |b - K a| / |b| after each step and stops when it reaches
     ``tol``, when it exceeds 1e8 or is not finite (``"diverged"``), or at
@@ -389,8 +419,7 @@ def _richardson(matvec, b, tol, max_iter):
     ``"converged"`` from the true residual.
     """
     b_norm = np.linalg.norm(b)
-    a = np.zeros_like(b)
-    r = b
+    a, r = _start(matvec, b, x0)
     history = []
     for _ in range(max_iter):
         a = a + r
@@ -487,7 +516,11 @@ def solve(problem):
 
     Returns a SolveResult with real-space E and J fields; E is projected
     onto range(Gamma1) exactly.  With a source whose projection vanishes
-    the zero field is returned as converged.
+    the zero field is returned as converged.  A guess ``problem.x0`` is
+    measured first, as :func:`_result` measures E: if its projection
+    Gamma1 x0 meets 0.25 tol it is returned with 0 iterations, before M^+,
+    the joint range or the factors are built.  Otherwise the iteration
+    starts from a0 = M B^H x0_hat, for which B M^+ a0 = Gamma1 x0_hat.
     """
     if problem.max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -499,9 +532,20 @@ def solve(problem):
     c = problem.reference
     if c is not None and not (np.isfinite(c) and c != 0):
         raise ValueError(f"reference must be a finite nonzero number, got {c!r}")
+    x0 = problem.x0
+    if x0 is not None and not (isinstance(x0, Field) and x0.grid == problem.source.grid
+                               and x0.layout == problem.source.layout):
+        raise ValueError("x0 must be a Field on the source's grid and layout")
     Lc, B, Bh, b = _potentials(problem)
     if not b.any():
         return _zero_result(problem, problem.method)
+    if x0 is not None:
+        p0 = _pointwise(Bh, x0.to_fourier().values)  # B^H x0_hat
+        guess = _result(problem, Lc, B, _pointwise(B, p0), b, 0, problem.method, (),
+                        "converged")
+        if guess.residual <= 0.25 * problem.tol:
+            return guess
+        del guess
 
     if problem.method == "krylov":
         L0 = Lc.mean()
@@ -520,18 +564,21 @@ def solve(problem):
     # stress, which the mean medium annihilates, and the zero directions of
     # a partial-isometry basis.
     hermitian = np.abs(L0 - L0.conj().T).max() <= 1e-14 * np.abs(L0).max()
-    Minv = _pinv(Bh @ L0 @ B, hermitian)
+    M = Bh @ L0 @ B
+    Minv = _pinv(M, hermitian)
+    a0 = None if x0 is None else _pointwise(M, p0).ravel()  # B M^+ a0 = B p0
+    del M
     # The reference is L0 when the contrast L - L0 has the narrower joint
     # range and the split is faithful; the width test comes first, so a tie
-    # never scans M^+.
-    Qc, Lt, Pr = _joint_range(Lc)
-    Uc, Dt, Vr = _joint_range(Lc.with_matrices(Lc.layout, Lc.values - L0))
-    contrast = (sum(Dt.values.shape[-2:]) < sum(Lt.values.shape[-2:])
+    # never scans M^+.  Only the picked map is restricted to its range.
+    bases = _range_bases(Lc)
+    contrast_bases = _range_bases(Lc, L0)
+    contrast = (_width(Lc.ncomp, contrast_bases) < _width(Lc.ncomp, bases)
                 and _SPLIT_ROUNDING * np.abs(L0).max() * np.abs(Minv).max()
                 <= 0.25 * problem.tol)
     npts, r = Bh.shape[:2]  # left as one flat BLAS product
     if contrast:
-        Qc, Lt, Pr = Uc, Dt, Vr
+        Qc, Lt, Pr = _joint_range(Lc, L0, contrast_bases)
         # D = M M^+ - B^H B is minus the projector onto the directions of
         # range(B^H) that M annihilates: at a mode it is either rounding, at
         # most about eps / PINV_CUTOFF, or has a diagonal entry of at least
@@ -540,7 +587,8 @@ def solve(problem):
         D = Bh @ L0 @ B @ Minv - Bh @ B
         modes = np.flatnonzero(np.abs(D).max(axis=(-2, -1)) > 0.5 / r)
         D = D[modes]
-    del Uc, Dt, Vr  # a per-point contrast the solve does not use
+    else:
+        Qc, Lt, Pr = _joint_range(Lc, bases=bases)
     # Delta = Qc Lt Pr^H, and the constant Qc and Pr commute with F, so
     # B^H F Delta F^-1 (B M^+ a) = left F Lt F^-1 (right a) with the
     # c'-wide factors left = (Qc^H B)^H and right = Pr^H B M^+; each is B^H
@@ -557,9 +605,10 @@ def solve(problem):
         matvec = functools.partial(_potential_matvec, problem.grid, left, Lt.apply, right)
     if problem.method == "krylov":
         a, history, stop_reason = _krylov(matvec, b, problem.tol, problem.max_iter,
-                                          restart)
+                                          restart, a0)
     else:
-        a, history, stop_reason = _richardson(matvec, b, problem.tol, problem.max_iter)
+        a, history, stop_reason = _richardson(matvec, b, problem.tol, problem.max_iter,
+                                              a0)
     e_hat = _pointwise(B, _pointwise(Minv, a.reshape(problem.grid.npoints, -1)))
     if contrast:  # Uc^H L E does not hold all of L E
         left = Qc = None
@@ -577,56 +626,90 @@ def _matmul_in_place(X, M, block=4096):
     return X
 
 
-def _joint_range(L):
-    """The material on its joint range: ``(Qc, Lt, Pr)`` with orthonormal
-    bases Qc (c, kc) of the joint column space and Pr (c, kr) of the joint
-    row space of all L(x), and Lt = Qc^H L Pr on L's phase index (kc x kr,
-    possibly rectangular), so that L = Qc Lt Pr^H.  A side with nothing to
-    drop is None, and with neither side Lt is L; the zero map has width 0.
-    The two sides are found apart: a velocity coupling (Oseen,
-    ``ns_perturbation``) reads the whole field gradient but still returns a
-    symmetric stress.  Lt shares L's per-phase point lists."""
-    mats = L.values.reshape(-1, L.ncomp, L.ncomp)
-    # Qt spans the joint row space of L^T, the conjugate of L's column space
-    Qt = _range_basis(mats, transpose=True)
-    Pr = _range_basis(mats)
-    if Qt is None and Pr is None:
+def _joint_range(L, L0=None, bases=None):
+    """The material (with ``L0``, the contrast L - L0) on its joint range:
+    ``(Qc, Lt, Pr)`` with orthonormal bases Qc (c, kc) of the joint column
+    space and Pr (c, kr) of the joint row space of all L(x), and
+    Lt = Qc^H L Pr on L's phase index (kc x kr, possibly rectangular), so
+    that L = Qc Lt Pr^H.  A side with nothing to drop is None, and with
+    neither side (and no L0) Lt is L; the zero map has width 0.  The two
+    sides are found apart (:func:`_range_bases`, unless ``bases`` gives
+    them): a velocity coupling (Oseen, ``ns_perturbation``) reads the whole
+    field gradient but still returns a symmetric stress.  Lt shares L's
+    per-phase point lists, and per-point matrices are restricted _BLOCK at
+    a time, so L - L0 is never formed."""
+    Qt, Pr = _range_bases(L, L0) if bases is None else bases
+    if Qt is None and Pr is None and L0 is None:
         return None, L, None
-    values = L.values if Pr is None else L.values @ Pr
-    Qc = None
-    if Qt is not None:
-        Qc, values = Qt.conj(), Qt.T @ values  # Qc^H = Qt^T
+
+    def restrict(part):
+        part = part if L0 is None else part - L0
+        part = part if Pr is None else part @ Pr
+        return part if Qt is None else Qt.T @ part  # Qc^H = Qt^T
+
+    if L.values.ndim == 2:
+        values = restrict(L.values)
+    else:
+        kc, kr = (L.ncomp if V is None else V.shape[1] for V in (Qt, Pr))
+        values = np.empty((len(L.values), kc, kr), dtype=np.complex128)
+        for i in range(0, len(values), _BLOCK):
+            values[i:i + _BLOCK] = restrict(L.values[i:i + _BLOCK])
     width = values.shape[-1]
     layout = BlockLayout((Block("vector", width),) if width else ())
-    return Qc, L.with_matrices(layout, values), Pr
+    return None if Qt is None else Qt.conj(), L.with_matrices(layout, values), Pr
 
 
-def _range_basis(mats, transpose=False, block=512):
-    """Orthonormal basis (c, k) of the complement of the common null space
-    of the rows of the matrices ``mats`` (n, c, c) (of their transposes
-    with ``transpose``), the span of the rows' conjugates, or None when
-    nothing drops ((c, 0) for zero matrices).  The candidates N are the
-    Gram eigenvectors with eigenvalue at most _NULL_CANDIDATE of the
-    largest, and they drop only if max|rows N| <= _RANGE_TOL max|rows|: an
-    eigenvalue threshold alone cannot tell a null vector from a direction
-    that is only small beside a large penalty (``ns_perturbation``'s 1e8
-    penalty puts its 0.2 deviatoric block there).  The Gram and both maxima are taken over
-    ``block`` matrices at a time, so that a per-point material is not
-    copied whole (a phase table is one block)."""
+def _range_bases(L, L0=None):
+    """``(Qt, Pr)``: orthonormal bases of the joint row spaces of the
+    transposes (Qt, the conjugate of the joint column space) and of the
+    matrices (Pr) of L - L0 (of L without ``L0``), each the complement of
+    the common null space of those rows, or None when nothing drops on
+    that side ((c, 0) for zero matrices).
 
-    def blocks():
-        for i in range(0, len(mats), block):
-            part = mats[i:i + block]
-            part = np.swapaxes(part, -1, -2) if transpose else part
-            yield part.reshape(-1, mats.shape[-1])
+    The candidates N are the Gram eigenvectors with eigenvalue at most
+    _NULL_CANDIDATE of the largest, and they drop only if
+    max|rows N| <= _RANGE_TOL max|rows|: an eigenvalue threshold alone
+    cannot tell a null vector from a direction that is only small beside a
+    large penalty (``ns_perturbation``'s 1e8 penalty puts its 0.2
+    deviatoric block there).  Both sides' Grams are summed in one pass, and
+    the maxima in at most one more, over _BLOCK matrices at a time with L0
+    subtracted block by block, so that a per-point material is neither
+    copied whole nor L - L0 formed (a phase table is one block)."""
+    c = L.ncomp
+    mats = L.values.reshape(-1, c, c)
 
-    w, V = np.linalg.eigh(sum(rows.conj().T @ rows for rows in blocks()))
-    drop = w <= _NULL_CANDIDATE * w[-1]
-    if (not drop.any()
-            or max(np.abs(rows @ V[:, drop]).max() for rows in blocks())
-            > _RANGE_TOL * max(np.abs(rows).max() for rows in blocks())):
-        return None
-    return V[:, ~drop]
+    def blocks():  # each block's rows of the transposes and of the matrices
+        for i in range(0, len(mats), _BLOCK):
+            part = mats[i:i + _BLOCK]
+            part = part if L0 is None else part - L0
+            yield np.swapaxes(part, -1, -2).reshape(-1, c), part.reshape(-1, c)
+
+    grams = [0, 0]
+    for rows in blocks():
+        for side in (0, 1):
+            grams[side] = grams[side] + rows[side].conj().T @ rows[side]
+    bases, nulls = [None, None], {}
+    for side, G in enumerate(grams):
+        w, V = np.linalg.eigh(G)
+        drop = w <= _NULL_CANDIDATE * w[-1]
+        if drop.any():
+            bases[side], nulls[side] = V[:, ~drop], V[:, drop]
+    if nulls:
+        small, big = dict.fromkeys(nulls, 0.0), 0.0
+        for rows in blocks():
+            big = max(big, np.abs(rows[1]).max())
+            for side, N in nulls.items():
+                small[side] = max(small[side], np.abs(rows[side] @ N).max())
+        for side in nulls:
+            if small[side] > _RANGE_TOL * big:
+                bases[side] = None
+    return tuple(bases)
+
+
+def _width(c, bases):
+    """kc + kr, the summed widths of a joint range's sides (c for a side
+    with nothing to drop)."""
+    return sum(c if V is None else V.shape[1] for V in bases)
 
 
 def _pinv(M, hermitian=False):

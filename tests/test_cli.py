@@ -377,6 +377,10 @@ def test_effective_tensors_json(tmp_path):
     payload = json.loads((out / "effective.json").read_text())
     assert payload["converged"] is True
     assert payload["k0"] == [0.5, 0.0, 0.0]
+    # one entry per column: Gamma(k0) has rank 1, so only column 0 iterates;
+    # the transverse columns have a zero projected source and the scalar
+    # column is seeded from column 0
+    assert payload["iterations"][0] > 0 and payload["iterations"][1:] == [0, 0, 0]
     TE = np.array([[complex(re, im) for re, im in row]
                    for row in payload["tensor_e"]])
     assert TE.shape == (4, 4)

@@ -6,8 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gammasolve.fields import Block, BlockLayout, Grid
-from gammasolve.materials import LField, build_acoustics
-from gammasolve.projectors import gamma_helmholtz
+from gammasolve.materials import Checkerboard, LField, build_acoustics, build_elastodynamics
+from gammasolve.projectors import gamma_elastic, gamma_helmholtz
 from gammasolve.quasiperiodic import (
     EffectiveTensors,
     QuasiSource,
@@ -123,3 +123,48 @@ def test_amplitude_length_validated():
     with pytest.raises(ValueError):
         solve_quasiperiodic(grid, L, gamma_helmholtz(2),
                             QuasiSource(np.zeros(2), np.ones(5)))
+
+
+def _elastic_bloch_cell():
+    grid = Grid((8, 8, 8), (2.0 * np.pi,) * 3)
+    L = build_elastodynamics(grid, 1.0, Checkerboard((1.0, 2.0)),
+                             bulk=Checkerboard((2.0, 6.0)), shear=Checkerboard((1.0, 3.0)))
+    return grid, L, gamma_elastic(3), np.array([0.3, 0.1, 0.0]), None
+
+
+def _modulated_acoustic_cell():
+    grid = Grid((8, 8, 8), (2.0 * np.pi,) * 3)
+    x = grid.coordinates()
+    alpha = 0.3 * np.cos(x[:, 1]) + 0.2j * np.sin(x[:, 2])
+    return grid, _smooth_acoustics(grid), gamma_helmholtz(3), np.array([0.4, -0.1, 0.2]), alpha
+
+
+@pytest.mark.parametrize("case,solved", [(_elastic_bloch_cell, 3),
+                                         (_modulated_acoustic_cell, 3)],
+                         ids=["elastic", "modulated-acoustics"])
+def test_seeded_columns_match_column_by_column_solves(case, solved):
+    # The source reaches E only through Gamma1 s, so the 12 elastic columns
+    # span rank Gamma(k0) = 3 solves.  The modulated source excites the
+    # modes k0 + (0, k_y, k_z), whose Helmholtz bases (i (k + k0), 1) all
+    # tie the x component to the scalar one: its 4 columns span 3 solves.
+    # Each column is still one solve.
+    grid, L, gamma, k0, alpha = case()
+    eff = effective_tensors(grid, L, gamma, k0, modulation=alpha)
+    c = L.layout.ncomp
+    TE = np.zeros((c, c), dtype=complex)
+    TJ = np.zeros((c, c), dtype=complex)
+    iterations = []
+    for j in range(c):
+        res = solve_quasiperiodic(grid, L, gamma, QuasiSource(k0, np.eye(c)[j], alpha),
+                                  tol=1e-12, max_iter=4000)
+        TE[:, j] = res.E.values.mean(axis=0)
+        TJ[:, j] = res.J.values.mean(axis=0)
+        iterations.append(res.iterations)
+    assert len(eff.results) == c and all(r.converged for r in eff.results)
+    assert np.abs(eff.tensor_e - TE).max() <= 1e-12 * np.abs(TE).max()
+    assert np.abs(eff.tensor_j - TJ).max() <= 1e-12 * np.abs(TJ).max()
+    seeded = [r.iterations for r in eff.results]
+    assert sum(1 for n in seeded if n) == solved
+    assert sum(seeded) < sum(iterations)
+    for n, r in zip(seeded, eff.results):
+        assert n or (r.residual_history == [] and r.stop_reason == "converged")
