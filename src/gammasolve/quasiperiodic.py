@@ -86,14 +86,13 @@ def _source_gram_root(grid, gamma, k0, modulation):
     """R with R^H R = G = sum_k |p_hat(k)|^2 Gamma(k + k0) for the profile
     p = 1 + alpha, so that |Gamma1 s|^2 = |R a|^2 for the source
     s = a p(x) of amplitude a: the source's projection, and with it E, sees
-    a only through R a.  Without modulation G is Gamma(k0); with it, one
-    pass over the projector's kept basis, which the first solve built."""
-    if modulation is None:
-        G = gamma.symbol(k0)
-    else:
-        w = np.abs(transform(_profile(grid, modulation)[:, None], grid)[:, 0]) ** 2
-        B = _basis_on(gamma, grid, np.asarray(k0, dtype=float))
-        G = np.einsum("k,kcr,kdr->cd", w, B, B.conj())
+    a only through R a.  G is summed over the projector's kept basis, which
+    the first solve built, at the modes where p_hat is not zero: mode 0
+    alone for a constant profile, where G = npts Gamma(k0)."""
+    w = np.abs(transform(_profile(grid, modulation)[:, None], grid)[:, 0]) ** 2
+    k = np.flatnonzero(w)
+    B = _basis_on(gamma, grid, np.asarray(k0, dtype=float))[k]
+    G = np.einsum("k,kcr,kdr->cd", w[k], B, B.conj())
     lam, U = np.linalg.eigh(G)
     return np.sqrt(np.clip(lam, 0.0, None))[:, None] * U.conj().T
 

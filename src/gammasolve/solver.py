@@ -48,8 +48,7 @@ stays below the Krylov target.  On range(B^H), where b and every Krylov
 vector lie, M M^+ a = a + D a with D = M M^+ - B^H B, which is zero except
 at the modes where M is singular inside range(B^H) (Brinkman's k = 0
 hydrostatic gauge); D is kept at those modes only.  The reported residual
-reads B^H F (L E) for L_ref = L0, and (Uc^H B)^H F (Uc^H L E) for
-L_ref = 0, which holds all of L E.
+reads |B^H F (L E) - B^H s_hat| for either reference.
 
 * ``method="krylov"`` takes L0 as the mean of the canonical material over
   the grid points and runs GMRES-DR(m, m // 4) on K, restarted GMRES that
@@ -64,8 +63,10 @@ L_ref = 0, which holds all of L E.
   B M^+ = B / c this is the classical scheme E <- E + Gamma1 (s - L E) / c
   (Moulinec & Suquet; Eyre & Milton).
 
-:func:`_krylov` is the one GMRES entry point and :func:`_potential_matvec`
-the one potential-space operator; both methods iterate on it.
+:func:`_krylov` is the one GMRES entry point and :func:`_contrast_matvec`
+the one potential-space operator: the reference is its data, and both
+methods iterate on it.  Its transform core :func:`_potential_matvec` also
+assembles the dense oracle.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ class Problem:
     tol : float
         Target relative residual |Gamma1 (L E - s)| / |Gamma1 s|, positive.
     max_iter : int
-        Cap on inner Krylov (or fixed-point) iterations, at least 1.
+        Cap on inner Krylov (or fixed-point) iterations, a positive integer.
     method : {"krylov", "fixed_point"}
     reference : complex or None
         The ``c`` of the fixed-point scheme's reference medium L0 = c I, a
@@ -200,9 +201,8 @@ class SolveResult:
 def _krylov(matvec, b, tol, max_iter, restart=None, x0=None):
     """Restarted GMRES with deflated restarts, GMRES-DR(m, m // 4) (Saad &
     Schultz 1986; Morgan 2002), on a flat complex right-hand side ``b``,
-    from x = ``x0``, or from x = 0 when ``x0`` is None or its residual
-    |b - K x0| is no smaller than |b| (:func:`_start`).  Every tolerance
-    and history entry stays relative to |b|.
+    from x = ``x0``, or from x = 0 when ``x0`` is None (:func:`_start`).
+    Every tolerance and history entry stays relative to |b|.
 
     Each cycle builds an orthonormal Krylov basis by classical Gram-Schmidt
     with reorthogonalization (CGS2: two passes, each two matrix-vector
@@ -398,14 +398,14 @@ def _givens(a, b):
 
 def _start(matvec, b, x0):
     """The starting iterate x of a solve of K x = b and its residual
-    b - K x: ``x0`` when that residual is smaller than |b|, else x = 0 and
-    b itself (a guess that is no better than zero costs one matvec)."""
-    if x0 is not None:
-        r = matvec(x0)
-        np.subtract(b, r, out=r)
-        if _norm(r) < _norm(b):
-            return x0, r
-    return np.zeros_like(b), b
+    b - K x: ``x0`` and one matvec, or x = 0 and b itself when ``x0`` is
+    None.  The caller has measured the guess and passes only one that
+    beats the zero start."""
+    if x0 is None:
+        return np.zeros_like(b), b
+    r = matvec(x0)
+    np.subtract(b, r, out=r)
+    return x0, r
 
 
 def _richardson(matvec, b, tol, max_iter, x0=None):
@@ -443,18 +443,20 @@ def _potential_matvec(grid, left, apply, right, a):
 
 
 def _contrast_matvec(grid, left, apply, right, modes, D, a):
-    """K a = M M^+ a + left F apply(F^-1 (right a)) for flat potentials a
-    in range(B^H), where M M^+ a = a + D a and ``D`` holds
+    """K a = B^H L_ref B M^+ a + left F apply(F^-1 (right a)) for flat
+    potentials a in range(B^H).  The reference term is 0 when ``D`` is None
+    (L_ref = 0) and otherwise M M^+ a = a + D a, where ``D`` holds
     M M^+ - B^H B at the ``modes`` where it is not zero.  A contrast of
     width 0 (``right`` has no rows) transforms nothing."""
     if right.shape[-2]:
         Ka = _potential_matvec(grid, left, apply, right, a)
-        Ka += a
     else:
-        Ka = a.copy()
-    if len(modes):
-        x = a.reshape(len(right), -1)
-        Ka.reshape(x.shape)[modes] += _pointwise(D, x[modes])
+        Ka = np.zeros_like(a)
+    if D is not None:
+        Ka += a
+        if len(modes):
+            x = a.reshape(len(right), -1)
+            Ka.reshape(x.shape)[modes] += _pointwise(D, x[modes])
     return Ka
 
 
@@ -480,27 +482,21 @@ def _zero_result(problem, method):
     return SolveResult(Field.zeros(grid, layout), J, 0.0, 0, True, method)
 
 
-def _result(problem, Lc, B, e_hat, b, iterations, method, history, stop_reason,
-            left=None, Qc=None):
+def _result(problem, Lc, B, e_hat, b, iterations, method, history, stop_reason):
     """SolveResult for a Fourier-space solution e_hat (one material
     application serves J and the residual).  The residual
     |Gamma1 (L E - s)| / |Gamma1 s| is measured in potentials as
-    |B^H F (L E) - b| / |b|, equal since B is a partial isometry, with
-    B^H F (L E) = left F (Qc^H L E) for a given left = (Qc^H B)^H (left =
-    B^H when Qc is None).  Without ``left``, B^H is read as the conjugate
-    of a transposed view of B, so no second basis-sized array is made.
+    |B^H F (L E) - b| / |b|, equal since B is a partial isometry, for every
+    method, reference and guess; B^H is read as the conjugate of a
+    transposed view of B, so no second basis-sized array is made.
     ``stop_reason`` applies only when the residual misses the tolerance;
     a method that stopped as converged then reports ``"stalled"``."""
     grid, layout = problem.grid, problem.L.layout
     E = Field(grid, layout, e_hat, "fourier").to_real()
     LE = Lc.apply(E.values)
     J = Field(grid, layout, LE - problem.source.to_real().values)
-    if left is None:
-        flux = transform(LE, grid).conj()
-        r = _pointwise(np.swapaxes(B, -1, -2), flux).conj().ravel() - b
-    else:
-        flux = LE if Qc is None else LE @ Qc.conj()
-        r = _pointwise(left, transform(flux, grid)).ravel() - b
+    flux = transform(LE, grid).conj()
+    r = _pointwise(np.swapaxes(B, -1, -2), flux).conj().ravel() - b
     residual = float(np.linalg.norm(r) / np.linalg.norm(b))
     converged = residual <= problem.tol
     if converged:
@@ -519,11 +515,12 @@ def solve(problem):
     the zero field is returned as converged.  A guess ``problem.x0`` is
     measured first, as :func:`_result` measures E: if its projection
     Gamma1 x0 meets 0.25 tol it is returned with 0 iterations, before M^+,
-    the joint range or the factors are built.  Otherwise the iteration
-    starts from a0 = M B^H x0_hat, for which B M^+ a0 = Gamma1 x0_hat.
+    the joint range or the factors are built.  Otherwise, when its relative
+    residual is below 1, the iteration starts from a0 = M B^H x0_hat, for
+    which B M^+ a0 = Gamma1 x0_hat, and else from zero.
     """
-    if problem.max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    if not (isinstance(problem.max_iter, numbers.Integral) and problem.max_iter >= 1):
+        raise ValueError(f"max_iter must be a positive integer, got {problem.max_iter!r}")
     restart = problem.restart
     if restart is not None and not (isinstance(restart, numbers.Integral) and restart >= 1):
         raise ValueError(f"restart must be a positive integer or None, got {restart!r}")
@@ -539,12 +536,15 @@ def solve(problem):
     Lc, B, Bh, b = _potentials(problem)
     if not b.any():
         return _zero_result(problem, problem.method)
+    p0 = None
     if x0 is not None:
         p0 = _pointwise(Bh, x0.to_fourier().values)  # B^H x0_hat
         guess = _result(problem, Lc, B, _pointwise(B, p0), b, 0, problem.method, (),
                         "converged")
         if guess.residual <= 0.25 * problem.tol:
             return guess
+        if not guess.residual < 1:  # no better than the zero start (or NaN)
+            p0 = None
         del guess
 
     if problem.method == "krylov":
@@ -558,6 +558,7 @@ def solve(problem):
         L0 = c * np.eye(Lc.ncomp)
     else:
         raise ValueError(f"unknown method {problem.method!r}")
+    bases, contrast_bases = _range_bases(Lc), _range_bases(Lc, L0)
     # B M^+ with M = B^H L0 B is the thin factor of the exact per-mode
     # inverse of Gamma1 L0 Gamma1 + Gamma2.  The pseudo-inverse cutoff drops
     # the directions in which M is singular: Brinkman's k = 0 hydrostatic
@@ -566,31 +567,26 @@ def solve(problem):
     hermitian = np.abs(L0 - L0.conj().T).max() <= 1e-14 * np.abs(L0).max()
     M = Bh @ L0 @ B
     Minv = _pinv(M, hermitian)
-    a0 = None if x0 is None else _pointwise(M, p0).ravel()  # B M^+ a0 = B p0
-    del M
+    a0 = None if p0 is None else _pointwise(M, p0).ravel()  # B M^+ a0 = B p0
     # The reference is L0 when the contrast L - L0 has the narrower joint
-    # range and the split is faithful; the width test comes first, so a tie
-    # never scans M^+.  Only the picked map is restricted to its range.
-    bases = _range_bases(Lc)
-    contrast_bases = _range_bases(Lc, L0)
-    contrast = (_width(Lc.ncomp, contrast_bases) < _width(Lc.ncomp, bases)
-                and _SPLIT_ROUNDING * np.abs(L0).max() * np.abs(Minv).max()
-                <= 0.25 * problem.tol)
+    # range and the split is faithful, else 0; the width test comes first,
+    # so a tie never scans M^+.
     npts, r = Bh.shape[:2]  # left as one flat BLAS product
-    if contrast:
-        Qc, Lt, Pr = _joint_range(Lc, L0, contrast_bases)
+    ref = modes = D = None
+    if (_width(Lc.ncomp, contrast_bases) < _width(Lc.ncomp, bases)
+            and _SPLIT_ROUNDING * np.abs(L0).max() * np.abs(Minv).max() <= 0.25 * problem.tol):
+        ref, bases = L0, contrast_bases
         # D = M M^+ - B^H B is minus the projector onto the directions of
         # range(B^H) that M annihilates: at a mode it is either rounding, at
         # most about eps / PINV_CUTOFF, or has a diagonal entry of at least
-        # 1 / r.  M is formed again here rather than held through the
-        # joint-range search, which adds no array to the other path's set-up.
-        D = Bh @ L0 @ B @ Minv - Bh @ B
+        # 1 / r.
+        D = M @ Minv - Bh @ B
         modes = np.flatnonzero(np.abs(D).max(axis=(-2, -1)) > 0.5 / r)
         D = D[modes]
-    else:
-        Qc, Lt, Pr = _joint_range(Lc, bases=bases)
-    # Delta = Qc Lt Pr^H, and the constant Qc and Pr commute with F, so
-    # B^H F Delta F^-1 (B M^+ a) = left F Lt F^-1 (right a) with the
+    del M
+    Qc, Lt, Pr = _joint_range(Lc, ref, bases)
+    # L - L_ref = Qc Lt Pr^H, and the constant Qc and Pr commute with F, so
+    # B^H F (L - L_ref) F^-1 (B M^+ a) = left F Lt F^-1 (right a) with the
     # c'-wide factors left = (Qc^H B)^H and right = Pr^H B M^+; each is B^H
     # or B M^+ when nothing drops on its side.  The solve then holds B, M^+
     # and the two factors: B^H goes before right is made, and M^+ is
@@ -598,11 +594,7 @@ def solve(problem):
     left = Bh if Qc is None else (Bh.reshape(npts * r, -1) @ Qc).reshape(npts, r, -1)
     del Bh
     right = B @ Minv if Pr is None else _matmul_in_place(Pr.conj().T @ B, Minv)
-    if contrast:
-        matvec = functools.partial(_contrast_matvec, problem.grid, left, Lt.apply, right,
-                                   modes, D)
-    else:
-        matvec = functools.partial(_potential_matvec, problem.grid, left, Lt.apply, right)
+    matvec = functools.partial(_contrast_matvec, problem.grid, left, Lt.apply, right, modes, D)
     if problem.method == "krylov":
         a, history, stop_reason = _krylov(matvec, b, problem.tol, problem.max_iter,
                                           restart, a0)
@@ -610,10 +602,8 @@ def solve(problem):
         a, history, stop_reason = _richardson(matvec, b, problem.tol, problem.max_iter,
                                               a0)
     e_hat = _pointwise(B, _pointwise(Minv, a.reshape(problem.grid.npoints, -1)))
-    if contrast:  # Uc^H L E does not hold all of L E
-        left = Qc = None
     return _result(problem, Lc, B, e_hat, b, len(history), problem.method, history,
-                   stop_reason, left, Qc)
+                   stop_reason)
 
 
 def _matmul_in_place(X, M, block=4096):
@@ -758,7 +748,7 @@ def solve_dense(problem, limit=4096):
         return _zero_result(problem, "dense")
     x = np.linalg.solve(A, _pointwise(B, b.reshape(problem.grid.npoints, -1)).ravel())
     e_hat = _pointwise(B, _pointwise(Bh, x.reshape(problem.grid.npoints, -1)))
-    return _result(problem, Lc, B, e_hat, b, 1, "dense", (), "stalled", Bh)
+    return _result(problem, Lc, B, e_hat, b, 1, "dense", (), "stalled")
 
 
 # ---------------------------------------------------------------------------

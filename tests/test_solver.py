@@ -1066,12 +1066,14 @@ def test_hermitian_preconditioner_pseudo_inverse():
 
 
 @pytest.mark.parametrize("field,value", [("restart", 0), ("restart", -3), ("restart", 2.5),
-                                         ("tol", np.nan), ("tol", -1.0), ("tol", 0.0)])
+                                         ("tol", np.nan), ("tol", -1.0), ("tol", 0.0),
+                                         ("max_iter", 2.5), ("max_iter", 10.0)])
 @pytest.mark.parametrize("method", ["krylov", "fixed_point"])
 def test_solve_rejects_an_invalid_restart_or_tol(method, field, value):
     # restart=0 used to raise ZeroDivisionError inside the Krylov driver,
     # -3 numpy's "negative dimensions" and 2.5 a TypeError; a NaN or
-    # negative tol ran silently to the iteration cap
+    # negative tol ran silently to the iteration cap; a float max_iter
+    # raised a TypeError after the whole set-up
     grid, L, s = _definite_helmholtz_case()
     prob = Problem(grid=grid, L=L, gamma=gamma_helmholtz(2), source=s, method=method)
     setattr(prob, field, value)
@@ -1165,6 +1167,7 @@ def _full_operator(problem):
 def _assert_operator_is_the_full_operator(monkeypatch, problem, widths):
     matvec, seen = _solve_operator(monkeypatch, problem)
     assert seen == widths
+    assert matvec.func is sv._contrast_matvec  # one operator for either reference
     full, vector = _full_operator(problem)
     for _ in range(3):
         a = vector()
@@ -1402,18 +1405,21 @@ def test_fixed_point_starts_from_a_partial_guess():
 
 
 @pytest.mark.parametrize("method", ["krylov", "fixed_point"])
-def test_a_guess_worse_than_zero_gives_the_zero_start(method):
+def test_a_guess_worse_than_zero_gives_the_zero_start(monkeypatch, method):
     problem, ref = _guess_case()
     problem = Problem(**dict(vars(problem), method=method, tol=1e-6, reference=None))
+    counts = _count_transforms_and_matvecs(monkeypatch)
     zero = solve(problem)
+    matvecs = counts["matvecs"]
     x0 = Field(problem.grid, ref.E.layout, -3.0 * ref.E.values)
     res = solve(Problem(**dict(vars(problem), x0=x0)))
+    assert counts["matvecs"] == 2 * matvecs  # a rejected guess applies no operator
     assert res.residual_history == zero.residual_history
     assert res.iterations == zero.iterations and res.stop_reason == zero.stop_reason
     assert np.array_equal(res.E.values, zero.E.values)
 
 
-def test_krylov_starts_from_x0_or_falls_back_to_zero():
+def test_krylov_starts_from_x0():
     K, b = _nonnormal_system(0)
 
     def matvec(x):
@@ -1424,7 +1430,7 @@ def test_krylov_starts_from_x0_or_falls_back_to_zero():
     assert reason == "converged" and len(warm) < len(history)
     assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
     cold = _krylov(matvec, b, 1e-10, 200, x0=np.zeros_like(b))[1]
-    assert cold == history  # |b - K 0| = |b| is no better than zero
+    assert cold == history  # a zero guess is the zero start: b - K 0 = b
 
 
 def test_a_guess_must_live_on_the_source_grid_and_layout():
