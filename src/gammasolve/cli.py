@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import inspect
 import json
+import math
 import os
 import sys
 import time
@@ -69,7 +70,9 @@ def _require(node, key, path):
 
 
 def _is_number(node):
-    return isinstance(node, (int, float)) and not isinstance(node, bool)
+    """A finite JSON number: Python's json also reads NaN and Infinity."""
+    return (isinstance(node, (int, float)) and not isinstance(node, bool)
+            and math.isfinite(node))
 
 
 def _scalar(node, path):
@@ -78,13 +81,14 @@ def _scalar(node, path):
         return float(node)
     if isinstance(node, list) and len(node) == 2 and all(map(_is_number, node)):
         return complex(node[0], node[1])
-    raise ConfigError(f"'{path}' must be a number or [re, im] pair")
+    raise ConfigError(f"'{path}' must be a finite number or [re, im] pair")
 
 
 def _number(node, path, positive=False):
     """A real JSON number, positive when ``positive``."""
     if not _is_number(node) or (positive and not node > 0):
-        raise ConfigError(f"'{path}' must be a {'positive ' if positive else ''}number")
+        raise ConfigError(f"'{path}' must be a finite {'positive ' if positive else ''}"
+                          "number")
     return float(node)
 
 
@@ -132,12 +136,22 @@ def _parse_param(node, path, ndim):
     if kind == "voxel":
         _check_unknown(node, {"type", "path"}, path)
         try:
-            return Voxel(np.load(_require(node, "path", path)))
+            values = np.load(_require(node, "path", path))
         except (ValueError, EOFError) as exc:
             raise ConfigError(f"'{path}.path' is not a NumPy array file: {exc}")
+        if not (np.issubdtype(values.dtype, np.number) and np.isfinite(values).all()):
+            raise ConfigError(f"'{path}.path' must hold finite numbers")
+        return Voxel(values)
     if kind == "array":
         _check_unknown(node, {"type", "values"}, path)
-        return np.array(_require(node, "values", path), dtype=np.complex128)
+        values = _require(node, "values", path)
+        try:
+            values = np.array(values, dtype=np.complex128)
+            if np.isfinite(values).all():
+                return values
+        except (TypeError, ValueError):
+            pass
+        raise ConfigError(f"'{path}.values' must hold finite numbers")
     raise ConfigError(f"unknown parameter type '{kind}' at '{path}'")
 
 

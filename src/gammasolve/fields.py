@@ -161,8 +161,8 @@ class Grid:
             raise ValueError("dims and lengths must have equal length")
         if any(n < 1 for n in self.dims):
             raise ValueError("grid dims must be positive")
-        if any(L <= 0 for L in self.lengths):
-            raise ValueError("grid lengths must be positive")
+        if not all(0 < L < math.inf for L in self.lengths):  # also a NaN
+            raise ValueError("grid lengths must be finite and positive")
 
     @property
     def ndim(self):
@@ -474,12 +474,15 @@ def read_uplf(path):
         kind_code, d = take("<BI")
         if kind_code not in _KIND_NAMES:
             raise UPLFError(f"unknown block kind code {kind_code}")
-        blocks.append(Block(_KIND_NAMES[kind_code], d))
+        blocks.append((_KIND_NAMES[kind_code], d))
     (rep_code,) = take("<B")
     if rep_code not in _REP_NAMES:
         raise UPLFError(f"unknown representation code {rep_code}")
-    grid = Grid(dims, lengths)
-    layout = BlockLayout(tuple(blocks))
+    try:
+        grid = Grid(dims, lengths)
+        layout = BlockLayout(tuple(Block(kind, d) for kind, d in blocks))
+    except ValueError as exc:  # a header that Grid or Block rejects
+        raise UPLFError(f"bad header: {exc}") from None
     count = grid.npoints * layout.ncomp
     expected = count * 16
     payload = buf[off:]

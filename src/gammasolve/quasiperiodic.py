@@ -124,8 +124,11 @@ def effective_tensors(grid, L, gamma, k0, modulation=None, tol=1e-12, max_iter=4
     with sum_i g_i E_i over the columns already solved, where e_j ~
     sum_i g_i e_i is the least-squares fit in the G^(1/2) norm: a column in
     their span starts at its solution and, when that meets the target,
-    returns it with 0 iterations.  ``results`` holds one SolveResult per
-    column.
+    returns it with 0 iterations.  A fitted part |R[:, :j] g| of at most
+    PINV_CUTOFF times R's largest column norm is rounding noise, as for a
+    column independent of those solved: that column starts from zero, and
+    no seed is built only for the solve to reject it.  ``results`` holds
+    one SolveResult per column.
     """
     c = L.layout.ncomp
     TE = np.zeros((c, c), dtype=np.complex128)
@@ -141,8 +144,9 @@ def effective_tensors(grid, L, gamma, k0, modulation=None, tol=1e-12, max_iter=4
             if R is None:  # after the first solve, which keeps the basis
                 R = _source_gram_root(grid, gamma, k0, modulation)
                 seed = np.empty((grid.npoints, c), dtype=np.complex128)
+                noise = PINV_CUTOFF * np.linalg.norm(R, axis=0).max()
             g = np.linalg.lstsq(R[:, :j], R[:, j], rcond=PINV_CUTOFF)[0]
-            if g.any():
+            if np.linalg.norm(R[:, :j] @ g) > noise:
                 x0 = Field(grid, L.layout, _combine(seed, g, [r.E.values for r in results]))
         res = solve_quasiperiodic(
             grid, L, gamma, QuasiSource(k0, amp, modulation),

@@ -204,19 +204,24 @@ def _krylov(matvec, b, tol, max_iter, restart=None, x0=None):
     from x = ``x0``, or from x = 0 when ``x0`` is None (:func:`_start`).
     Every tolerance and history entry stays relative to |b|.
 
-    Each cycle builds an orthonormal Krylov basis by classical Gram-Schmidt
-    with reorthogonalization (CGS2: two passes, each two matrix-vector
-    products on a preallocated basis; Giraud et al. 2005) and tracks the
-    least-squares residual estimate with Givens rotations.  A cycle ends
-    when that estimate reaches 0.25 * tol * |b|, on a happy breakdown or
-    when the basis holds m + 1 vectors, m = min(40, n, max_iter) unless
-    ``restart`` gives it, with n = b.size (npts r potential unknowns for
-    the canonical solve), or when the budget of ``max_iter`` iterations
-    runs out.  The cycle's correction solves the small least-squares
-    problem by truncated SVD, and one more matvec measures the true
-    residual |b - K x|, which replaces the cycle's last history entry, so
-    the history ends in the norm of the returned iterate.  The solve stops
-    as ``"converged"`` when the true residual is at most 0.25 * tol * |b|.
+    Each cycle builds an orthonormal Krylov basis V by classical
+    Gram-Schmidt with reorthogonalization (CGS2: two passes, each two
+    matrix-vector products on a preallocated basis; Giraud et al. 2005).
+    V, the Hessenberg matrix H of the Arnoldi relation K V[:p] =
+    V[:p + 1] H[:p + 1, :p] over the cycle's p columns and the coordinates
+    rhs of its starting residual in V are all the state a cycle keeps.
+    Givens rotations serve only the least-squares residual estimate after
+    each iteration: each new column is rotated for its last entry alone,
+    and nothing of it is stored.  A cycle ends when that estimate reaches
+    0.25 * tol * |b|, on a happy breakdown or when the basis holds m + 1
+    vectors, m = min(40, n, max_iter) unless ``restart`` gives it, with
+    n = b.size (npts r potential unknowns for the canonical solve), or when
+    the budget of ``max_iter`` iterations runs out.  The cycle's correction
+    is the least-squares solution y of H[:p + 1, :p] y = rhs[:p + 1] by
+    truncated SVD, and one more matvec measures the true residual
+    |b - K x|, which replaces the cycle's last history entry, so the
+    history ends in the norm of the returned iterate.  The solve stops as
+    ``"converged"`` when the true residual is at most 0.25 * tol * |b|.
     A cycle that does not lower the true residual returns its starting
     iterate as ``"stagnated"`` (the better iterate, as for singular or
     inconsistent systems: Brown & Walker 1997); a happy breakdown that
@@ -229,12 +234,13 @@ def _krylov(matvec, b, tol, max_iter, restart=None, x0=None):
     new ones, so the eigenvalues near 0 that stall plain restarted GMRES
     stay deflated across restarts.  Its first k + 1 basis vectors span
     the previous residual, which the next least-squares problem then
-    minimizes over all m directions; a Householder QR of its full
-    (k + 1) x k leading block starts the Givens rotations.  A cycle
-    restarts plainly from the true residual when m < 4, when the harmonic
-    Ritz vectors cannot be formed, or when its estimate met the target
-    but the true residual did not.  The first cycle is plain GMRES, so a
-    solve that converges within it does not depend on the restart scheme.
+    minimizes over all m directions; for the estimate, a Householder QR of
+    the full (k + 1) x k leading block of H takes the place of the first k
+    rotations.  A cycle restarts plainly from the true residual (V[0] =
+    r / |r|, H = 0, rhs = |r| e_0) when m < 4, when the harmonic Ritz
+    vectors cannot be formed, or when its estimate met the target but the
+    true residual did not.  The first cycle is plain GMRES, so a solve that
+    converges within it does not depend on the restart scheme.
 
     Returns ``(x, history, stop_reason)`` with the relative residual after
     each inner iteration in ``history``.  ``matvec`` must return a new
@@ -249,24 +255,23 @@ def _krylov(matvec, b, tol, max_iter, restart=None, x0=None):
     target = 0.25 * tol * b_norm
     x, r = _start(matvec, b, x0)
     beta, start = _norm(r), 0
+    # A cycle starts at column ``start``: 0, or keep after a deflation, which
+    # writes the first columns of V, H and rhs.
     V = np.empty((m + 1, n), dtype=np.complex128)
-    np.multiply(r, 1.0 / beta, out=V[0])
-    del r
-    # The cycle's Arnoldi relation K V[:m] = V H and its residual V rhs;
-    # a cycle starts at column ``start`` (0, or keep after a deflation).
     H = np.zeros((m + 1, m), dtype=np.complex128)
     rhs = np.zeros(m + 1, dtype=np.complex128)
-    rhs[0] = beta
     history = []
     while len(history) < max_iter:
         if start:
             # Q^H of the leading block's QR plays the role of the rotations
-            Q, Rk = np.linalg.qr(H[: start + 1, :start], mode="complete")
-            Qh = Q.conj().T
-            cols = [Rk[: i + 1, i].tolist() for i in range(start)]
-            g = (Qh @ rhs[: start + 1]).tolist()
+            Qh = np.linalg.qr(H[: start + 1, :start], mode="complete")[0].conj().T
+            g = complex((Qh @ rhs[: start + 1])[start])
         else:
-            cols, g = [], [complex(beta)]
+            np.multiply(r, 1.0 / beta, out=V[0])
+            H[:] = 0.0
+            rhs[:] = 0.0
+            rhs[0] = g = complex(beta)
+        del r  # the cycle holds no residual beside V
         rots = []
         for j in range(start, min(m, start + max_iter - len(history))):
             w = matvec(V[j])
@@ -281,29 +286,23 @@ def _krylov(matvec, b, tol, max_iter, restart=None, x0=None):
             if not breakdown:
                 np.multiply(w, 1.0 / h_next, out=V[j + 1])
             H[: j + 1, j], H[j + 1, j] = h, h_next
+            # Rotating the new column needs only its running entry t
             col = h.tolist()
-            if start:
-                col[: start + 1] = (Qh @ h[: start + 1]).tolist()
-            for i, (c, s) in enumerate(rots, start):
-                col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
-                                      c * col[i + 1] - s.conjugate() * col[i])
-            c, s, col[j] = _givens(col[j], h_next)
+            t = complex((Qh @ h[: start + 1])[start]) if start else col[0]
+            for i, (c, s) in enumerate(rots, start + 1):
+                t = c * col[i] - s.conjugate() * t
+            c, s = _givens(t, h_next)
             rots.append((c, s))
-            cols.append(col)
-            g.append(-s.conjugate() * g[j])
-            g[j] *= c
-            estimate = abs(g[j + 1])
+            g = -s.conjugate() * g
+            estimate = abs(g)
             history.append(estimate / b_norm)
             if estimate <= target or breakdown:
                 break
-        k = len(cols)
-        R = np.zeros((k, k), dtype=np.complex128)
-        for i, col in enumerate(cols):
-            R[: i + 1, i] = col
-        # A truncated-SVD least-squares solve drops the directions of a
-        # numerically singular R; back substitution there (a singular or
-        # inconsistent K) turns rounding into a huge, useless correction.
-        y = np.linalg.lstsq(R, g[:k], rcond=None)[0]
+        k = j + 1
+        # The truncated SVD drops the directions of a numerically singular
+        # H; back substitution there (a singular or inconsistent K) turns
+        # rounding into a huge, useless correction.
+        y = np.linalg.lstsq(H[: k + 1, :k], rhs[: k + 1], rcond=None)[0]
         x_new = x + y @ V[:k]
         r = matvec(x_new)
         np.subtract(b, r, out=r)
@@ -318,16 +317,8 @@ def _krylov(matvec, b, tol, max_iter, restart=None, x0=None):
         if breakdown:
             return x_new, history, "breakdown"
         x, beta = x_new, r_norm
-        if (keep and k == m and estimate > target and len(history) < max_iter
-                and _deflate(V, H, rhs, keep)):
-            start = keep
-        else:
-            np.multiply(r, 1.0 / beta, out=V[0])
-            H[:] = 0.0
-            rhs[:] = 0.0
-            rhs[0] = beta
-            start = 0
-        del r  # the next cycle holds no residual beside V
+        start = keep if (keep and k == m and estimate > target and len(history) < max_iter
+                         and _deflate(V, H, rhs, keep)) else 0
     return x, history, "max_iter"
 
 
@@ -386,14 +377,13 @@ def _norm(v):
 
 def _givens(a, b):
     """Rotation (c, s) with c real and [[c, s], [-conj(s), c]] (a, b) =
-    (rho, 0) for complex a and real b >= 0; returns (c, s, rho)."""
+    (rho, 0) for complex a and real b >= 0."""
     d = math.hypot(abs(a), b)
     if d == 0.0:
-        return 1.0, 0j, 0j
+        return 1.0, 0j
     if a == 0:
-        return 0.0, 1 + 0j, complex(d)
-    phase = a / abs(a)
-    return abs(a) / d, phase * (b / d), phase * d
+        return 0.0, 1 + 0j
+    return abs(a) / d, (a / abs(a)) * (b / d)
 
 
 def _start(matvec, b, x0):
@@ -756,6 +746,15 @@ def solve_dense(problem, limit=4096):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _pair_projector(nd):
+    """The projector onto scalar-gradient pairs (grad c, c) on nd axes, one
+    object per dimension: it keeps the basis of its last (grid, shift)
+    (:func:`projectors._basis_on`), so repeated internal solves on one grid
+    build it once."""
+    return gamma_helmholtz(nd)
+
+
 def solve_resolvent(grid, z, B, f, tol=1e-10, max_iter=2000):
     """Solve (z - D^dagger B D) psi = f for a scalar potential psi, where
     D c = (grad c, c) and B is a material on the (vector, scalar) layout
@@ -781,7 +780,7 @@ def solve_resolvent(grid, z, B, f, tol=1e-10, max_iter=2000):
     s = np.zeros((grid.npoints, nd + 1), dtype=np.complex128)
     s[:, nd] = -f.values[:, 0]
     L = LField(B.layout, values, index=B.index)
-    res = solve(Problem(grid=grid, L=L, gamma=gamma_helmholtz(nd),
+    res = solve(Problem(grid=grid, L=L, gamma=_pair_projector(nd),
                         source=Field(grid, B.layout, s, f.representation), tol=tol,
                         max_iter=max_iter))
     if not res.converged:

@@ -3,6 +3,7 @@ temporary JSON configs, with exit codes, output files, and error paths."""
 
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gammasolve import cli
-from gammasolve.fields import Field, get_fft_workers, random_field, read_uplf, set_fft_workers, write_uplf
+from gammasolve.fields import (Field, Grid, get_fft_workers, random_field, read_uplf,
+                               scalar_layout, set_fft_workers, write_uplf)
 from gammasolve.materials import (
     PHYSICS,
     MaterialSpec,
@@ -181,12 +183,25 @@ def test_config_errors_exit_1_with_path(tmp_path, capsys, material, source, path
                                            "rho": 1.0}),
         source={"type": "constant", "amplitude": [0.0, 0.0, 1.0]}),
      "material.params.kappa.path"),
-], ids=["solve-uplf-source", "project-input", "voxel-path"])
+    ("project", {"input": "zero.uplf", "output": "g.uplf",
+                 "projector": {"family": "helmholtz"}}, "input"),
+    ("solve", dict(_ACOUSTICS_2D, material=dict(
+        _ACOUSTICS_2D["material"], params={"kappa": {"type": "voxel", "path": "nan.npy"},
+                                           "rho": 1.0}),
+        source={"type": "constant", "amplitude": [0.0, 0.0, 1.0]}),
+     "material.params.kappa.path"),
+], ids=["solve-uplf-source", "project-input", "voxel-path", "project-zero-dim-header",
+        "voxel-nan"])
 def test_corrupt_data_files_are_config_errors(tmp_path, monkeypatch, capsys, command,
                                               config, path):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.uplf").write_bytes(b"garbage")
+    write_uplf("zero.uplf", Field.zeros(Grid((2, 2), (1.0, 1.0)), scalar_layout()))
+    raw = bytearray((tmp_path / "zero.uplf").read_bytes())
+    raw[12:20] = struct.pack("<Q", 0)  # the first grid dimension
+    (tmp_path / "zero.uplf").write_bytes(bytes(raw))
     (tmp_path / "v.npy").write_bytes(b"ab")
+    np.save("nan.npy", np.r_[np.ones(15), np.nan])
     cfg = _write_config(tmp_path / "c.json", config)
     assert cli.main([command, "--config", cfg, "--out", "o"]) == 1
     err = capsys.readouterr().err
@@ -274,6 +289,25 @@ def _layered_kappa(**descriptor):
      "scan.count"),
     ("dispersion", dict(_DISPERSION_CFG, scan={"start": 0.0, "stop": 1.0, "count": -3}),
      "scan.count"),
+    ("solve", dict(SOLVE_CFG, grid={"dims": [8, 8, 8], "lengths": [np.inf, 1.0, 1.0]}),
+     "grid.lengths[0]"),
+    ("solve", dict(SOLVE_CFG, material=dict(SOLVE_CFG["material"], omega=np.nan)),
+     "material.omega"),
+    ("solve", dict(SOLVE_CFG, solver={"tol": np.nan}), "solver.tol"),
+    ("solve", dict(SOLVE_CFG, solver={"tol": np.inf}), "solver.tol"),
+    ("solve", dict(SOLVE_CFG, material=dict(SOLVE_CFG["material"], omega=[1.0, np.nan])),
+     "material.omega"),
+    ("solve", dict(SOLVE_CFG, material=dict(SOLVE_CFG["material"], params={
+        "kappa": {"type": "array", "values": [1.0] * 511 + [np.nan]}, "rho": 1.0})),
+     "material.params.kappa.values"),
+    ("solve", dict(SOLVE_CFG, material=dict(SOLVE_CFG["material"], params={
+        "kappa": {"type": "array", "values": ["a"] * 512}, "rho": 1.0})),
+     "material.params.kappa.values"),
+    ("solve", dict(SOLVE_CFG, source={"type": "constant",
+                                      "amplitude": [0.0, 0.0, 0.0, np.inf]}),
+     "source.amplitude[3]"),
+    ("dispersion", dict(_DISPERSION_CFG, scan={"start": 0.0, "stop": np.inf, "count": 3}),
+     "scan.stop"),
 ], ids=["effective-modulation", "effective-k0", "schrodinger-potential",
         "schrodinger-perturbation", "schrodinger-kinetic", "schrodinger-grid",
         "solve-shift", "solve-method", "project-which", "project-shift",
@@ -284,7 +318,10 @@ def _layered_kappa(**descriptor):
         "solve-lengths-length", "solve-layered-axis-string", "solve-layered-axis-range",
         "solve-layered-breakpoints-string", "schrodinger-state_index-negative",
         "schrodinger-state_index-string", "schrodinger-state_index-range",
-        "dispersion-count-string", "dispersion-count-negative"])
+        "dispersion-count-string", "dispersion-count-negative", "solve-lengths-infinite",
+        "solve-omega-nan", "solve-tol-nan", "solve-tol-infinite", "solve-omega-pair-nan",
+        "solve-array-nan", "solve-array-strings", "solve-amplitude-infinite",
+        "dispersion-stop-infinite"])
 def test_config_errors_of_every_subcommand_name_their_path(
         tmp_path, monkeypatch, capsys, command, config, path):
     from gammasolve.fields import Block, BlockLayout, Grid

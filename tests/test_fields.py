@@ -50,6 +50,12 @@ def test_block_rejects_unknown_kind():
         Block("spinor", 2)
 
 
+@pytest.mark.parametrize("length", [0.0, -1.0, np.nan, np.inf])
+def test_grid_rejects_lengths_that_are_not_finite_and_positive(length):
+    with pytest.raises(ValueError, match="finite and positive"):
+        Grid((4, 4), (1.0, length))
+
+
 def test_grid_basic_properties():
     assert GRID.ndim == 3
     assert GRID.npoints == 8 * 6 * 4
@@ -222,6 +228,31 @@ def test_uplf_rejects_corrupt_input(tmp_path):
     trunc.write_bytes(p.read_bytes()[:-8])
     with pytest.raises(UPLFError):
         read_uplf(trunc)
+
+
+def _uplf_header(dims, lengths, blocks):
+    """A UPLF file of the given header and no payload."""
+    raw = struct.pack("<4sII", b"UPLF", 1, len(dims))
+    raw += struct.pack(f"<{len(dims)}Q", *dims) + struct.pack(f"<{len(dims)}d", *lengths)
+    raw += struct.pack("<I", len(blocks))
+    raw += b"".join(struct.pack("<BI", kind, d) for kind, d in blocks)
+    return raw + struct.pack("<B", 0)
+
+
+@pytest.mark.parametrize("dims,lengths,blocks", [
+    ((0, 2), (1.0, 1.0), [(0, 1)]),
+    ((2, 2), (0.0, 1.0), [(0, 1)]),
+    ((2, 2), (-1.0, 1.0), [(0, 1)]),
+    ((2, 2), (np.nan, 1.0), [(0, 1)]),
+    ((2, 2), (np.inf, 1.0), [(0, 1)]),
+    ((2, 2), (1.0, 1.0), [(1, 0)]),
+], ids=["zero-dim", "zero-length", "negative-length", "nan-length", "inf-length",
+        "zero-block-size"])
+def test_uplf_rejects_headers_that_grid_or_block_reject(tmp_path, dims, lengths, blocks):
+    p = tmp_path / "h.uplf"
+    p.write_bytes(_uplf_header(dims, lengths, blocks))
+    with pytest.raises(UPLFError, match="bad header"):
+        read_uplf(p)
 
 
 @settings(max_examples=25, deadline=None)
