@@ -139,7 +139,8 @@ def _parse_param(node, path, ndim):
             values = np.load(_require(node, "path", path))
         except (ValueError, EOFError) as exc:
             raise ConfigError(f"'{path}.path' is not a NumPy array file: {exc}")
-        if not (np.issubdtype(values.dtype, np.number) and np.isfinite(values).all()):
+        # Booleans count as 0 and 1; strings and other non-numbers do not.
+        if not (values.dtype.kind in "biufc" and np.isfinite(values).all()):
             raise ConfigError(f"'{path}.path' must hold finite numbers")
         return Voxel(values)
     if kind == "array":

@@ -398,7 +398,8 @@ def perturbation_solve(material, psi, vprime, tol=1e-10, max_iter=2000):
     the gauge is enforced exactly afterwards.
     """
     from .fields import inner_product
-    from .solver import Problem, _pair_projector, solve
+    from .materials import default_projector
+    from .solver import Problem, solve
 
     grid = psi.grid
     nd = grid.ndim
@@ -421,7 +422,7 @@ def perturbation_solve(material, psi, vprime, tol=1e-10, max_iter=2000):
     if np.linalg.norm(s_hat) <= 1e-13 * max(scale, 1e-300):
         zero = Field.zeros(grid, scalar_layout())
         return PerturbationResult(e_prime, zero, 0.0, 0, True)
-    res = solve(Problem(grid=grid, L=material, gamma=_pair_projector(nd),
+    res = solve(Problem(grid=grid, L=material, gamma=default_projector("schrodinger", grid),
                         source=Field(grid, material.layout, s_hat, "fourier"), tol=tol,
                         max_iter=max_iter))
     psi_prime = Field(grid, scalar_layout(), res.E.values[:, nd:])

@@ -746,15 +746,6 @@ def solve_dense(problem, limit=4096):
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _pair_projector(nd):
-    """The projector onto scalar-gradient pairs (grad c, c) on nd axes, one
-    object per dimension: it keeps the basis of its last (grid, shift)
-    (:func:`projectors._basis_on`), so repeated internal solves on one grid
-    build it once."""
-    return gamma_helmholtz(nd)
-
-
 def solve_resolvent(grid, z, B, f, tol=1e-10, max_iter=2000):
     """Solve (z - D^dagger B D) psi = f for a scalar potential psi, where
     D c = (grad c, c) and B is a material on the (vector, scalar) layout
@@ -780,7 +771,7 @@ def solve_resolvent(grid, z, B, f, tol=1e-10, max_iter=2000):
     s = np.zeros((grid.npoints, nd + 1), dtype=np.complex128)
     s[:, nd] = -f.values[:, 0]
     L = LField(B.layout, values, index=B.index)
-    res = solve(Problem(grid=grid, L=L, gamma=_pair_projector(nd),
+    res = solve(Problem(grid=grid, L=L, gamma=gamma_helmholtz(nd),
                         source=Field(grid, B.layout, s, f.representation), tol=tol,
                         max_iter=max_iter))
     if not res.converged:

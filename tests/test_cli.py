@@ -209,6 +209,13 @@ def test_corrupt_data_files_are_config_errors(tmp_path, monkeypatch, capsys, com
     assert "Traceback" not in err
 
 
+def test_voxel_file_of_booleans_reads_as_zeros_and_ones(tmp_path):
+    np.save(tmp_path / "mask.npy", np.arange(16) % 3 == 0)
+    param = cli._parse_param({"type": "voxel", "path": str(tmp_path / "mask.npy")},
+                             "material.params.kappa", 2)
+    assert_allclose(param.evaluate(Grid((4, 4), (1.0, 1.0))), np.arange(16) % 3 == 0)
+
+
 EFFECTIVE_CFG = {"grid": {"dims": [4, 4]},
                  "material": {"physics": "acoustics", "omega": 0.5,
                               "params": {"kappa": 1.0, "rho": 1.0}},

@@ -1006,40 +1006,6 @@ def test_resolvent_acoustics_duality():
     assert np.max(np.abs(psi.values[:, 0] - res.E.values[:, 3])) < 1e-10 * scale
 
 
-def _two_resolvent_solves():
-    grid = Grid((8, 8), (2.0 * np.pi,) * 2)
-    B = _second_order_B(grid, 1.0, 0.25)
-    f = random_field(grid, scalar_layout(), seed=3)
-    return [solve_resolvent(grid, z, B, f) for z in (9.7, 0.7 + 0.2j)]
-
-
-def _two_perturbation_solves():
-    grid = Grid((24,), (2.0 * np.pi,))
-    x = grid.coordinates()[:, 0]
-    V = 0.8 * np.cos(x)
-    E, states = ground_state(grid, 1.0, V, nstates=1)
-    mat = build_schrodinger(grid, E[0], 1.0, V)
-    return [perturbation_solve(mat, states[0], vp).iterations
-            for vp in (np.cos(x), 0.5 * np.cos(2.0 * x))]
-
-
-@pytest.mark.parametrize("calls", [_two_resolvent_solves, _two_perturbation_solves],
-                         ids=["solve_resolvent", "perturbation_solve"])
-def test_repeated_internal_solves_build_the_basis_once(monkeypatch, calls):
-    # Both build their problem's projector internally; one projector per
-    # dimension keeps its basis across calls on one grid.
-    sv._pair_projector.cache_clear()
-    builds, basis = [], Projector.basis
-
-    def spy(self, K):
-        builds.append(len(K))
-        return basis(self, K)
-
-    monkeypatch.setattr(Projector, "basis", spy)
-    assert all(calls())
-    assert len(builds) == 1
-
-
 # ---------------------------------------------------------------------------
 # Residual functional
 # ---------------------------------------------------------------------------
