@@ -112,7 +112,8 @@ def _list(node, path, item=_scalar, length=None):
 
 def _parse_param(node, path, ndim):
     """Material parameter on an ``ndim``-axis grid: scalar, [re,im], or a
-    descriptor object."""
+    descriptor object.  A JSON boolean is not a number anywhere in it,
+    while a ``voxel`` file of booleans reads as 0 and 1."""
     if not isinstance(node, dict):
         return _scalar(node, path)
     kind = _require(node, "type", path)
@@ -147,9 +148,10 @@ def _parse_param(node, path, ndim):
         _check_unknown(node, {"type", "values"}, path)
         values = _require(node, "values", path)
         try:
-            values = np.array(values, dtype=np.complex128)
-            if np.isfinite(values).all():
-                return values
+            if not any(isinstance(v, bool) for v in np.array(values, dtype=object).flat):
+                values = np.array(values, dtype=np.complex128)
+                if np.isfinite(values).all():
+                    return values
         except (TypeError, ValueError):
             pass
         raise ConfigError(f"'{path}.values' must hold finite numbers")
@@ -160,6 +162,8 @@ def _parse_grid(node, path="grid"):
     _check_unknown(node, {"dims", "lengths"}, path)
     dims = _list(_require(node, "dims", path), f"{path}.dims",
                  lambda n, where: _integer(n, where, 1))
+    if not dims:
+        raise ConfigError(f"'{path}.dims' must list at least one axis")
     lengths = _list(node.get("lengths", [2.0 * np.pi] * len(dims)), f"{path}.lengths",
                     lambda x, where: _number(x, where, positive=True), len(dims))
     return Grid(tuple(dims), tuple(lengths))

@@ -159,6 +159,8 @@ class Grid:
         object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
         if len(self.dims) != len(self.lengths):
             raise ValueError("dims and lengths must have equal length")
+        if not self.dims:
+            raise ValueError("a grid needs at least one axis")
         if any(n < 1 for n in self.dims):
             raise ValueError("grid dims must be positive")
         if not all(0 < L < math.inf for L in self.lengths):  # also a NaN

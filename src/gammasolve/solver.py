@@ -210,22 +210,25 @@ def _krylov(matvec, b, tol, max_iter, restart=None, x0=None):
     V, the Hessenberg matrix H of the Arnoldi relation K V[:p] =
     V[:p + 1] H[:p + 1, :p] over the cycle's p columns and the coordinates
     rhs of its starting residual in V are all the state a cycle keeps.
-    Givens rotations serve only the least-squares residual estimate after
-    each iteration: each new column is rotated for its last entry alone,
-    and nothing of it is stored.  A cycle ends when that estimate reaches
-    0.25 * tol * |b|, on a happy breakdown or when the basis holds m + 1
-    vectors, m = min(40, n, max_iter) unless ``restart`` gives it, with
-    n = b.size (npts r potential unknowns for the canonical solve), or when
-    the budget of ``max_iter`` iterations runs out.  The cycle's correction
-    is the least-squares solution y of H[:p + 1, :p] y = rhs[:p + 1] by
-    truncated SVD, and one more matvec measures the true residual
-    |b - K x|, which replaces the cycle's last history entry, so the
-    history ends in the norm of the returned iterate.  The solve stops as
-    ``"converged"`` when the true residual is at most 0.25 * tol * |b|.
-    A cycle that does not lower the true residual returns its starting
-    iterate as ``"stagnated"`` (the better iterate, as for singular or
-    inconsistent systems: Brown & Walker 1997); a happy breakdown that
-    misses the target returns ``"breakdown"``; else the budget ends it as
+    The least-squares residual after p iterations is |q^H rhs| / |q| for
+    a null vector q of H[:p + 1, :p]^H (Brown 1991).  A cycle starts q at
+    rhs / |rhs|, so the estimate is |rhs| / |q|, and column p - 1 adds the
+    one entry q[p] = -(H[:p, p - 1]^H q[:p]) / H[p, p - 1]; a happy
+    breakdown makes the estimate 0.  No rotation or QR of H serves it.
+    A cycle ends when that estimate reaches 0.25 * tol * |b|, on a happy
+    breakdown or when the basis holds m + 1 vectors, m = min(40, n,
+    max_iter) unless ``restart`` gives it, with n = b.size (npts r
+    potential unknowns for the canonical solve), or when the budget of
+    ``max_iter`` iterations runs out.  The cycle's correction is the
+    least-squares solution y of H[:p + 1, :p] y = rhs[:p + 1] by truncated
+    SVD, and one more matvec measures the true residual |b - K x|, which
+    replaces the cycle's last history entry, so the history ends in the
+    norm of the returned iterate.  The solve stops as ``"converged"`` when
+    the true residual is at most 0.25 * tol * |b|.  A cycle that does not
+    lower the true residual returns its starting iterate as
+    ``"stagnated"`` (the better iterate, as for singular or inconsistent
+    systems: Brown & Walker 1997); a happy breakdown that misses the
+    target returns ``"breakdown"``; else the budget ends it as
     ``"max_iter"``.
 
     A cycle that ran to its full length keeps k = m // 4 directions
@@ -234,13 +237,14 @@ def _krylov(matvec, b, tol, max_iter, restart=None, x0=None):
     new ones, so the eigenvalues near 0 that stall plain restarted GMRES
     stay deflated across restarts.  Its first k + 1 basis vectors span
     the previous residual, which the next least-squares problem then
-    minimizes over all m directions; for the estimate, a Householder QR of
-    the full (k + 1) x k leading block of H takes the place of the first k
-    rotations.  A cycle restarts plainly from the true residual (V[0] =
-    r / |r|, H = 0, rhs = |r| e_0) when m < 4, when the harmonic Ritz
-    vectors cannot be formed, or when its estimate met the target but the
-    true residual did not.  The first cycle is plain GMRES, so a solve that
-    converges within it does not depend on the restart scheme.
+    minimizes over all m directions.  That rhs is orthogonal to the range
+    of H's (k + 1) x k leading block, so q starts at rhs / |rhs| there
+    just as at e_0 in a plain cycle.  A cycle restarts plainly from the
+    true residual (V[0] = r / |r|, H = 0, rhs = |r| e_0) when m < 4, when
+    the harmonic Ritz vectors cannot be formed, or when its estimate met
+    the target but the true residual did not.  The first cycle is plain
+    GMRES, so a solve that converges within it does not depend on the
+    restart scheme.
 
     Returns ``(x, history, stop_reason)`` with the relative residual after
     each inner iteration in ``history``.  ``matvec`` must return a new
@@ -260,19 +264,19 @@ def _krylov(matvec, b, tol, max_iter, restart=None, x0=None):
     V = np.empty((m + 1, n), dtype=np.complex128)
     H = np.zeros((m + 1, m), dtype=np.complex128)
     rhs = np.zeros(m + 1, dtype=np.complex128)
+    q = np.empty(m + 1, dtype=np.complex128)
     history = []
     while len(history) < max_iter:
-        if start:
-            # Q^H of the leading block's QR plays the role of the rotations
-            Qh = np.linalg.qr(H[: start + 1, :start], mode="complete")[0].conj().T
-            g = complex((Qh @ rhs[: start + 1])[start])
-        else:
+        if not start:
             np.multiply(r, 1.0 / beta, out=V[0])
             H[:] = 0.0
             rhs[:] = 0.0
-            rhs[0] = g = complex(beta)
+            rhs[0] = beta
         del r  # the cycle holds no residual beside V
-        rots = []
+        # q is orthogonal to the range of H[:j + 2, :j + 1], as rhs is to
+        # that of the leading block, so the estimate is |rhs| / |q|
+        rhs_norm, q_sq = _norm(rhs), 1.0
+        np.multiply(rhs[: start + 1], 1.0 / rhs_norm, out=q[: start + 1])
         for j in range(start, min(m, start + max_iter - len(history))):
             w = matvec(V[j])
             Vj = V[: j + 1]
@@ -285,16 +289,10 @@ def _krylov(matvec, b, tol, max_iter, restart=None, x0=None):
             breakdown = h_next <= _EPS * math.hypot(_norm(h), h_next)
             if not breakdown:
                 np.multiply(w, 1.0 / h_next, out=V[j + 1])
+                q[j + 1] = -np.vdot(h, q[: j + 1]) / h_next
+                q_sq += abs(q[j + 1]) ** 2
             H[: j + 1, j], H[j + 1, j] = h, h_next
-            # Rotating the new column needs only its running entry t
-            col = h.tolist()
-            t = complex((Qh @ h[: start + 1])[start]) if start else col[0]
-            for i, (c, s) in enumerate(rots, start + 1):
-                t = c * col[i] - s.conjugate() * t
-            c, s = _givens(t, h_next)
-            rots.append((c, s))
-            g = -s.conjugate() * g
-            estimate = abs(g)
+            estimate = 0.0 if breakdown else rhs_norm / math.sqrt(q_sq)
             history.append(estimate / b_norm)
             if estimate <= target or breakdown:
                 break
@@ -373,17 +371,6 @@ def _norm(v):
     """2-norm of a flat complex vector as a float (np.linalg.norm costs a
     few microseconds more per call)."""
     return math.sqrt(np.vdot(v, v).real)
-
-
-def _givens(a, b):
-    """Rotation (c, s) with c real and [[c, s], [-conj(s), c]] (a, b) =
-    (rho, 0) for complex a and real b >= 0."""
-    d = math.hypot(abs(a), b)
-    if d == 0.0:
-        return 1.0, 0j
-    if a == 0:
-        return 0.0, 1 + 0j
-    return abs(a) / d, (a / abs(a)) * (b / d)
 
 
 def _start(matvec, b, x0):
@@ -516,6 +503,8 @@ def solve(problem):
         raise ValueError(f"restart must be a positive integer or None, got {restart!r}")
     if not problem.tol > 0:  # also a NaN
         raise ValueError(f"tol must be a positive number, got {problem.tol!r}")
+    if problem.method not in ("krylov", "fixed_point"):
+        raise ValueError(f"unknown method {problem.method!r}")
     c = problem.reference
     if c is not None and not (np.isfinite(c) and c != 0):
         raise ValueError(f"reference must be a finite nonzero number, got {c!r}")
@@ -539,15 +528,13 @@ def solve(problem):
 
     if problem.method == "krylov":
         L0 = Lc.mean()
-    elif problem.method == "fixed_point":
+    else:
         if c is None:
             # max_x |L(x)|_2, over the rows of a table or per-point array
             Lx = Lc.values.reshape(-1, Lc.ncomp, Lc.ncomp)
             herm = np.conj(np.swapaxes(Lx, -1, -2)) @ Lx
             c = float(np.sqrt(np.max(np.linalg.eigvalsh(herm))))
         L0 = c * np.eye(Lc.ncomp)
-    else:
-        raise ValueError(f"unknown method {problem.method!r}")
     bases, contrast_bases = _range_bases(Lc), _range_bases(Lc, L0)
     # B M^+ with M = B^H L0 B is the thin factor of the exact per-mode
     # inverse of Gamma1 L0 Gamma1 + Gamma2.  The pseudo-inverse cutoff drops

@@ -315,6 +315,10 @@ def _layered_kappa(**descriptor):
      "source.amplitude[3]"),
     ("dispersion", dict(_DISPERSION_CFG, scan={"start": 0.0, "stop": np.inf, "count": 3}),
      "scan.stop"),
+    ("solve", dict(SOLVE_CFG, grid={"dims": []}), "grid.dims"),
+    ("solve", dict(SOLVE_CFG, material=dict(SOLVE_CFG["material"], params={
+        "kappa": {"type": "array", "values": [1.0] * 511 + [True]}, "rho": 1.0})),
+     "material.params.kappa.values"),
 ], ids=["effective-modulation", "effective-k0", "schrodinger-potential",
         "schrodinger-perturbation", "schrodinger-kinetic", "schrodinger-grid",
         "solve-shift", "solve-method", "project-which", "project-shift",
@@ -328,7 +332,7 @@ def _layered_kappa(**descriptor):
         "dispersion-count-string", "dispersion-count-negative", "solve-lengths-infinite",
         "solve-omega-nan", "solve-tol-nan", "solve-tol-infinite", "solve-omega-pair-nan",
         "solve-array-nan", "solve-array-strings", "solve-amplitude-infinite",
-        "dispersion-stop-infinite"])
+        "dispersion-stop-infinite", "solve-dims-empty", "solve-array-bool"])
 def test_config_errors_of_every_subcommand_name_their_path(
         tmp_path, monkeypatch, capsys, command, config, path):
     from gammasolve.fields import Block, BlockLayout, Grid

@@ -246,8 +246,9 @@ def _uplf_header(dims, lengths, blocks):
     ((2, 2), (np.nan, 1.0), [(0, 1)]),
     ((2, 2), (np.inf, 1.0), [(0, 1)]),
     ((2, 2), (1.0, 1.0), [(1, 0)]),
+    ((), (), [(0, 1)]),
 ], ids=["zero-dim", "zero-length", "negative-length", "nan-length", "inf-length",
-        "zero-block-size"])
+        "zero-block-size", "no-axes"])
 def test_uplf_rejects_headers_that_grid_or_block_reject(tmp_path, dims, lengths, blocks):
     p = tmp_path / "h.uplf"
     p.write_bytes(_uplf_header(dims, lengths, blocks))

@@ -765,6 +765,18 @@ def test_deflated_restart_keeps_the_arnoldi_relation(monkeypatch):
     assert len(checked) >= 2 and set(checked) == {5}
 
 
+def test_krylov_estimates_match_the_true_residuals_of_capped_solves():
+    # Entry j - 1 of the history is the estimate after j iterations, in
+    # plain and deflated cycles alike: a solve capped at j iterations
+    # returns that iterate and ends its history in its true residual.
+    A, b = _outlier_system(1)
+    history = _krylov(lambda v: A @ v, b, 1e-10, 1000, 20)[1]
+    assert len(history) > 40  # the third cycle is deflated too
+    for j, estimate in enumerate(history, 1):
+        capped = _krylov(lambda v: A @ v, b, 1e-10, j, 20)[1]
+        assert capped[-1] == pytest.approx(estimate, rel=1e-4), j
+
+
 def test_deflated_restart_falls_back_on_a_singular_hessenberg_matrix():
     rng = np.random.default_rng(0)
     m, k = 8, 2
@@ -799,12 +811,16 @@ def test_deflated_restarts_solve_a_high_contrast_cell(case):
 
 
 def test_unknown_method_rejected():
+    # The method is checked before the early returns of a zero projected
+    # source and of a guess that already meets the target.
     grid = Grid((4, 4), (1.0, 1.0))
     L = build_acoustics(grid, 1.0, 1.0, 1.0)
     s = random_field(grid, L.layout, seed=0)
-    with pytest.raises(ValueError):
-        solve(Problem(grid=grid, L=L, gamma=gamma_helmholtz(2), source=s,
-                      method="conjugate_wishes"))
+    x0 = solve(Problem(grid=grid, L=L, gamma=gamma_helmholtz(2), source=s, tol=1e-12)).E
+    for source, guess in [(s, None), (Field.zeros(grid, L.layout), None), (s, x0)]:
+        with pytest.raises(ValueError, match="conjugate_wishes"):
+            solve(Problem(grid=grid, L=L, gamma=gamma_helmholtz(2), source=source, x0=guess,
+                          method="conjugate_wishes"))
 
 
 def test_dense_operator_limit():
