@@ -131,6 +131,15 @@ def love_resonance_scan(
     center drives the canonical solve at each k1, and the recorded response
     |E|/|s| peaks where k1 crosses a guided-mode wavenumber.  A small loss
     (1 - i*loss) on the shear moduli keeps the resonance finite.
+
+    Each solve starts from its neighbours: the fields of the last three
+    solves (in the order of ``k1_values``, which need not be sorted or
+    evenly spaced) are extrapolated to the next k1 by the Lagrange
+    polynomial through their wavenumbers, and a repeated k1 reuses the
+    field solved there.  :func:`~gammasolve.solver.solve` measures that
+    guess and falls back to a zero start when it is worse, so each response
+    is that of a solve to ``tol`` and moves by about ``tol`` against a scan
+    that starts every solve from zero.
     """
     grid = Grid((points,), (domain_length,))
     x = grid.coordinates()[:, 0]
@@ -144,33 +153,64 @@ def love_resonance_scan(
     bump = np.exp(-((x - center) ** 2) / (2.0 * source_width**2))
     gamma = gamma_surface(0.0)
     responses = np.zeros(len(k1_values))
+    solved = []  # (k1, E values) of the last three solves, at distinct k1
     for idx, k1 in enumerate(k1_values):
-        L = build_love(grid, omega, float(k1), mu, rho)
+        k1 = float(k1)
+        L = build_love(grid, omega, k1, mu, rho)
         svals = np.zeros((grid.npoints, 2), dtype=np.complex128)
         svals[:, 1] = bump
         source = Field(grid, L.layout, svals)
+        guess = _extrapolate(solved, k1)
         res = solve(
             Problem(grid=grid, L=L, gamma=gamma, source=source, tol=tol,
-                    max_iter=max_iter)
+                    max_iter=max_iter,
+                    x0=None if guess is None else Field(grid, L.layout, guess))
         )
         snorm = float(np.linalg.norm(source.values))
         responses[idx] = float(np.linalg.norm(res.E.values)) / snorm
+        solved = [s for s in solved if s[0] != k1][-2:] + [(k1, res.E.values)]
     return responses
+
+
+def _extrapolate(solved, k1):
+    """Value at k1 of the Lagrange polynomial through the (k, E) pairs in
+    ``solved``, whose k are distinct: E itself when k1 is one of them, and
+    None when ``solved`` is empty."""
+    for k, E in solved:
+        if k == k1:
+            return E
+    guess = None
+    for j, (kj, E) in enumerate(solved):
+        w = 1.0
+        for i, (ki, _) in enumerate(solved):
+            if i != j:
+                w *= (k1 - ki) / (kj - ki)
+        guess = w * E if guess is None else guess + w * E
+    return guess
 
 
 def peak_estimate(k1_values, responses):
     """Peak location from a sampled response curve: the argmax sample,
-    parabolically refined on log-responses when it is interior."""
+    refined, when it is interior, to the vertex of the parabola through
+    its own and its two neighbours' (k1, log response) points, clipped to
+    the neighbours' interval.  The argmax sample is returned unrefined when
+    a neighbouring response is zero or the three points are collinear."""
     k1_values = np.asarray(k1_values, dtype=float)
     responses = np.asarray(responses, dtype=float)
+    if k1_values.ndim != 1 or k1_values.shape != responses.shape or not k1_values.size:
+        raise ValueError(
+            f"k1_values and responses must be equal-length non-empty 1-D arrays, "
+            f"got shapes {k1_values.shape} and {responses.shape}"
+        )
     i = int(np.argmax(responses))
-    if i == 0 or i == len(responses) - 1:
+    if i == 0 or i == len(responses) - 1 or not np.all(responses[i - 1 : i + 2] > 0):
         return float(k1_values[i])
+    x0, x1, x2 = k1_values[i - 1 : i + 2]
     y0, y1, y2 = np.log(responses[i - 1 : i + 2])
-    denom = y0 - 2.0 * y1 + y2
+    # vertex of the parabola through (x0, y0), (x1, y1), (x2, y2)
+    a, b = (x1 - x0) * (y1 - y2), (x1 - x2) * (y1 - y0)
+    denom = a - b
     if denom == 0.0:
         return float(k1_values[i])
-    delta = 0.5 * (y0 - y2) / denom
-    delta = float(np.clip(delta, -1.0, 1.0))
-    h = k1_values[i + 1] - k1_values[i]
-    return float(k1_values[i] + delta * h)
+    vertex = x1 - 0.5 * ((x1 - x0) * a - (x1 - x2) * b) / denom
+    return float(np.clip(vertex, min(x0, x2), max(x0, x2)))

@@ -1,10 +1,13 @@
 """Resonator effective-mass closed forms and the guided shear-wave layer:
 frozen dispersion roots and the direct resonance scan."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gammasolve import models
 from gammasolve.models import (
     effective_mass,
     love_dispersion,
@@ -89,3 +92,62 @@ def test_peak_estimate_parabolic_refinement():
     # boundary argmax falls back to the endpoint sample
     ramp = np.linspace(1.0, 2.0, 21)
     assert peak_estimate(ks, ramp) == 2.0
+
+
+def test_peak_estimate_uneven_spacing():
+    # the parabola goes through the actual (k, log r) points, not through
+    # points assumed one step apart (which gave 1.0498 here)
+    ks = np.array([0.0, 1.0, 1.1, 3.0])
+    assert peak_estimate(ks, np.exp(-((ks - 1.04) ** 2))) == pytest.approx(1.04, abs=1e-12)
+
+
+def test_peak_estimate_zero_neighbour_returns_argmax():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert peak_estimate([0.0, 1.0, 2.0, 3.0], [0.5, 2.0, 0.0, 0.1]) == 1.0
+
+
+@pytest.mark.parametrize("ks,responses", [([0.0, 1.0, 2.0, 3.0], [1.0, 2.0]), ([], [])])
+def test_peak_estimate_rejects_mismatched_or_empty(ks, responses):
+    with pytest.raises(ValueError):
+        peak_estimate(ks, responses)
+
+
+def _scan(monkeypatch, k1s, seeded=True):
+    """96-point scan through a spy on models.solve: the responses and each
+    solve's iteration count; ``seeded=False`` drops every guess."""
+    iterations = []
+    solve = models.solve
+
+    def spy(problem):
+        if not seeded:
+            problem.x0 = None
+        result = solve(problem)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(models, "solve", spy)
+    responses = love_resonance_scan(5.0, k1s, points=96, **LOVE)
+    monkeypatch.setattr(models, "solve", solve)
+    return responses, iterations
+
+
+def test_love_scan_seeds_match_zero_starts_in_fewer_iterations(monkeypatch):
+    k1s = np.linspace(4.4, 5.0, 25)
+    cold, cold_iterations = _scan(monkeypatch, k1s, seeded=False)
+    warm, warm_iterations = _scan(monkeypatch, k1s)
+    assert_allclose(warm, cold, rtol=1e-6)
+    assert len(warm_iterations) == 25
+    assert sum(warm_iterations) < sum(cold_iterations)  # 325 against 367
+
+
+def test_love_scan_order_and_repeats_keep_each_response(monkeypatch):
+    k1s = np.linspace(4.4, 5.0, 25)
+    order = np.random.default_rng(3).permutation(25)
+    # repeats right after their first solve, and once out of the window
+    order = np.concatenate([order[:5], order[4:5], order[5:], order[:2], order[-1:]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shuffled, iterations = _scan(monkeypatch, k1s[order])
+    assert iterations[5] == 0 and iterations[-1] == 0  # the same E, met at once
+    assert_allclose(shuffled, _scan(monkeypatch, k1s)[0][order], rtol=1e-6)

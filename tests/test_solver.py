@@ -686,6 +686,41 @@ def test_krylov_history_ends_in_the_reported_residual(max_iter, reason):
     assert res.residual < 1.5e-2
 
 
+@pytest.mark.xfail(strict=True, reason="known defect (c): a source with a component in "
+                   "Brinkman's gauge kernel stops as stagnated, not as incompatible")
+def test_brinkman_gauge_kernel_source_is_named_incompatible():
+    # Brinkman 8^3 with a random source stops after 22 iterations as
+    # "stagnated" at 9.693e-3: the k = 0 hydrostatic stress, which every
+    # L(x) annihilates, holds part of the source that no iterate can meet.
+    from gammasolve.materials import build_brinkman
+    from gammasolve.projectors import gamma_brinkman
+
+    grid = Grid((8, 8, 8), (2.0 * np.pi,) * 3)
+    L = build_brinkman(grid, 1.1, 1.0, lambda x: 0.3 + 0.1 * (x[:, 1] > np.pi), 2.0,
+                       shear_viscosity=0.8)
+    res = solve(Problem(grid=grid, L=L, gamma=gamma_brinkman(), tol=1e-8, max_iter=400,
+                        source=random_field(grid, L.layout, seed=1)))
+    assert res.stop_reason == "incompatible_source"
+
+
+@pytest.mark.xfail(strict=True, reason="known defect (e): a mean medium that resonates "
+                   "on the grid makes the solve break down")
+def test_resonant_reference_medium_still_converges():
+    # The mean medium's shear resonance omega^2 rho_bar / mu = 22 = 3^2 + 3^2 + 2^2
+    # falls on the 6^3 grid, so M = B^H L0 B is singular at 6 modes and the
+    # pseudo-inverse drops directions that A needs: full GMRES ends as
+    # "breakdown" at 1.59e-1 after 643 iterations, while the dense solve
+    # converges at 4.1e-14.
+    grid = Grid((6, 6, 6), (2.0 * np.pi,) * 3)
+    L = build_elastodynamics(grid, 2.0, Checkerboard((1.0, 10.0)), bulk=1.0, shear=1.0)
+    prob = Problem(grid=grid, L=L, gamma=gamma_elastic(3), tol=1e-8, restart=648,
+                   max_iter=1000, source=random_field(grid, L.layout, seed=1))
+    res = solve(prob)
+    assert res.converged
+    dense = solve_dense(prob)
+    assert_allclose(res.E.values, dense.E.values, atol=1e-6 * np.abs(dense.E.values).max())
+
+
 @pytest.mark.parametrize("max_iter,restart", [(7, 3), (25, 10), (50, None), (100, 10)])
 def test_krylov_budget_counts_iterations(max_iter, restart):
     # The budget is max_iter iterations whatever the restart length: a cap
