@@ -176,17 +176,13 @@ def _extrapolate(solved, k1):
     """Value at k1 of the Lagrange polynomial through the (k, E) pairs in
     ``solved``, whose k are distinct: E itself when k1 is one of them, and
     None when ``solved`` is empty."""
-    for k, E in solved:
-        if k == k1:
-            return E
-    guess = None
-    for j, (kj, E) in enumerate(solved):
-        w = 1.0
-        for i, (ki, _) in enumerate(solved):
-            if i != j:
-                w *= (k1 - ki) / (kj - ki)
-        guess = w * E if guess is None else guess + w * E
-    return guess
+    ks = [k for k, _ in solved]
+    if k1 in ks:
+        return solved[ks.index(k1)][1]
+    if not solved:
+        return None
+    return sum(np.prod([(k1 - ki) / (kj - ki) for ki in ks if ki != kj]) * E
+               for kj, E in solved)
 
 
 def peak_estimate(k1_values, responses):
