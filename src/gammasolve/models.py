@@ -203,7 +203,6 @@ def peak_estimate(k1_values, responses):
         return float(k1_values[i])
     x0, x1, x2 = k1_values[i - 1 : i + 2]
     y0, y1, y2 = np.log(responses[i - 1 : i + 2])
-    # vertex of the parabola through (x0, y0), (x1, y1), (x2, y2)
     a, b = (x1 - x0) * (y1 - y2), (x1 - x2) * (y1 - y0)
     denom = a - b
     if denom == 0.0:
