@@ -19,11 +19,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .fields import Field, Grid, _pointwise, scalar_layout, transform
+from .fields import (Field, Grid, _pointwise, inner_product, norm, scalar_layout,
+                     transform)
+from .materials import (ParameterError, _matrix, _parameter, _read, default_projector,
+                        resolve_parameter)
 from .projectors import helmholtz_D
+from .solver import Problem, solve
 
 __all__ = [
     "MultiElectronGrid",
@@ -67,8 +72,10 @@ class MultiElectronGrid:
     length: float = 2.0 * np.pi
     spin: bool = False
 
-    @property
+    @cached_property
     def grid(self):
+        """The :class:`Grid`, built once per instance (so its cached
+        coordinates are too)."""
         nd = self.n_electrons * self.space_dim
         dims = (self.points,) * nd
         lengths = (self.length,) * nd
@@ -88,168 +95,139 @@ class MultiElectronGrid:
 
     def electron_coordinates(self, i):
         """Coordinates of particle i at every grid point, (npoints, d)."""
-        g = self.grid
-        return g.coordinates()[:, i * self.space_dim : (i + 1) * self.space_dim]
+        return self.grid.coordinates()[:, i * self.space_dim : (i + 1) * self.space_dim]
 
 
 def permutation_sign(perm):
-    """Parity sign of a permutation given as a tuple of images (0-based)."""
-    perm = tuple(perm)
-    n = len(perm)
-    seen = [False] * n
-    sign = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """Parity sign of a permutation given as a tuple of images (0-based):
+    -1 to the number of its inversions."""
+    return (-1) ** sum(a > b for a, b in itertools.combinations(tuple(perm), 2))
 
 
 def all_permutations(n):
     return list(itertools.permutations(range(n)))
 
 
-def _inverse(perm):
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tuple(inv)
-
-
-def _axis_order(megrid, perm):
-    """Array-axis transpose order realizing the argument permutation
-    phi -> phi(x_{perm[0]}, x_{perm[1]}, ...)."""
-    inv = _inverse(perm)
-    order = []
-    for j in range(megrid.n_electrons):
-        order.extend(megrid.coordinate_axes(inv[j]))
-    if megrid.spin:
-        order.extend(megrid.spin_axis(inv[j]) for j in range(megrid.n_electrons))
-    return order
-
-
-def _as_values(x):
+def _values(x):
+    """``(values, wrap)``: the input as an (npoints, ncomp) complex array,
+    and the function that gives a result the input's kind: a Field like
+    the input, a 1-D array for 1-D input, the array itself otherwise."""
     if isinstance(x, Field):
-        return x.values, x
+        return x.values, lambda out: Field(x.grid, x.layout, out, x.representation)
     arr = np.asarray(x, dtype=np.complex128)
     if arr.ndim == 1:
-        return arr[:, None], None
-    return arr, None
+        return arr[:, None], lambda out: out[:, 0]
+    return arr, lambda out: out
 
 
-def _rewrap(vals, template, squeeze):
-    if template is not None:
-        return Field(template.grid, template.layout, vals, template.representation)
-    return vals[:, 0] if squeeze else vals
+def _permute(vals, megrid, perm, vector=False):
+    """The exchange ``perm`` on raw (npoints, ncomp) values: the argument
+    permutation phi -> phi(x_{perm[0]}, x_{perm[1]}, ...) of every
+    component, and with ``vector`` the relabelling of the stacked
+    per-particle blocks, block i of the output taken from block
+    perm^{-1}(i) of the input."""
+    N, d = megrid.n_electrons, megrid.space_dim
+    inv = np.argsort(perm)
+    # Particle inv[j]'s coordinate axes (and vector components) move to slot j.
+    coords = (inv[:, None] * d + np.arange(d)).ravel()
+    if vector:
+        if vals.shape[-1] != N * d:
+            raise ValueError(f"expected {N * d} components, got {vals.shape[-1]}")
+        vals = vals[:, coords]
+    grid = megrid.grid
+    order = [*coords, *(N * d + inv if megrid.spin else ()), grid.ndim]
+    shaped = vals.reshape(grid.dims + (vals.shape[-1],))
+    return np.ascontiguousarray(np.transpose(shaped, order)).reshape(vals.shape)
+
+
+def _signed_sum(vals, megrid, perms, vector=False):
+    """Sum of the exchanges ``perms`` of ``vals``, each weighted by its sign."""
+    acc = np.zeros_like(vals)
+    for perm in perms:
+        acc += permutation_sign(perm) * _permute(vals, megrid, perm, vector)
+    return acc
 
 
 def permute_scalar(values, megrid, perm):
     """Argument permutation phi(x) -> phi(x_{perm[0]}, ...); acts on every
     component of the trailing axis independently."""
-    vals, template = _as_values(values)
-    squeeze = template is None and np.asarray(values).ndim == 1
-    grid = megrid.grid
-    shaped = vals.reshape(grid.dims + (vals.shape[-1],))
-    order = _axis_order(megrid, perm) + [grid.ndim]
-    out = np.ascontiguousarray(np.transpose(shaped, order)).reshape(vals.shape)
-    return _rewrap(out, template, squeeze)
+    vals, wrap = _values(values)
+    return wrap(_permute(vals, megrid, perm))
 
 
 def permute_vector(values, megrid, perm):
     """Exchange action on stacked per-particle vector blocks: block i of
     the output is the argument-permuted block perm^{-1}(i) of the input
     (so gradients of permuted scalars transform consistently)."""
-    vals, template = _as_values(values)
-    N, d = megrid.n_electrons, megrid.space_dim
-    if vals.shape[-1] != N * d:
-        raise ValueError(f"expected {N * d} components, got {vals.shape[-1]}")
-    inv = _inverse(perm)
-    comp = [inv[i] * d + a for i in range(N) for a in range(d)]
-    out = permute_scalar(vals[:, comp], megrid, perm)
-    return _rewrap(out, template, False)
-
-
-def _sign_average(vals, megrid, act):
-    """Sign-weighted average of ``act`` over all N! permutations."""
-    acc = np.zeros_like(vals)
-    for perm in all_permutations(megrid.n_electrons):
-        acc += permutation_sign(perm) * act(vals, megrid, perm)
-    return acc / math.factorial(megrid.n_electrons)
+    vals, wrap = _values(values)
+    return wrap(_permute(vals, megrid, perm, vector=True))
 
 
 def antisymmetrize_full(values, megrid):
     """Full fermionic projector on scalar data: the sign-weighted average
     of all N! argument permutations."""
-    vals, template = _as_values(values)
-    squeeze = template is None and np.asarray(values).ndim == 1
-    return _rewrap(_sign_average(vals, megrid, permute_scalar), template, squeeze)
+    vals, wrap = _values(values)
+    N = megrid.n_electrons
+    return wrap(_signed_sum(vals, megrid, all_permutations(N)) / math.factorial(N))
 
 
 def antisymmetrize_vector(values, megrid):
     """Full fermionic projector on stacked per-particle vector blocks."""
-    vals, template = _as_values(values)
-    return _rewrap(_sign_average(vals, megrid, permute_vector), template, False)
-
-
-def _tail_spot_check(vals, megrid, tol=1e-10):
-    """Verify antisymmetry under one trailing-pair swap (particles 3 and 4,
-    0-based 2 and 3)."""
+    vals, wrap = _values(values)
     N = megrid.n_electrons
-    tau = list(range(N))
-    tau[2], tau[3] = tau[3], tau[2]
-    swapped = permute_scalar(vals, megrid, tuple(tau))
+    return wrap(_signed_sum(vals, megrid, all_permutations(N), vector=True)
+                / math.factorial(N))
+
+
+def _odd_under_swaps(vals, megrid, pairs, vector=False, tol=1e-10):
+    """Whether swapping each particle pair (i, j) of ``pairs`` flips the
+    sign of ``vals``, to ``tol`` relative to their largest magnitude."""
     scale = float(np.max(np.abs(vals))) or 1.0
-    return float(np.max(np.abs(swapped + vals))) <= tol * scale
+    for i, j in pairs:
+        tau = list(range(megrid.n_electrons))
+        tau[i], tau[j] = j, i
+        swapped = _permute(vals, megrid, tau, vector)
+        if float(np.max(np.abs(swapped + vals))) > tol * scale:
+            return False
+    return True
+
+
+def _reduced_orders(N):
+    """Particle orders of the reduced antisymmetrizer's terms: the identity,
+    then for each trailing particle i the orders (1, i, 0, rest) and
+    (0, i, 1, rest), then for each trailing pair i < j the order
+    (i, j, 0, 1, rest), with the rest of 2..N-1 in increasing order."""
+    rest = range(2, N)
+    orders = [tuple(range(N))]
+    for i in rest:
+        tail = tuple(m for m in rest if m != i)
+        orders += [(1, i, 0) + tail, (0, i, 1) + tail]
+    for i, j in itertools.combinations(rest, 2):
+        orders.append((i, j, 0, 1) + tuple(m for m in rest if m not in (i, j)))
+    return orders
 
 
 def lambda_a(values, megrid, check_tail=True):
     """Scalar fermionic projector in reduced form.
 
     For N <= 3 this is :func:`antisymmetrize_full`, exact on all inputs.
-    For N >= 4 the reduced O(N^2)-term form is used; it requires the input
-    to be antisymmetric in particles 3..N (spot-checked unless
-    ``check_tail=False``) and agrees with the full projector on the fields
-    material laws produce (a pair potential in the first two particles
-    times an antisymmetric state).
+    For N >= 4 the reduced O(N^2)-term form is used: the sign-weighted sum
+    of 1 + (N-2)(N+1)/2 exchanges, times 2/(N(N-1)).  It requires the input
+    to be antisymmetric in particles 3..N (spot-checked on the swap of
+    particles 3 and 4 unless ``check_tail=False``) and agrees with the full
+    projector on the fields material laws produce (a pair potential in the
+    first two particles times an antisymmetric state).
     """
     N = megrid.n_electrons
     if N <= 3:
         return antisymmetrize_full(values, megrid)
-    vals, template = _as_values(values)
-    squeeze = template is None and np.asarray(values).ndim == 1
-    if check_tail and not _tail_spot_check(vals, megrid):
+    vals, wrap = _values(values)
+    if check_tail and not _odd_under_swaps(vals, megrid, [(2, 3)]):
         raise ValueError(
             "reduced antisymmetrizer needs input antisymmetric in the "
             "trailing particles (3..N)"
         )
-    acc = vals.copy()
-    rest = list(range(3, N + 1))
-    for i in range(3, N + 1):
-        tail = [m for m in rest if m != i]
-        args = [2, i, 1] + tail
-        acc += (-1) ** (i + 1) * permute_scalar(
-            vals, megrid, tuple(a - 1 for a in args)
-        )
-        args = [1, i, 2] + tail
-        acc -= (-1) ** (i + 1) * permute_scalar(
-            vals, megrid, tuple(a - 1 for a in args)
-        )
-    for i in range(3, N + 1):
-        for ell in range(i + 1, N + 1):
-            tail = [m for m in rest if m not in (i, ell)]
-            args = [i, ell, 1, 2] + tail
-            acc += (-1) ** (i + ell + 1) * permute_scalar(
-                vals, megrid, tuple(a - 1 for a in args)
-            )
-    out = acc * (2.0 / (N * (N - 1)))
-    return _rewrap(out, template, squeeze)
+    return wrap(_signed_sum(vals, megrid, _reduced_orders(N)) * (2.0 / (N * (N - 1))))
 
 
 def lambda_A(values, megrid):
@@ -261,18 +239,8 @@ def lambda_A(values, megrid):
 
 def is_antisymmetric(values, megrid, vector=False, tol=1e-10):
     """Check oddness under every particle transposition."""
-    vals, _ = _as_values(values)
-    scale = float(np.max(np.abs(vals))) or 1.0
-    N = megrid.n_electrons
-    act = permute_vector if vector else permute_scalar
-    for i in range(N):
-        for j in range(i + 1, N):
-            tau = list(range(N))
-            tau[i], tau[j] = tau[j], tau[i]
-            swapped = act(vals, megrid, tuple(tau))
-            if float(np.max(np.abs(swapped + vals))) > tol * scale:
-                return False
-    return True
+    pairs = itertools.combinations(range(megrid.n_electrons), 2)
+    return _odd_under_swaps(_values(values)[0], megrid, pairs, vector, tol)
 
 
 def symmetrized_apply(material, values, megrid):
@@ -314,9 +282,7 @@ def pairwise_sum_potential(megrid, fn):
 def normalize_state(psi):
     """Unit-norm copy with the phase fixed so the largest-magnitude
     component is real positive."""
-    from .fields import norm as field_norm
-
-    n = field_norm(psi)
+    n = norm(psi)
     if n == 0.0:
         raise ValueError("cannot normalize the zero field")
     vals = psi.values / n
@@ -333,8 +299,6 @@ def ground_state(grid, kinetic, potential, nstates=1):
     Returns (energies, states): ndarray (nstates,) and a list of
     unit-norm scalar Fields with fixed phase.
     """
-    from .materials import ParameterError, _matrix, _parameter, _read, resolve_parameter
-
     npts = grid.npoints
     if npts > GROUND_STATE_MAX_POINTS:
         raise ValueError(f"dense stationary-state solve limited to "
@@ -362,14 +326,16 @@ def ground_state(grid, kinetic, potential, nstates=1):
     return energies[:nstates].real, states
 
 
+def _potential_values(vprime):
+    """A potential (Field, array or scalar) as real-space values."""
+    return vprime.to_real().values[:, 0] if isinstance(vprime, Field) else np.asarray(vprime)
+
+
 def perturbation_energy(psi, vprime):
     """First-order energy shift <psi, V' psi> for a unit-norm state
     (returned as a real number; V' must be real)."""
     vals = psi.to_real().values[:, 0]
-    vp = np.asarray(vprime)
-    if isinstance(vprime, Field):
-        vp = vprime.to_real().values[:, 0]
-    ip = np.vdot(vals, vp * vals) * psi.grid.cell_volume
+    ip = np.vdot(vals, _potential_values(vprime) * vals) * psi.grid.cell_volume
     return float(ip.real)
 
 
@@ -397,14 +363,10 @@ def perturbation_solve(material, psi, vprime, tol=1e-10, max_iter=2000):
     source's component along it (rounding noise) is removed first, and
     the gauge is enforced exactly afterwards.
     """
-    from .fields import inner_product
-    from .materials import default_projector
-    from .solver import Problem, solve
-
     grid = psi.grid
     nd = grid.ndim
-    e_prime = perturbation_energy(psi, vprime)
-    vp = vprime.to_real().values[:, 0] if isinstance(vprime, Field) else np.asarray(vprime)
+    vp = _potential_values(vprime)
+    e_prime = perturbation_energy(psi, vp)
     psi_r = psi.to_real().values[:, 0]
 
     svals = np.zeros((grid.npoints, nd + 1), dtype=np.complex128)
