@@ -494,7 +494,10 @@ def _cmd_schrodinger(args):
     energy = float(energies[state_index])
     psi = states[state_index]
     material = build_schrodinger(grid, energy, kinetic, potential)
-    result = perturbation_solve(material, psi, vprime, **opts)
+    try:
+        result = perturbation_solve(material, psi, vprime, **opts)
+    except ValueError as exc:
+        raise ConfigError(f"'perturbation': {exc}")
     out = _outdir(args)
     write_uplf(os.path.join(out, "psi.uplf"), psi)
     write_uplf(os.path.join(out, "psi_prime.uplf"), result.psi_prime)

@@ -296,8 +296,10 @@ def ground_state(grid, kinetic, potential, nstates=1):
     """Lowest stationary states of -div(A grad) + V by dense spectral
     assembly (desk scales only; the Hamiltonian matrix is npoints^2).
 
-    Returns (energies, states): ndarray (nstates,) and a list of
-    unit-norm scalar Fields with fixed phase.
+    The potential V must be real: a :class:`ParameterError` names it when
+    any value has a nonzero imaginary part.  Returns (energies, states):
+    ndarray (nstates,) and a list of unit-norm scalar Fields with fixed
+    phase.
     """
     npts = grid.npoints
     if npts > GROUND_STATE_MAX_POINTS:
@@ -310,6 +312,9 @@ def ground_state(grid, kinetic, potential, nstates=1):
                                         "kinetic matrix")
     A = _matrix(A, nd)
     V = np.broadcast_to(resolve_parameter(potential, grid, ()), (npts,))
+    if np.any(V.imag):
+        raise ParameterError("potential", f"must be real, got an imaginary part of up to "
+                                          f"{np.max(np.abs(V.imag)):.3g}")
     K = grid.wavevectors()
     quad = np.einsum("pi,ij,pj->p", K, A, K)
     eye = np.eye(npts, dtype=np.complex128)
@@ -326,16 +331,21 @@ def ground_state(grid, kinetic, potential, nstates=1):
     return energies[:nstates].real, states
 
 
-def _potential_values(vprime):
-    """A potential (Field, array or scalar) as real-space values."""
-    return vprime.to_real().values[:, 0] if isinstance(vprime, Field) else np.asarray(vprime)
+def _real_perturbation(vprime):
+    """V' (a Field, per-point array or constant) as real-space values; a
+    ValueError when any has a nonzero imaginary part."""
+    vp = vprime.to_real().values[:, 0] if isinstance(vprime, Field) else np.asarray(vprime)
+    if np.any(np.imag(vp)):
+        raise ValueError(f"V' must be real, got an imaginary part of up to "
+                         f"{np.max(np.abs(np.imag(vp))):.3g}")
+    return vp
 
 
 def perturbation_energy(psi, vprime):
-    """First-order energy shift <psi, V' psi> for a unit-norm state
-    (returned as a real number; V' must be real)."""
+    """First-order energy shift <psi, V' psi> for a unit-norm state,
+    returned as a real number.  V' must be real (a ValueError says so)."""
     vals = psi.to_real().values[:, 0]
-    ip = np.vdot(vals, _potential_values(vprime) * vals) * psi.grid.cell_volume
+    ip = np.vdot(vals, _real_perturbation(vprime) * vals) * psi.grid.cell_volume
     return float(ip.real)
 
 
@@ -355,7 +365,8 @@ def perturbation_solve(material, psi, vprime, tol=1e-10, max_iter=2000):
     (E, psi) and the perturbing potential V', solves the deflated
     first-order equation for the state corrector psi' with the gauge
     <psi, psi'> = 0, and returns it with the energy shift
-    E' = <psi, V' psi>.
+    E' = <psi, V' psi>.  V' must be real: a ValueError says so when any
+    value has a nonzero imaginary part.
 
     The corrector equation is the canonical projected problem with source
     (0, (V' - E') psi), solved by :func:`solve`.  Its kernel is the unit
@@ -365,7 +376,7 @@ def perturbation_solve(material, psi, vprime, tol=1e-10, max_iter=2000):
     """
     grid = psi.grid
     nd = grid.ndim
-    vp = _potential_values(vprime)
+    vp = _real_perturbation(vprime)
     e_prime = perturbation_energy(psi, vp)
     psi_r = psi.to_real().values[:, 0]
 

@@ -475,6 +475,20 @@ def test_dispersion_unknown_model(tmp_path):
     assert cli.main(["dispersion", "--config", cfg]) == 1
 
 
+@pytest.mark.parametrize("key,value", [("potential", [0.5, 0.3]),
+                                       ("perturbation", [0.2, 0.4])])
+def test_schrodinger_rejects_complex_potentials(tmp_path, capsys, key, value):
+    # Both were read as their real parts: E = 0.5 and E' = 0.2, exit 0.
+    config = dict(SCHRODINGER_CFG, potential=0.5)
+    config[key] = value
+    cfg = _write_config(tmp_path / "c.json", config)
+    assert cli.main(["schrodinger", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: '{key}'" in err and "must be real" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "schrodinger.json").exists()
+
+
 def test_schrodinger_subcommand(tmp_path):
     x = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
     V = 0.8 * np.cos(x) + 0.3 * np.cos(2 * x)

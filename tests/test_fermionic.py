@@ -26,7 +26,7 @@ from gammasolve.fermionic import (
     symmetrized_apply,
 )
 from gammasolve.fields import Field, Grid, gradient, scalar_layout
-from gammasolve.materials import build_schrodinger
+from gammasolve.materials import ParameterError, build_schrodinger
 
 
 def _rand(megrid, seed):
@@ -43,6 +43,13 @@ def test_permutation_sign():
     assert permutation_sign((1, 0, 3, 2)) == 1  # two transpositions
     signs = [permutation_sign(p) for p in all_permutations(3)]
     assert sorted(signs) == [-1, -1, -1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_permutation_sign_is_the_permutation_matrix_determinant(n):
+    for perm in all_permutations(n):
+        det = np.linalg.det(np.eye(n)[list(perm)])
+        assert permutation_sign(perm) == round(det)
 
 
 def test_permute_scalar_separable_hand_case():
@@ -110,6 +117,16 @@ def test_lambda_a_reduced_matches_full_n4():
     red = lambda_a(w, mg)
     scale = np.max(np.abs(full))
     assert np.max(np.abs(red - full)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("megrid", [MultiElectronGrid(4, space_dim=2, points=3),
+                                    MultiElectronGrid(4, points=4, spin=True)],
+                         ids=["space_dim-2", "spin"])
+def test_lambda_a_reduced_matches_full_beyond_one_dimension(megrid):
+    psi = antisymmetrize_full(_rand(megrid, 4), megrid)
+    w = pair_potential(megrid, lambda a, b: np.cos(a - b).sum(axis=1)) * psi
+    full = antisymmetrize_full(w, megrid)
+    assert np.max(np.abs(lambda_a(w, megrid) - full)) <= 1e-13 * np.max(np.abs(full))
 
 
 def test_lambda_a_tail_check():
@@ -185,6 +202,14 @@ def test_electron_coordinates_slices():
     assert mg.coordinate_axes(1) == [2, 3]
 
 
+def test_multi_electron_grid_builds_its_grid_once():
+    mg = MultiElectronGrid(2, space_dim=2, points=3)
+    assert mg.grid is mg.grid
+    # so every particle's coordinates view one cached coordinate array
+    assert mg.electron_coordinates(0).base is mg.electron_coordinates(1).base
+    assert mg == MultiElectronGrid(2, space_dim=2, points=3)
+
+
 def test_normalize_state():
     grid = Grid((8,), (2.0 * np.pi,))
     rng = np.random.default_rng(11)
@@ -225,6 +250,30 @@ def test_ground_state_guards():
         ground_state(Grid((64, 64), (1.0, 1.0)), 1.0, 0.0)  # too many points
     with pytest.raises(ValueError):
         ground_state(Grid((8,), (1.0,)), lambda x: 1.0 + 0.1 * x[:, 0], 0.0)
+
+
+def test_ground_state_rejects_a_complex_potential():
+    # (H + H^H)/2 dropped the imaginary part: these were the energies of 0.8 cos x
+    grid = Grid((24,), (2.0 * np.pi,))
+    x = grid.coordinates()[:, 0]
+    with pytest.raises(ParameterError) as info:
+        ground_state(grid, 1.0, 0.8 * np.cos(x) + 0.5j * np.sin(x))
+    assert info.value.name == "potential"
+
+
+def test_perturbation_rejects_a_complex_potential_change():
+    # Re<psi, V' psi> ignored the 0.3i while the corrector used it
+    grid = Grid((24,), (2.0 * np.pi,))
+    x = grid.coordinates()[:, 0]
+    V = 0.8 * np.cos(x) + 0.3 * np.cos(2.0 * x)
+    E, states = ground_state(grid, 1.0, V, nstates=1)
+    mat = build_schrodinger(grid, E[0], 1.0, V)
+    vp = np.cos(x) + 0.3j
+    for vprime in (vp, Field(grid, scalar_layout(), vp[:, None])):
+        with pytest.raises(ValueError, match="must be real"):
+            perturbation_energy(states[0], vprime)
+        with pytest.raises(ValueError, match="must be real"):
+            perturbation_solve(mat, states[0], vprime)
 
 
 def test_perturbation_energy_constant_state():
