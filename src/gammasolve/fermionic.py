@@ -297,7 +297,7 @@ def ground_state(grid, kinetic, potential, nstates=1):
     assembly (desk scales only; the Hamiltonian matrix is npoints^2).
 
     The potential V must be real: a :class:`ParameterError` names it when
-    any value has a nonzero imaginary part.  Returns (energies, states):
+    its imaginary part is above rounding.  Returns (energies, states):
     ndarray (nstates,) and a list of unit-norm scalar Fields with fixed
     phase.
     """
@@ -312,9 +312,7 @@ def ground_state(grid, kinetic, potential, nstates=1):
                                         "kinetic matrix")
     A = _matrix(A, nd)
     V = np.broadcast_to(resolve_parameter(potential, grid, ()), (npts,))
-    if np.any(V.imag):
-        raise ParameterError("potential", f"must be real, got an imaginary part of up to "
-                                          f"{np.max(np.abs(V.imag)):.3g}")
+    _require_real(V, "potential")
     K = grid.wavevectors()
     quad = np.einsum("pi,ij,pj->p", K, A, K)
     eye = np.eye(npts, dtype=np.complex128)
@@ -331,19 +329,28 @@ def ground_state(grid, kinetic, potential, nstates=1):
     return energies[:nstates].real, states
 
 
+def _require_real(values, name):
+    """``values``, after a :class:`ParameterError` naming ``name`` when
+    their imaginary part exceeds 1e-12 of their largest magnitude: the
+    inverse transform of a real potential's Fourier values leaves
+    imaginary parts at rounding level."""
+    imag = float(np.max(np.abs(np.imag(values))))
+    if imag > 1e-12 * float(np.max(np.abs(values))):
+        raise ParameterError(name, f"must be real, got an imaginary part of up to {imag:.3g}")
+    return values
+
+
 def _real_perturbation(vprime):
-    """V' (a Field, per-point array or constant) as real-space values; a
-    ValueError when any has a nonzero imaginary part."""
+    """V' (a Field, per-point array or constant) as real-space values."""
     vp = vprime.to_real().values[:, 0] if isinstance(vprime, Field) else np.asarray(vprime)
-    if np.any(np.imag(vp)):
-        raise ValueError(f"V' must be real, got an imaginary part of up to "
-                         f"{np.max(np.abs(np.imag(vp))):.3g}")
-    return vp
+    return _require_real(vp, "vprime")
 
 
 def perturbation_energy(psi, vprime):
     """First-order energy shift <psi, V' psi> for a unit-norm state,
-    returned as a real number.  V' must be real (a ValueError says so)."""
+    returned as a real number.  V' must be real: a :class:`ParameterError`
+    (a ValueError) names ``vprime`` when its imaginary part is above
+    rounding."""
     vals = psi.to_real().values[:, 0]
     ip = np.vdot(vals, _real_perturbation(vprime) * vals) * psi.grid.cell_volume
     return float(ip.real)
@@ -365,8 +372,8 @@ def perturbation_solve(material, psi, vprime, tol=1e-10, max_iter=2000):
     (E, psi) and the perturbing potential V', solves the deflated
     first-order equation for the state corrector psi' with the gauge
     <psi, psi'> = 0, and returns it with the energy shift
-    E' = <psi, V' psi>.  V' must be real: a ValueError says so when any
-    value has a nonzero imaginary part.
+    E' = <psi, V' psi>.  V' must be real, as for
+    :func:`perturbation_energy`.
 
     The corrector equation is the canonical projected problem with source
     (0, (V' - E') psi), solved by :func:`solve`.  Its kernel is the unit

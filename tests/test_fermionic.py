@@ -274,6 +274,10 @@ def test_perturbation_rejects_a_complex_potential_change():
             perturbation_energy(states[0], vprime)
         with pytest.raises(ValueError, match="must be real"):
             perturbation_solve(mat, states[0], vprime)
+    # a real V' given by its Fourier values comes back with rounding-level
+    # imaginary parts, and is accepted
+    real = Field(grid, scalar_layout(), np.cos(x)[:, None])
+    assert perturbation_solve(mat, states[0], real.to_fourier(), tol=1e-12).converged
 
 
 def test_perturbation_energy_constant_state():
