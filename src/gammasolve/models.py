@@ -136,10 +136,11 @@ def love_resonance_scan(
     k1 nearest the next one (``k1_values`` need not be sorted or evenly
     spaced) are extrapolated to it by the Lagrange polynomial through their
     wavenumbers, and a repeated k1 reuses the field solved there.  A scan
-    holds every solved field until it returns (6 KiB each at 192 points).  :func:`~gammasolve.solver.solve` measures that
-    guess and falls back to a zero start when it is worse, so each response
-    is that of a solve to ``tol`` and moves by about ``tol`` against a scan
-    that starts every solve from zero.
+    holds every solved field until it returns (6 KiB each at 192 points).
+    :func:`~gammasolve.solver.solve` measures that guess and falls back to
+    a zero start when it is worse, so each response is that of a solve to
+    ``tol`` and moves by about ``tol`` against a scan that starts every
+    solve from zero.
     """
     grid = Grid((points,), (domain_length,))
     x = grid.coordinates()[:, 0]
