@@ -496,8 +496,8 @@ def _cmd_schrodinger(args):
     material = build_schrodinger(grid, energy, kinetic, potential)
     try:
         result = perturbation_solve(material, psi, vprime, **opts)
-    except ValueError as exc:
-        raise ConfigError(f"'perturbation': {exc}")
+    except ParameterError as exc:
+        raise ConfigError(f"'perturbation': {exc.reason}")
     out = _outdir(args)
     write_uplf(os.path.join(out, "psi.uplf"), psi)
     write_uplf(os.path.join(out, "psi_prime.uplf"), result.psi_prime)

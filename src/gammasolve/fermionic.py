@@ -108,15 +108,19 @@ def all_permutations(n):
     return list(itertools.permutations(range(n)))
 
 
-def _values(x):
+def _values(x, vector=False):
     """``(values, wrap)``: the input as an (npoints, ncomp) complex array,
     and the function that gives a result the input's kind: a Field like
-    the input, a 1-D array for 1-D input, the array itself otherwise."""
+    the input, a 1-D array for 1-D scalar input, the array itself
+    otherwise (so 1-D vector input, one particle in one dimension, comes
+    back (npoints, 1))."""
     if isinstance(x, Field):
         return x.values, lambda out: Field(x.grid, x.layout, out, x.representation)
     arr = np.asarray(x, dtype=np.complex128)
     if arr.ndim == 1:
-        return arr[:, None], lambda out: out[:, 0]
+        arr = arr[:, None]
+        if not vector:
+            return arr, lambda out: out[:, 0]
     return arr, lambda out: out
 
 
@@ -159,7 +163,7 @@ def permute_vector(values, megrid, perm):
     """Exchange action on stacked per-particle vector blocks: block i of
     the output is the argument-permuted block perm^{-1}(i) of the input
     (so gradients of permuted scalars transform consistently)."""
-    vals, wrap = _values(values)
+    vals, wrap = _values(values, vector=True)
     return wrap(_permute(vals, megrid, perm, vector=True))
 
 
@@ -173,7 +177,7 @@ def antisymmetrize_full(values, megrid):
 
 def antisymmetrize_vector(values, megrid):
     """Full fermionic projector on stacked per-particle vector blocks."""
-    vals, wrap = _values(values)
+    vals, wrap = _values(values, vector=True)
     N = megrid.n_electrons
     return wrap(_signed_sum(vals, megrid, all_permutations(N), vector=True)
                 / math.factorial(N))
@@ -351,9 +355,12 @@ def perturbation_energy(psi, vprime):
     returned as a real number.  V' must be real: a :class:`ParameterError`
     (a ValueError) names ``vprime`` when its imaginary part is above
     rounding."""
-    vals = psi.to_real().values[:, 0]
-    ip = np.vdot(vals, _real_perturbation(vprime) * vals) * psi.grid.cell_volume
-    return float(ip.real)
+    return _shift(psi.to_real().values[:, 0], _real_perturbation(vprime), psi.grid)
+
+
+def _shift(psi_r, vp, grid):
+    """<psi, V' psi> from real-space values of psi and of a checked V'."""
+    return float((np.vdot(psi_r, vp * psi_r) * grid.cell_volume).real)
 
 
 @dataclass
@@ -384,8 +391,8 @@ def perturbation_solve(material, psi, vprime, tol=1e-10, max_iter=2000):
     grid = psi.grid
     nd = grid.ndim
     vp = _real_perturbation(vprime)
-    e_prime = perturbation_energy(psi, vp)
     psi_r = psi.to_real().values[:, 0]
+    e_prime = _shift(psi_r, vp, grid)
 
     svals = np.zeros((grid.npoints, nd + 1), dtype=np.complex128)
     svals[:, nd] = (vp - e_prime) * psi_r

@@ -132,15 +132,14 @@ def love_resonance_scan(
     |E|/|s| peaks where k1 crosses a guided-mode wavenumber.  A small loss
     (1 - i*loss) on the shear moduli keeps the resonance finite.
 
-    Each solve starts from its neighbours: the fields solved at the three
-    k1 nearest the next one (``k1_values`` need not be sorted or evenly
-    spaced) are extrapolated to it by the Lagrange polynomial through their
-    wavenumbers, and a repeated k1 reuses the field solved there.  A scan
-    holds every solved field until it returns (6 KiB each at 192 points).
-    :func:`~gammasolve.solver.solve` measures that guess and falls back to
-    a zero start when it is worse, so each response is that of a solve to
-    ``tol`` and moves by about ``tol`` against a scan that starts every
-    solve from zero.
+    Each solve starts from its neighbours: the fields of the last three
+    solves (in the order of ``k1_values``, which need not be sorted or
+    evenly spaced) are extrapolated to the next k1 by the Lagrange
+    polynomial through their wavenumbers, and a repeated k1 reuses the
+    field solved there.  :func:`~gammasolve.solver.solve` measures that
+    guess and falls back to a zero start when it is worse, so each response
+    is that of a solve to ``tol`` and moves by about ``tol`` against a scan
+    that starts every solve from zero.
     """
     grid = Grid((points,), (domain_length,))
     x = grid.coordinates()[:, 0]
@@ -154,7 +153,7 @@ def love_resonance_scan(
     bump = np.exp(-((x - center) ** 2) / (2.0 * source_width**2))
     gamma = gamma_surface(0.0)
     responses = np.zeros(len(k1_values))
-    solved = {}  # k1 -> E values, in solve order
+    solved = []  # (k1, E values) of the last three solves, at distinct k1
     for idx, k1 in enumerate(k1_values):
         k1 = float(k1)
         L = build_love(grid, omega, k1, mu, rho)
@@ -169,23 +168,21 @@ def love_resonance_scan(
         )
         snorm = float(np.linalg.norm(source.values))
         responses[idx] = float(np.linalg.norm(res.E.values)) / snorm
-        solved[k1] = res.E.values
+        solved = [s for s in solved if s[0] != k1][-2:] + [(k1, res.E.values)]
     return responses
 
 
 def _extrapolate(solved, k1):
-    """Value at k1 of the Lagrange polynomial through the three (k, E) of
-    ``solved`` (a dict k -> E) whose k are nearest k1, its terms summed in
-    the dict's order: E itself when k1 is a key, and None when ``solved``
-    is empty."""
-    if k1 in solved:
-        return solved[k1]
-    near = sorted(solved, key=lambda k: abs(k - k1))[:3]
-    ks = [k for k in solved if k in near]
-    if not ks:
+    """Value at k1 of the Lagrange polynomial through the (k, E) pairs in
+    ``solved``, whose k are distinct: E itself when k1 is one of them, and
+    None when ``solved`` is empty."""
+    ks = [k for k, _ in solved]
+    if k1 in ks:
+        return solved[ks.index(k1)][1]
+    if not solved:
         return None
-    return sum(np.prod([(k1 - ki) / (kj - ki) for ki in ks if ki != kj]) * solved[kj]
-               for kj in ks)
+    return sum(np.prod([(k1 - ki) / (kj - ki) for ki in ks if ki != kj]) * E
+               for kj, E in solved)
 
 
 def peak_estimate(k1_values, responses):

@@ -484,7 +484,7 @@ def test_schrodinger_rejects_complex_potentials(tmp_path, capsys, key, value):
     cfg = _write_config(tmp_path / "c.json", config)
     assert cli.main(["schrodinger", "--config", cfg, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert f"config error: '{key}'" in err and "must be real" in err
+    assert f"config error: '{key}': must be real" in err
     assert "Traceback" not in err
     assert not (tmp_path / "schrodinger.json").exists()
 

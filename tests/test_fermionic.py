@@ -92,6 +92,20 @@ def test_permute_vector_component_count_checked():
         permute_vector(np.zeros((mg.grid.npoints, 3)), mg, (1, 0))
 
 
+def test_one_dimensional_input_shapes():
+    # 1-D input to a scalar operation comes back 1-D; to a vector operation
+    # (one particle in one dimension has one vector component) it comes
+    # back as one column
+    mg = MultiElectronGrid(1, points=5)
+    f = np.arange(5.0)
+    assert permute_scalar(f, mg, (0,)).shape == (5,)
+    assert antisymmetrize_full(f, mg).shape == (5,)
+    assert_allclose(lambda_a(f, mg), f)
+    assert permute_vector(f, mg, (0,)).shape == (5, 1)
+    assert antisymmetrize_vector(f, mg).shape == (5, 1)
+    assert_allclose(lambda_A(f, mg), f[:, None])
+
+
 def test_antisymmetrize_full_projector_properties():
     mg = MultiElectronGrid(3, points=4)
     f = _rand(mg, 2)

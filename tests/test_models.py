@@ -151,12 +151,3 @@ def test_love_scan_order_and_repeats_keep_each_response(monkeypatch):
         shuffled, iterations = _scan(monkeypatch, k1s[order])
     assert iterations[5] == 0 and iterations[-1] == 0  # the same E, met at once
     assert_allclose(shuffled, _scan(monkeypatch, k1s)[0][order], rtol=1e-6)
-
-
-def test_love_scan_seeds_from_the_nearest_solved_k1(monkeypatch):
-    # Seeds from the last three solves in input order took 369 iterations
-    # here against the sorted scan's 325; the nearest three take 330.
-    k1s = np.linspace(4.4, 5.0, 25)
-    _, ordered = _scan(monkeypatch, k1s)
-    _, shuffled = _scan(monkeypatch, k1s[np.random.default_rng(3).permutation(25)])
-    assert sum(shuffled) <= 1.1 * sum(ordered)
