@@ -1,8 +1,9 @@
 """Command-line front end.
 
 :data:`_COMMANDS` is the table of subcommands: each one's implementation,
-help text and the command-line flags it reads.  Configuration is JSON;
-unknown keys are rejected with their JSON path.
+help text and the command-line flags it reads.  Configuration is JSON:
+every section is an object, every name or file path a string, and a key
+or value the command cannot read is rejected with its JSON path.
 Exit codes: 0 on success/convergence, 2 on non-convergence (or failed
 verification), 1 on usage or configuration errors.
 """
@@ -41,7 +42,7 @@ from .materials import (
     resolve_parameter,
 )
 from .projectors import FAMILIES, apply_projector
-from .solver import Problem, solve
+from .solver import _METHODS, Problem, solve
 from .quasiperiodic import effective_tensors
 from .fermionic import ground_state, perturbation_solve
 
@@ -51,22 +52,31 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# JSON helpers
+# JSON readers: each rejects a value at its config path
 # ---------------------------------------------------------------------------
 
 
-def _check_unknown(node, allowed, path):
+def _object(node, path, required, optional=()):
+    """The values of the ``required`` keys of the JSON object ``node`` at
+    ``path`` (``""`` for the whole config), which may hold the ``optional``
+    keys too but no others."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"'{path or 'config'}' must be a JSON object")
+    prefix = f"{path}." if path else ""
     for key in node:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{path}.{key}'" if path else
-                              f"unknown key '{key}'")
+        if key not in required and key not in optional:
+            raise ConfigError(f"unknown key '{prefix}{key}'")
+    for key in required:
+        if key not in node:
+            raise ConfigError(f"missing key '{prefix}{key}'")
+    return [node[key] for key in required]
 
 
-def _require(node, key, path):
-    if key not in node:
-        raise ConfigError(f"missing key '{path}.{key}'" if path else
-                          f"missing key '{key}'")
-    return node[key]
+def _text(node, path):
+    """A JSON string: a name or a file path."""
+    if not isinstance(node, str):
+        raise ConfigError(f"'{path}' must be a string")
+    return node
 
 
 def _is_number(node):
@@ -110,58 +120,75 @@ def _list(node, path, item=_scalar, length=None):
     return [item(v, f"{path}[{i}]") for i, v in enumerate(node)]
 
 
+# parameter descriptor type -> its keys besides ``type``
+_PARAM_KEYS = {
+    "constant": ("value",),
+    "layered": ("axis", "breakpoints", "values"),
+    "checkerboard": ("values",),
+    "voxel": ("path",),
+    "array": ("values",),
+}
+
+# source type -> its keys besides ``type``
+_SOURCE_KEYS = {
+    "plane_wave": ("mode", "amplitude"),
+    "constant": ("amplitude",),
+    "gaussian": ("center", "width", "block", "amplitude"),
+    "force_plane_wave": ("mode", "force"),
+    "force_constant": ("force",),
+    "uplf": ("path",),
+}
+
+
+def _type(node, path, table, what):
+    """The ``type`` of the JSON object ``node`` at ``path``, once ``node``
+    holds exactly the other keys ``table`` declares for that type."""
+    [kind] = _object(node, path, ("type",), node)  # the type names the other keys
+    kind = _text(kind, f"{path}.type")
+    if kind not in table:
+        raise ConfigError(f"unknown {what} type '{kind}' at '{path}'")
+    _object(node, path, ("type",) + table[kind])
+    return kind
+
+
 def _parse_param(node, path, ndim):
     """Material parameter on an ``ndim``-axis grid: scalar, [re,im], or a
     descriptor object.  A JSON boolean is not a number anywhere in it,
     while a ``voxel`` file of booleans reads as 0 and 1."""
     if not isinstance(node, dict):
         return _scalar(node, path)
-    kind = _require(node, "type", path)
+    kind = _type(node, path, _PARAM_KEYS, "parameter")
     if kind == "constant":
-        _check_unknown(node, {"type", "value"}, path)
-        return _scalar(_require(node, "value", path), f"{path}.value")
+        return _scalar(node["value"], f"{path}.value")
     if kind == "layered":
-        _check_unknown(node, {"type", "axis", "breakpoints", "values"}, path)
-        return Layered(
-            _integer(_require(node, "axis", path), f"{path}.axis", 0, ndim - 1),
-            tuple(_list(_require(node, "breakpoints", path), f"{path}.breakpoints",
-                        _number)),
-            tuple(_list(_require(node, "values", path), f"{path}.values")),
-        )
+        return Layered(_integer(node["axis"], f"{path}.axis", 0, ndim - 1),
+                       tuple(_list(node["breakpoints"], f"{path}.breakpoints", _number)),
+                       tuple(_list(node["values"], f"{path}.values")))
     if kind == "checkerboard":
-        _check_unknown(node, {"type", "values"}, path)
-        vals = _list(_require(node, "values", path), f"{path}.values")
-        if len(vals) != 2:
-            raise ConfigError(f"'{path}.values' must have exactly two entries")
-        return Checkerboard(tuple(vals))
+        return Checkerboard(tuple(_list(node["values"], f"{path}.values", length=2)))
     if kind == "voxel":
-        _check_unknown(node, {"type", "path"}, path)
         try:
-            values = np.load(_require(node, "path", path))
+            values = np.load(_text(node["path"], f"{path}.path"))
         except (ValueError, EOFError) as exc:
             raise ConfigError(f"'{path}.path' is not a NumPy array file: {exc}")
         # Booleans count as 0 and 1; strings and other non-numbers do not.
         if not (values.dtype.kind in "biufc" and np.isfinite(values).all()):
             raise ConfigError(f"'{path}.path' must hold finite numbers")
         return Voxel(values)
-    if kind == "array":
-        _check_unknown(node, {"type", "values"}, path)
-        values = _require(node, "values", path)
-        try:
-            if not any(isinstance(v, bool) for v in np.array(values, dtype=object).flat):
-                values = np.array(values, dtype=np.complex128)
-                if np.isfinite(values).all():
-                    return values
-        except (TypeError, ValueError):
-            pass
-        raise ConfigError(f"'{path}.values' must hold finite numbers")
-    raise ConfigError(f"unknown parameter type '{kind}' at '{path}'")
+    values = node["values"]  # an inline array
+    try:
+        if not any(isinstance(v, bool) for v in np.array(values, dtype=object).flat):
+            values = np.array(values, dtype=np.complex128)
+            if np.isfinite(values).all():
+                return values
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"'{path}.values' must hold finite numbers")
 
 
 def _parse_grid(node, path="grid"):
-    _check_unknown(node, {"dims", "lengths"}, path)
-    dims = _list(_require(node, "dims", path), f"{path}.dims",
-                 lambda n, where: _integer(n, where, 1))
+    [dims] = _object(node, path, ("dims",), ("lengths",))
+    dims = _list(dims, f"{path}.dims", lambda n, where: _integer(n, where, 1))
     if not dims:
         raise ConfigError(f"'{path}.dims' must list at least one axis")
     lengths = _list(node.get("lengths", [2.0 * np.pi] * len(dims)), f"{path}.lengths",
@@ -170,21 +197,20 @@ def _parse_grid(node, path="grid"):
 
 
 def _parse_material(node, ndim, path="material"):
-    _check_unknown(node, {"physics", "omega", "params", "options"}, path)
-    physics = _require(node, "physics", path)
-    if not isinstance(physics, str) or physics not in PHYSICS:
+    physics, omega = _object(node, path, ("physics", "omega"), ("params", "options"))
+    physics = _text(physics, f"{path}.physics")
+    if physics not in PHYSICS:
         raise ConfigError(f"unknown physics {physics!r} at '{path}.physics'; "
                           f"known: {', '.join(sorted(PHYSICS))}")
-    omega = _scalar(_require(node, "omega", path), f"{path}.omega")
+    omega = _scalar(omega, f"{path}.omega")
     raw = node.get("params", {})
     raw_options = node.get("options", {})
     # The keys are the builder's keyword arguments after (grid, omega).
     keys = dict(list(inspect.signature(PHYSICS[physics].builder).parameters.items())[2:])
-    _check_unknown(raw, keys, f"{path}.params")
-    _check_unknown(raw_options, keys, f"{path}.options")
-    for name, p in keys.items():
-        if p.default is p.empty and name not in raw and name not in raw_options:
-            raise ConfigError(f"missing key '{path}.params.{name}'")
+    _object(raw_options, f"{path}.options", (), keys)
+    # A parameter without a default may come as an option instead.
+    _object(raw, f"{path}.params", [name for name, p in keys.items()
+                                    if p.default is p.empty and name not in raw_options], keys)
     params = {k: _parse_param(v, f"{path}.params.{k}", ndim) for k, v in raw.items()}
     options = {}
     for k, v in raw_options.items():
@@ -192,11 +218,11 @@ def _parse_material(node, ndim, path="material"):
     return MaterialSpec(physics, omega, params, options)
 
 
-def _parse_problem(cfg):
+def _parse_problem(grid_node, material_node):
     """Grid, material (in its canonical direct form), projector and physics
     name of a config's ``grid`` and ``material`` sections."""
-    grid = _parse_grid(_require(cfg, "grid", ""))
-    spec = _parse_material(_require(cfg, "material", ""), grid.ndim)
+    grid = _parse_grid(grid_node)
+    spec = _parse_material(material_node, grid.ndim)
     try:
         L = build_material(spec, grid)
     except ParameterError as exc:
@@ -214,81 +240,51 @@ def _parse_problem(cfg):
 
 
 def _parse_source(node, grid, L, physics, path="source"):
-    kind = _require(node, "type", path)
-    ncomp = L.layout.ncomp
-    x = grid.coordinates()
-
-    def envelope_plane(mode):
-        mode = np.asarray(_list(mode, f"{path}.mode", _number, grid.ndim))
-        k = 2.0 * np.pi * mode / np.asarray(grid.lengths)
-        return np.exp(1j * (x @ k))
-
-    def envelope_gauss(center, width):
-        c = np.asarray(_list(center, f"{path}.center", _number, grid.ndim))
-        width = _number(width, f"{path}.width", positive=True)
-        return np.exp(-np.sum((x - c) ** 2, axis=1) / (2.0 * width**2))
-
-    def force_source(envelope):
-        f = np.asarray(_list(_require(node, "force", path), f"{path}.force"),
-                       dtype=np.complex128)
-        try:
-            return physics_family(physics).force_source(L, envelope[:, None] * f, grid)
-        except ValueError as exc:  # the force does not fit its block
-            raise ConfigError(f"'{path}.force' does not fit the {physics} force "
-                              f"({len(f)} entries): {exc}")
-
-    def amplitude(size):
-        amp = np.asarray(_list(_require(node, "amplitude", path), f"{path}.amplitude"),
-                         dtype=np.complex128)
-        if amp.shape != (size,):
-            raise ConfigError(f"'{path}.amplitude' must have {size} entries")
-        return amp
-
-    if kind == "plane_wave":
-        _check_unknown(node, {"type", "mode", "amplitude"}, path)
-        amp = amplitude(ncomp)
-        env = envelope_plane(_require(node, "mode", path))
-        return Field(grid, L.layout, env[:, None] * amp[None, :])
-    if kind == "constant":
-        _check_unknown(node, {"type", "amplitude"}, path)
-        return Field(grid, L.layout,
-                     np.broadcast_to(amplitude(ncomp), (grid.npoints, ncomp)).copy())
-    if kind == "gaussian":
-        _check_unknown(node, {"type", "center", "width", "block", "amplitude"}, path)
-        env = envelope_gauss(_require(node, "center", path), _require(node, "width", path))
-        block = _integer(_require(node, "block", path), f"{path}.block", 0,
-                         len(L.layout.blocks) - 1)
-        amp = amplitude(L.layout.blocks[block].ncomp)
-        return block_source(grid, L.layout, block, env[:, None] * amp[None, :])
-    if kind == "force_plane_wave":
-        _check_unknown(node, {"type", "mode", "force"}, path)
-        return force_source(envelope_plane(_require(node, "mode", path)))
-    if kind == "force_constant":
-        _check_unknown(node, {"type", "force"}, path)
-        return force_source(np.ones(grid.npoints))
+    kind = _type(node, path, _SOURCE_KEYS, "source")
     if kind == "uplf":
-        _check_unknown(node, {"type", "path"}, path)
-        return _read_uplf(_require(node, "path", path), f"{path}.path")
-    raise ConfigError(f"unknown source type '{kind}' at '{path}'")
-
-
-_METHODS = ("krylov", "fixed_point")
+        return _read_uplf(node["path"], f"{path}.path")
+    x = grid.coordinates()
+    if kind == "gaussian":
+        c = np.asarray(_list(node["center"], f"{path}.center", _number, grid.ndim))
+        width = _number(node["width"], f"{path}.width", positive=True)
+        env = np.exp(-np.sum((x - c) ** 2, axis=1) / (2.0 * width**2))
+        block = _integer(node["block"], f"{path}.block", 0, len(L.layout.blocks) - 1)
+        amp = np.asarray(_list(node["amplitude"], f"{path}.amplitude",
+                               length=L.layout.blocks[block].ncomp), dtype=np.complex128)
+        return block_source(grid, L.layout, block, env[:, None] * amp[None, :])
+    # The other four share an envelope, ones or the plane wave of ``mode``,
+    # times the ``amplitude`` of every component or the family's ``force``.
+    env = np.ones(grid.npoints)
+    if "mode" in node:
+        mode = np.asarray(_list(node["mode"], f"{path}.mode", _number, grid.ndim))
+        env = np.exp(1j * (x @ (2.0 * np.pi * mode / np.asarray(grid.lengths))))
+    if "amplitude" in node:
+        amp = np.asarray(_list(node["amplitude"], f"{path}.amplitude",
+                               length=L.layout.ncomp), dtype=np.complex128)
+        return Field(grid, L.layout, env[:, None] * amp[None, :])
+    f = np.asarray(_list(node["force"], f"{path}.force"), dtype=np.complex128)
+    try:
+        return physics_family(physics).force_source(L, env[:, None] * f, grid)
+    except ValueError as exc:  # the force does not fit its block
+        raise ConfigError(f"'{path}.force' does not fit the {physics} force "
+                          f"({len(f)} entries): {exc}")
 
 
 def _parse_solver(cfg, args, default_tol, allowed):
     """Options of the config's ``solver`` section, whose keys must be in
     ``allowed``: ``tol`` is ``--tol``, else ``solver.tol``, else
     ``default_tol``, and must be positive; ``max_iter`` must be a positive
-    integer; ``shift`` and ``history_csv`` come back as given."""
+    integer and ``method`` a solver method; ``shift`` and ``history_csv``
+    come back as given."""
     node = cfg.get("solver", {})
-    _check_unknown(node, allowed, "solver")
+    _object(node, "solver", (), allowed)
     opts = dict(node)
     tol, where = ((node.get("tol", default_tol), "solver.tol") if args.tol is None
                   else (args.tol, "--tol"))
     opts["tol"] = _number(tol, where, positive=True)
     if "max_iter" in node:
         _integer(node["max_iter"], "solver.max_iter", 1)
-    if opts.get("method", _METHODS[0]) not in _METHODS:
+    if "method" in node and node["method"] not in _METHODS:
         raise ConfigError(f"'solver.method' must be one of {', '.join(_METHODS)}")
     return opts
 
@@ -315,8 +311,9 @@ def _matrix_json(M):
     return [[_cj(v) for v in row] for row in np.asarray(M)]
 
 
-def _read_uplf(filename, path):
+def _read_uplf(node, path):
     """The field stored in the UPLF file named at config key ``path``."""
+    filename = _text(node, path)
     try:
         return read_uplf(filename)
     except UPLFError as exc:
@@ -357,12 +354,12 @@ def _write_json(out, name, payload):
 
 def _cmd_solve(args):
     cfg = _load_config(args)
-    _check_unknown(cfg, {"grid", "material", "source", "solver"}, "")
-    grid, L, gamma, physics = _parse_problem(cfg)
-    source = _parse_source(_require(cfg, "source", ""), grid, L, physics)
+    grid, material, source = _object(cfg, "", ("grid", "material", "source"), ("solver",))
+    grid, L, gamma, physics = _parse_problem(grid, material)
+    source = _parse_source(source, grid, L, physics)
     opts = _parse_solver(cfg, args, 1e-8,
                          {"tol", "max_iter", "method", "shift", "history_csv"})
-    history_csv = opts.pop("history_csv", None)
+    history_csv = _text(opts.pop("history_csv", ""), "solver.history_csv")
     if "shift" in opts:
         opts["shift"] = _shift(opts["shift"], "solver.shift", grid)
     problem = Problem(grid=grid, L=L, gamma=gamma, source=source, **opts)
@@ -395,11 +392,10 @@ def _cmd_solve(args):
 
 def _cmd_effective(args):
     cfg = _load_config(args)
-    _check_unknown(cfg, {"grid", "material", "bloch", "solver"}, "")
-    grid, L, gamma, _ = _parse_problem(cfg)
-    bloch = _require(cfg, "bloch", "")
-    _check_unknown(bloch, {"k0", "modulation"}, "bloch")
-    k0 = _shift(_require(bloch, "k0", "bloch"), "bloch.k0", grid)
+    grid, material, bloch = _object(cfg, "", ("grid", "material", "bloch"), ("solver",))
+    grid, L, gamma, _ = _parse_problem(grid, material)
+    [k0] = _object(bloch, "bloch", ("k0",), ("modulation",))
+    k0 = _shift(k0, "bloch.k0", grid)
     modulation = bloch.get("modulation")
     if modulation is not None:
         modulation = _grid_param(modulation, "bloch.modulation", grid)
@@ -433,55 +429,45 @@ _DISPERSION_PARAMS = {
 
 def _cmd_dispersion(args):
     cfg = _load_config(args)
-    _check_unknown(cfg, {"model", "params", "scan"}, "")
-    model = _require(cfg, "model", "")
+    model, params = _object(cfg, "", ("model", "params"), ("scan",))
+    model = _text(model, "model")
     if model not in _DISPERSION_PARAMS:
-        raise ConfigError(f"unknown dispersion model '{model}'")
-    params = _require(cfg, "params", "")
+        raise ConfigError(f"unknown dispersion model '{model}' at 'model'")
     keys = _DISPERSION_PARAMS[model]
-    _check_unknown(params, keys, "params")
-    values = [_scalar(_require(params, k, "params"), f"params.{k}") for k in keys]
-    out = _outdir(args)
+    values = [_scalar(v, f"params.{k}") for k, v in zip(keys, _object(params, "params", keys))]
     if model == "effective_mass":
-        scan = _require(cfg, "scan", "")
-        _check_unknown(scan, {"start", "stop", "count"}, "scan")
-        omegas = np.linspace(_number(_require(scan, "start", "scan"), "scan.start"),
-                             _number(_require(scan, "stop", "scan"), "scan.stop"),
-                             _integer(_require(scan, "count", "scan"), "scan.count", 1))
-        M = models.effective_mass(omegas, *values)
-        with open(os.path.join(out, "dispersion.csv"), "w") as fh:
-            fh.write("omega,re,im\n")
-            for w, v in zip(omegas, np.atleast_1d(M)):
-                fh.write(f"{w:.16e},{v.real:.16e},{v.imag:.16e}\n")
+        [scan] = _object(cfg, "", ("scan",), cfg)  # the other keys were checked above
+        start, stop, count = _object(scan, "scan", ("start", "stop", "count"))
+        omegas = np.linspace(_number(start, "scan.start"), _number(stop, "scan.stop"),
+                             _integer(count, "scan.count", 1))
+        M = np.atleast_1d(models.effective_mass(omegas, *values))
+        rows = ["omega,re,im"] + [f"{w:.16e},{v.real:.16e},{v.imag:.16e}"
+                                  for w, v in zip(omegas, M)]
         stiffness, mass = values[1].real, values[3].real
-        meta = {
-            "model": model,
-            "resonance_frequency": models.resonance_frequency(stiffness, mass),
-            "outputs": {"csv": "dispersion.csv"},
-        }
+        meta = {"resonance_frequency": models.resonance_frequency(stiffness, mass)}
     else:
         if any(isinstance(v, complex) for v in values):
             raise ConfigError("'params' of the love model must be real numbers")
         roots = models.love_dispersion(*values)
-        with open(os.path.join(out, "dispersion.csv"), "w") as fh:
-            fh.write("index,k1\n")
-            for i, r in enumerate(roots):
-                fh.write(f"{i},{r:.16e}\n")
-        meta = {"model": model, "roots": list(map(float, roots)),
-                "outputs": {"csv": "dispersion.csv"}}
-    _write_json(out, "dispersion.json", meta)
+        rows = ["index,k1"] + [f"{i},{r:.16e}" for i, r in enumerate(roots)]
+        meta = {"roots": list(map(float, roots))}
+    out = _outdir(args)
+    with open(os.path.join(out, "dispersion.csv"), "w") as fh:
+        fh.writelines(row + "\n" for row in rows)
+    _write_json(out, "dispersion.json",
+                dict(meta, model=model, outputs={"csv": "dispersion.csv"}))
     print(f"dispersion model={model} written to {out}")
     return 0
 
 
 def _cmd_schrodinger(args):
     cfg = _load_config(args)
-    _check_unknown(cfg, {"grid", "kinetic", "potential", "perturbation",
-                         "state_index", "solver"}, "")
-    grid = _parse_grid(_require(cfg, "grid", ""))
-    kinetic = _parse_param(_require(cfg, "kinetic", ""), "kinetic", grid.ndim)
-    potential = _grid_param(_require(cfg, "potential", ""), "potential", grid)
-    vprime = _grid_param(_require(cfg, "perturbation", ""), "perturbation", grid)
+    grid, kinetic, potential, vprime = _object(
+        cfg, "", ("grid", "kinetic", "potential", "perturbation"), ("state_index", "solver"))
+    grid = _parse_grid(grid)
+    kinetic = _parse_param(kinetic, "kinetic", grid.ndim)
+    potential = _grid_param(potential, "potential", grid)
+    vprime = _grid_param(vprime, "perturbation", grid)
     state_index = _integer(cfg.get("state_index", 0), "state_index", 0, grid.npoints - 1)
     opts = _parse_solver(cfg, args, 1e-10, {"tol", "max_iter"})
     try:
@@ -516,11 +502,11 @@ def _cmd_schrodinger(args):
 
 def _cmd_project(args):
     cfg = _load_config(args)
-    _check_unknown(cfg, {"input", "output", "projector", "which", "shift"}, "")
-    field = _read_uplf(_require(cfg, "input", ""), "input")
-    pnode = _require(cfg, "projector", "")
-    _check_unknown(pnode, {"family"}, "projector")
-    family = _require(pnode, "family", "projector")
+    stored, output, pnode = _object(cfg, "", ("input", "output", "projector"),
+                                    ("which", "shift"))
+    output = _text(output, "output")
+    field = _read_uplf(stored, "input")
+    family = _text(_object(pnode, "projector", ("family",))[0], "projector.family")
     if family not in FAMILIES:
         raise ConfigError(f"unknown projector family '{family}' at 'projector.family'")
     try:
@@ -530,12 +516,10 @@ def _cmd_project(args):
     if projector.ncomp != field.layout.ncomp:
         raise ConfigError(f"'projector.family': {family} acts on {projector.ncomp} "
                           f"components, the input field has {field.layout.ncomp}")
-    which = cfg.get("which", 1)
-    if which not in (1, 2):
-        raise ConfigError("'which' must be 1 or 2")
+    which = _integer(cfg.get("which", 1), "which", 1, 2)
     shift = None if cfg.get("shift") is None else _shift(cfg["shift"], "shift", field.grid)
     out_field = apply_projector(field, projector, shift=shift, which=which)
-    dest = os.path.join(_outdir(args), _require(cfg, "output", ""))
+    dest = os.path.join(_outdir(args), output)
     write_uplf(dest, out_field)
     print(f"projected {args.config}:{family} (which={which}) -> {dest}")
     return 0
@@ -731,7 +715,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"gamma-solve: config error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a named file that is missing or cannot be opened
         print(f"gamma-solve: {exc}", file=sys.stderr)
         return 1
 

@@ -300,8 +300,8 @@ def ground_state(grid, kinetic, potential, nstates=1):
     """Lowest stationary states of -div(A grad) + V by dense spectral
     assembly (desk scales only; the Hamiltonian matrix is npoints^2).
 
-    The potential V must be real: a :class:`ParameterError` names it when
-    its imaginary part is above rounding.  Returns (energies, states):
+    The kinetic matrix A must be Hermitian and the potential V real: a
+    :class:`ParameterError` names the one that is not, above rounding.  Returns (energies, states):
     ndarray (nstates,) and a list of unit-norm scalar Fields with fixed
     phase.
     """
@@ -315,6 +315,9 @@ def ground_state(grid, kinetic, potential, nstates=1):
         raise ParameterError("kinetic", "dense stationary-state solve needs a constant "
                                         "kinetic matrix")
     A = _matrix(A, nd)
+    asym = float(np.max(np.abs(A - np.conj(A.T))))
+    if asym > 1e-12 * float(np.max(np.abs(A))):
+        raise ParameterError("kinetic", f"must be Hermitian, got |A - A^H| up to {asym:.3g}")
     V = np.broadcast_to(resolve_parameter(potential, grid, ()), (npts,))
     _require_real(V, "potential")
     K = grid.wavevectors()

@@ -115,6 +115,10 @@ class Layered:
 
     def phases(self, grid):
         """``(values, index)``: the layer values and each point's layer."""
+        if not (isinstance(self.axis, (int, np.integer)) and not isinstance(self.axis, bool)
+                and 0 <= self.axis < grid.ndim):
+            raise ValueError(f"layered axis must be an integer in 0..{grid.ndim - 1}, "
+                             f"got {self.axis!r}")
         bp = np.asarray(self.breakpoints, dtype=float)
         if len(self.values) != len(bp) + 1:
             raise ValueError("layered profile needs len(values) == len(breakpoints)+1")

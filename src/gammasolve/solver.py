@@ -99,6 +99,9 @@ __all__ = [
 # norm before is a happy breakdown.
 _EPS = np.finfo(float).eps
 
+# The values Problem.method may take.
+_METHODS = ("krylov", "fixed_point")
+
 # A material's joint range drops the candidate null vectors (Gram eigenvalues
 # at most _NULL_CANDIDATE of the largest) only if it maps each of them to at
 # most _RANGE_TOL * max|L| in every entry.
@@ -503,7 +506,7 @@ def solve(problem):
         raise ValueError(f"restart must be a positive integer or None, got {restart!r}")
     if not problem.tol > 0:  # also a NaN
         raise ValueError(f"tol must be a positive number, got {problem.tol!r}")
-    if problem.method not in ("krylov", "fixed_point"):
+    if problem.method not in _METHODS:
         raise ValueError(f"unknown method {problem.method!r}")
     c = problem.reference
     if c is not None and not (np.isfinite(c) and c != 0):

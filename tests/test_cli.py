@@ -319,6 +319,34 @@ def _layered_kappa(**descriptor):
     ("solve", dict(SOLVE_CFG, material=dict(SOLVE_CFG["material"], params={
         "kappa": {"type": "array", "values": [1.0] * 511 + [True]}, "rho": 1.0})),
      "material.params.kappa.values"),
+    ("solve", 5, "config"),
+    ("solve", dict(SOLVE_CFG, grid=5), "grid"),
+    ("solve", dict(SOLVE_CFG, material=5), "material"),
+    ("solve", dict(SOLVE_CFG, material=dict(SOLVE_CFG["material"], params=5)),
+     "material.params"),
+    ("solve", dict(SOLVE_CFG, material=dict(SOLVE_CFG["material"], options=3)),
+     "material.options"),
+    ("solve", dict(SOLVE_CFG, source=7), "source"),
+    ("solve", dict(SOLVE_CFG, solver=3), "solver"),
+    ("effective", dict(EFFECTIVE_CFG, bloch=5), "bloch"),
+    ("project", dict(_PROJECT_CFG, projector=5), "projector"),
+    ("dispersion", dict(_DISPERSION_CFG, scan=5), "scan"),
+    ("solve", dict(SOLVE_CFG, material=dict(SOLVE_CFG["material"], physics=["acoustics"])),
+     "material.physics"),
+    ("solve", _layered_kappa(type=1.5), "material.params.kappa.type"),
+    ("solve", dict(SOLVE_CFG, source=dict(SOLVE_CFG["source"], type=["plane_wave"])),
+     "source.type"),
+    ("solve", dict(SOLVE_CFG, material=dict(SOLVE_CFG["material"], params={
+        "kappa": {"type": "voxel", "path": 2.5}, "rho": 1.0})),
+     "material.params.kappa.path"),
+    ("solve", dict(SOLVE_CFG, source={"type": "uplf", "path": ["x"]}), "source.path"),
+    ("solve", dict(SOLVE_CFG, solver={"history_csv": 5.0}), "solver.history_csv"),
+    ("project", dict(_PROJECT_CFG, input=["f.uplf"]), "input"),
+    ("project", dict(_PROJECT_CFG, output=5.0), "output"),
+    ("project", dict(_PROJECT_CFG, projector={"family": ["helmholtz"]}), "projector.family"),
+    ("dispersion", dict(_DISPERSION_CFG, model=["love"]), "model"),
+    ("project", dict(_PROJECT_CFG, which=True), "which"),
+    ("schrodinger", dict(SCHRODINGER_CFG, kinetic=[1.0, 0.5]), "kinetic"),
 ], ids=["effective-modulation", "effective-k0", "schrodinger-potential",
         "schrodinger-perturbation", "schrodinger-kinetic", "schrodinger-grid",
         "solve-shift", "solve-method", "project-which", "project-shift",
@@ -332,7 +360,18 @@ def _layered_kappa(**descriptor):
         "dispersion-count-string", "dispersion-count-negative", "solve-lengths-infinite",
         "solve-omega-nan", "solve-tol-nan", "solve-tol-infinite", "solve-omega-pair-nan",
         "solve-array-nan", "solve-array-strings", "solve-amplitude-infinite",
-        "dispersion-stop-infinite", "solve-dims-empty", "solve-array-bool"])
+        "dispersion-stop-infinite", "solve-dims-empty", "solve-array-bool",
+        "solve-config-not-an-object", "solve-grid-not-an-object",
+        "solve-material-not-an-object", "solve-params-not-an-object",
+        "solve-options-not-an-object", "solve-source-not-an-object",
+        "solve-solver-not-an-object", "effective-bloch-not-an-object",
+        "project-projector-not-an-object", "dispersion-scan-not-an-object",
+        "solve-physics-not-a-string", "solve-param-type-not-a-string",
+        "solve-source-type-not-a-string", "solve-voxel-path-not-a-string",
+        "solve-uplf-path-not-a-string", "solve-history_csv-not-a-string",
+        "project-input-not-a-string", "project-output-not-a-string",
+        "project-family-not-a-string", "dispersion-model-not-a-string",
+        "project-which-bool", "schrodinger-kinetic-not-hermitian"])
 def test_config_errors_of_every_subcommand_name_their_path(
         tmp_path, monkeypatch, capsys, command, config, path):
     from gammasolve.fields import Block, BlockLayout, Grid

@@ -275,6 +275,19 @@ def test_ground_state_rejects_a_complex_potential():
     assert info.value.name == "potential"
 
 
+def test_ground_state_rejects_a_non_hermitian_kinetic_matrix():
+    # (H + H^H)/2 dropped the 0.5i: these were the energies of kinetic 1
+    grid = Grid((24,), (2.0 * np.pi,))
+    with pytest.raises(ParameterError) as info:
+        ground_state(grid, 1.0 + 0.5j, 0.0, nstates=3)
+    assert info.value.name == "kinetic"
+    # a Hermitian complex A is valid: its imaginary part cancels in k.A.k
+    square = Grid((4, 4), (2.0 * np.pi,) * 2)
+    A = np.array([[1.0, 0.3j], [-0.3j, 2.0]])
+    assert_allclose(ground_state(square, A, 0.0, nstates=3)[0], [0.0, 1.0, 1.0],
+                    atol=1e-12)
+
+
 def test_perturbation_rejects_a_complex_potential_change():
     # Re<psi, V' psi> ignored the 0.3i while the corrector used it
     grid = Grid((24,), (2.0 * np.pi,))

@@ -101,6 +101,14 @@ def test_layered_descriptor():
     assert_allclose(out, np.where(x < np.pi, 1.0, 5.0))
 
 
+@pytest.mark.parametrize("axis", [5, -1, 1.0, True])
+def test_layered_axis_outside_the_grid_names_the_parameter(axis):
+    # 5 raised IndexError and -1 read the last axis
+    with pytest.raises(ParameterError) as info:
+        build_acoustics(Grid((4, 4), (1.0, 1.0)), 1.0, Layered(axis, (0.5,), (1.0, 2.0)), 1.0)
+    assert info.value.name == "kappa" and "axis" in info.value.reason
+
+
 def test_checkerboard_descriptor():
     d = Checkerboard((1.0, 2.0))
     out = resolve_parameter(d, G2, ())
