@@ -79,6 +79,16 @@ def _text(node, path):
     return node
 
 
+def _output_name(node, path):
+    """A JSON string naming a file inside ``--out``: a relative path that
+    stays there once normalized, returned normalized."""
+    name = _text(node, path)
+    normal = os.path.normpath(name)
+    if os.path.isabs(name) or normal.split(os.sep)[0] in (os.curdir, os.pardir):
+        raise ConfigError(f"'{path}' must name a file inside --out, not {name!r}")
+    return normal
+
+
 def _is_number(node):
     """A finite JSON number: Python's json also reads NaN and Infinity."""
     return (isinstance(node, (int, float)) and not isinstance(node, bool)
@@ -171,6 +181,8 @@ def _parse_param(node, path, ndim):
             values = np.load(_text(node["path"], f"{path}.path"))
         except (ValueError, EOFError) as exc:
             raise ConfigError(f"'{path}.path' is not a NumPy array file: {exc}")
+        except OSError as exc:
+            raise ConfigError(f"'{path}.path': {exc}")
         # Booleans count as 0 and 1; strings and other non-numbers do not.
         if not (values.dtype.kind in "biufc" and np.isfinite(values).all()):
             raise ConfigError(f"'{path}.path' must hold finite numbers")
@@ -318,6 +330,8 @@ def _read_uplf(node, path):
         return read_uplf(filename)
     except UPLFError as exc:
         raise ConfigError(f"'{path}': {filename} is not a valid UPLF file: {exc}")
+    except OSError as exc:
+        raise ConfigError(f"'{path}': {exc}")
 
 
 def _load_config(args):
@@ -359,7 +373,9 @@ def _cmd_solve(args):
     source = _parse_source(source, grid, L, physics)
     opts = _parse_solver(cfg, args, 1e-8,
                          {"tol", "max_iter", "method", "shift", "history_csv"})
-    history_csv = _text(opts.pop("history_csv", ""), "solver.history_csv")
+    history_csv = opts.pop("history_csv", None)
+    if history_csv is not None:
+        history_csv = _output_name(history_csv, "solver.history_csv")
     if "shift" in opts:
         opts["shift"] = _shift(opts["shift"], "solver.shift", grid)
     problem = Problem(grid=grid, L=L, gamma=gamma, source=source, **opts)
@@ -504,7 +520,7 @@ def _cmd_project(args):
     cfg = _load_config(args)
     stored, output, pnode = _object(cfg, "", ("input", "output", "projector"),
                                     ("which", "shift"))
-    output = _text(output, "output")
+    output = _output_name(output, "output")
     field = _read_uplf(stored, "input")
     family = _text(_object(pnode, "projector", ("family",))[0], "projector.family")
     if family not in FAMILIES:

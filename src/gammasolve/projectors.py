@@ -5,11 +5,14 @@ Each family is declared once, as a potential symbol D(ik) (a
 admissible pairs: a gradient, curl or divergence paired with the potential
 (or stress) itself.  Every D contains an identity block, so it has full
 column rank at every wavevector k.  A projector is stored as its per-mode
-basis: for a family that is Q, the reduced QR basis of D(ik) built by one
-routine for every family, and Gamma(k) = Q Q^H is the orthogonal projector
-onto range(D(ik)).  Solvers apply Gamma as Q (Q^H v) without forming the
-dense (c, c) symbols, alternating it (mode by mode in Fourier space) with
-pointwise material maps in real space.
+basis B, orthonormal columns spanning range(D(ik)), so Gamma(k) = B B^H is
+the orthogonal projector onto it.  The five families built from
+scalar-gradient pairs (Helmholtz, Schrodinger, surface, elastic,
+thermoacoustic) have D^H D = (1 + |k|^2) I, and B is D / sqrt(1 + |k|^2);
+for Maxwell and Brinkman, whose Gram matrix is not diagonal, B is the
+reduced QR basis of D.  Solvers apply Gamma as B (B^H v) without forming
+the dense (c, c) symbols, alternating it (mode by mode in Fourier space)
+with pointwise material maps in real space.
 
 Builders return a :class:`Projector`; use :func:`apply_projector` to act on
 fields, optionally with a constant shift of the wavevector grid (Bloch
@@ -250,7 +253,9 @@ def thermoacoustic_D():
 
 
 def _range_projector(name, dop):
-    """The projector whose basis is Q, the reduced QR basis of D(ik).
+    """The projector whose basis is Q, the reduced QR basis of D(ik), for a
+    D whose Gram matrix D^H D is not diagonal (the Maxwell and Brinkman
+    families).
 
     Every family's D contains an identity block, so it has full column rank
     at every k (k = 0 included) and Q spans exactly range(D(ik)); unlike
@@ -259,16 +264,30 @@ def _range_projector(name, dop):
     return Projector(name, dop.layout, lambda K: np.linalg.qr(dop.matrices(K))[0])
 
 
+def _scaled_projector(name, dop):
+    """The projector whose basis is D(ik) / sqrt(1 + |k|^2), for a D built
+    from scalar-gradient pairs (ik c, c), one per column on disjoint rows:
+    then D^H D = (1 + |k|^2) I, so the scaled D is already orthonormal and
+    spans range(D(ik)) with no factorization."""
+
+    def fn(K):
+        D = dop.matrices(K)
+        D *= (1.0 / np.sqrt(1.0 + np.einsum("pi,pi->p", K, K)))[:, None, None]
+        return D
+
+    return Projector(name, dop.layout, fn)
+
+
 def gamma_helmholtz(d):
     """Projector fixing scalar-gradient pairs (ik c, c) on a
     (vector(d), scalar) layout; at k = 0 only the scalar slot survives."""
-    return _range_projector("helmholtz", helmholtz_D(d))
+    return _scaled_projector("helmholtz", helmholtz_D(d))
 
 
 def gamma_schrodinger(ndim):
     """Scalar-gradient-pair projector over an ndim-coordinate grid
     (multi-particle configuration spaces use ndim = particles * space dims)."""
-    return _range_projector("schrodinger", helmholtz_D(ndim))
+    return _scaled_projector("schrodinger", helmholtz_D(ndim))
 
 
 def gamma_elastic(d):
@@ -276,7 +295,7 @@ def gamma_elastic(d):
     (matrix(d), vector(d)) layout.  It acts on each column c separately, as
     the scalar-gradient projector on matrix components (i, c) and vector
     component c."""
-    return _range_projector("elastic", gradient_D(d))
+    return _scaled_projector("elastic", gradient_D(d))
 
 
 def gamma_maxwell():
@@ -297,7 +316,7 @@ def gamma_thermoacoustic():
     """Block-diagonal projector for coupled mechanical/thermal pairs:
     vector-gradient pairs on (matrix(3), vector(3)) plus scalar-gradient
     pairs on (vector(3), scalar); 16 components total."""
-    return _range_projector("thermoacoustic", thermoacoustic_D())
+    return _scaled_projector("thermoacoustic", thermoacoustic_D())
 
 
 def gamma_surface(k1=0.0, base=None):
@@ -310,7 +329,7 @@ def gamma_surface(k1=0.0, base=None):
     embedded 3-vector (k1, 0, k3).
     """
     if base is None:
-        return _range_projector("surface", helmholtz_D(1))
+        return _scaled_projector("surface", helmholtz_D(1))
 
     def fn(K):
         npts = K.shape[0]
@@ -397,7 +416,8 @@ def apply_projector(field, projector, shift=None, which=1):
     hat = field.to_fourier()
     # A one-off application does not pin the basis to the projector.
     B = _basis_on(projector, field.grid, shift, keep=False)
-    vals = _pointwise(B, _pointwise(np.conj(np.swapaxes(B, -1, -2)), hat.values))
+    # B^H v is the conjugate of B^T conj(v): a transposed view, not a copy of B.
+    vals = _pointwise(B, _pointwise(np.swapaxes(B, -1, -2), hat.values.conj()).conj())
     if which == 2:
         vals = hat.values - vals
     out = Field(field.grid, field.layout, vals, "fourier")

@@ -11,8 +11,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gammasolve import cli
-from gammasolve.fields import (Field, Grid, get_fft_workers, random_field, read_uplf,
-                               scalar_layout, set_fft_workers, write_uplf)
+from gammasolve.fields import (Block, BlockLayout, Field, Grid, get_fft_workers,
+                               random_field, read_uplf, scalar_layout, set_fft_workers,
+                               write_uplf)
 from gammasolve.materials import (
     PHYSICS,
     MaterialSpec,
@@ -209,6 +210,59 @@ def test_corrupt_data_files_are_config_errors(tmp_path, monkeypatch, capsys, com
     assert "Traceback" not in err
 
 
+_VOXEL_KAPPA = dict(_ACOUSTICS_2D, material=dict(
+    _ACOUSTICS_2D["material"], params={"kappa": {"type": "voxel", "path": "PATH"},
+                                       "rho": 1.0}),
+    source={"type": "constant", "amplitude": [0.0, 0.0, 1.0]})
+
+
+@pytest.mark.parametrize("name", [".", "missing.npy"], ids=["directory", "missing"])
+@pytest.mark.parametrize("command,config,path", [
+    ("solve", _VOXEL_KAPPA, "material.params.kappa.path"),
+    ("solve", dict(_ACOUSTICS_2D, source={"type": "uplf", "path": "PATH"}),
+     "source.path"),
+    ("project", {"input": "PATH", "output": "g.uplf",
+                 "projector": {"family": "helmholtz"}}, "input"),
+], ids=["voxel", "uplf-source", "project-input"])
+def test_unreadable_data_files_are_reported_at_their_key(tmp_path, monkeypatch, capsys,
+                                                         command, config, path, name):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_config(tmp_path / "c.json",
+                        json.loads(json.dumps(config).replace("PATH", name)))
+    assert cli.main([command, "--config", cfg, "--out", "o"]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: '{path}': [Errno" in err and repr(name) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,key", [("project", "output"),
+                                         ("solve", "solver.history_csv")])
+@pytest.mark.parametrize("name", ["../escaped", "ABSOLUTE", "sub/../../escaped", "sub/.."],
+                         ids=["parent", "absolute", "normalized-parent", "the-out-dir"])
+def test_output_names_must_stay_inside_out(tmp_path, monkeypatch, capsys, command, key,
+                                           name):
+    monkeypatch.chdir(tmp_path)
+    name = str(tmp_path / "escaped") if name == "ABSOLUTE" else name
+    write_uplf("f.uplf", random_field(Grid((4, 4), (1.0, 1.0)), _PROJECT_LAYOUT, seed=0))
+    config = (dict(_PROJECT_CFG, output=name) if command == "project" else
+              dict(SOLVE_CFG, solver={"history_csv": name}))
+    cfg = _write_config(tmp_path / "c.json", config)
+    (tmp_path / "o").mkdir()
+    assert cli.main([command, "--config", cfg, "--out", "o"]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: '{key}' must name a file inside --out" in err
+    assert not (tmp_path / "escaped").exists() and not any((tmp_path / "o").iterdir())
+
+
+@pytest.mark.parametrize("name", ["g.uplf", "./g.uplf", "sub/../g.uplf"])
+def test_plain_output_names_are_written_inside_out(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    write_uplf("f.uplf", random_field(Grid((4, 4), (1.0, 1.0)), _PROJECT_LAYOUT, seed=0))
+    cfg = _write_config(tmp_path / "c.json", dict(_PROJECT_CFG, output=name))
+    assert cli.main(["project", "--config", cfg, "--out", "o"]) == 0
+    assert read_uplf(str(tmp_path / "o" / "g.uplf")).layout == _PROJECT_LAYOUT
+
+
 def test_voxel_file_of_booleans_reads_as_zeros_and_ones(tmp_path):
     np.save(tmp_path / "mask.npy", np.arange(16) % 3 == 0)
     param = cli._parse_param({"type": "voxel", "path": str(tmp_path / "mask.npy")},
@@ -239,6 +293,7 @@ def test_solver_keys_a_subcommand_ignores_are_rejected(tmp_path, capsys, command
 
 _PROJECT_CFG = {"input": "f.uplf", "output": "g.uplf",
                 "projector": {"family": "helmholtz"}}
+_PROJECT_LAYOUT = BlockLayout((Block("vector", 2), Block("scalar")))
 _DISPERSION_CFG = {"model": "effective_mass",
                    "params": {"m0": 1.0, "stiffness": 1.0, "count": 1, "mass": 1.0},
                    "scan": {"start": 0.0, "stop": 1.0, "count": 3}}

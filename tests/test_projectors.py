@@ -324,3 +324,55 @@ def test_helmholtz_idempotent_any_wavevector(ktuple):
     G = gamma_helmholtz(3).symbol(np.asarray(ktuple))
     assert np.max(np.abs(G @ G - G)) < 1e-12
     assert np.max(np.abs(G - np.conj(G.T))) < 1e-12
+
+
+CLOSED_FORM = ["helmholtz", "schrodinger", "surface", "elastic", "thermoacoustic"]
+_NUMPY_QR = np.linalg.qr
+
+
+@pytest.fixture
+def no_qr(monkeypatch):
+    """Make np.linalg.qr raise, for bases that must be built without it."""
+
+    def qr(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+
+
+def _closed_form_case(name, shifted):
+    # 16 points per axis hold k = 0 and the Nyquist mode; the surface family
+    # lives on a 1-D grid and takes the first component of k0.
+    d = 1 if name == "surface" else 3
+    grid = Grid((16,) * d, (2.0 * np.pi,) * d)
+    shift = np.array([0.3, 0.1, 0.0][:d]) if shifted else None
+    return projectors.FAMILIES[name](d), grid, shift
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["unshifted", "k0"])
+@pytest.mark.parametrize("name", CLOSED_FORM)
+def test_closed_form_basis_is_orthonormal_and_spans_the_qr_range(name, shifted, no_qr):
+    proj, grid, shift = _closed_form_case(name, shifted)
+    B = projectors._basis_on(proj, grid, shift)
+    K = grid.wavevectors() + (0.0 if shift is None else shift)
+    Q = _NUMPY_QR(FAMILY_D[name](grid.ndim).matrices(K))[0]
+    Bh = np.conj(np.swapaxes(B, -1, -2))
+    assert np.max(np.abs(Bh @ B - np.eye(B.shape[-1]))) <= 1e-14
+    QQh = Q @ np.conj(np.swapaxes(Q, -1, -2))
+    assert np.max(np.abs(B @ Bh - QQh)) <= 1e-14
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["unshifted", "k0"])
+@pytest.mark.parametrize("name", CLOSED_FORM)
+def test_closed_form_apply_matches_the_dense_symbols(name, shifted, no_qr):
+    proj, grid, shift = _closed_form_case(name, shifted)
+    rng = np.random.default_rng(7)
+    shape = (grid.npoints, proj.ncomp)
+    hat = Field(grid, proj.layout, rng.standard_normal(shape)
+                + 1j * rng.standard_normal(shape), "fourier")
+    G = projector_symbols(proj, grid, shift)
+    fixed = np.einsum("pij,pj->pi", G, hat.values)
+    for which, expected in ((1, fixed), (2, hat.values - fixed)):
+        out = apply_projector(hat, proj, shift=shift, which=which)
+        assert out.representation == "fourier"
+        assert np.max(np.abs(out.values - expected)) <= 1e-14
