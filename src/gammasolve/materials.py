@@ -419,7 +419,7 @@ class LField:
     def _apply(self, matrices, values):
         if self.index is None:
             return _pointwise(matrices, values)
-        out = np.empty((len(values), matrices.shape[-2]), values.dtype)
+        out = np.empty((len(values), matrices.shape[-2]), np.result_type(values, matrices))
         for M, points in zip(matrices, self._points()):
             out[points] = values.take(points, axis=0) @ M.T
         return out

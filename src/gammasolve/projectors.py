@@ -4,15 +4,22 @@ Each family is declared once, as a potential symbol D(ik) (a
 :class:`DOperator`, the ``*_D`` functions) mapping potentials to the
 admissible pairs: a gradient, curl or divergence paired with the potential
 (or stress) itself.  Every D contains an identity block, so it has full
-column rank at every wavevector k.  A projector is stored as its per-mode
+column rank at every wavevector k.  A projector is given by its per-mode
 basis B, orthonormal columns spanning range(D(ik)), so Gamma(k) = B B^H is
 the orthogonal projector onto it.  The five families built from
 scalar-gradient pairs (Helmholtz, Schrodinger, surface, elastic,
-thermoacoustic) have D^H D = (1 + |k|^2) I, and B is D / sqrt(1 + |k|^2);
-for Maxwell and Brinkman, whose Gram matrix is not diagonal, B is the
-reduced QR basis of D.  Solvers apply Gamma as B (B^H v) without forming
-the dense (c, c) symbols, alternating it (mode by mode in Fourier space)
-with pointwise material maps in real space.
+thermoacoustic) have D = kron(h', I_m) up to a fixed order of its rows,
+for the scalar pair h'(k) = (ik, 1) and m potentials, so
+B = D / sqrt(1 + |k|^2) = kron(h, I_m) with h = h' / |h'|; they keep only
+h, an (npts, d + 1) array (:class:`_PairBasis`).  Maxwell, Brinkman and
+any other projector keep the dense (npts, c, r) basis (:class:`_DenseBasis`;
+for Maxwell and Brinkman, whose Gram matrix is not diagonal, the reduced
+QR basis of D).  Either kind gives a solve the same few products: B^H v,
+B phi, B^H L B and the factors B^H Q and P^H B X, formed a block of modes
+at a time where they would otherwise need a basis-sized temporary.
+Solvers apply Gamma as B (B^H v) without forming the dense (c, c) symbols,
+alternating it (mode by mode in Fourier space) with pointwise material
+maps in real space.  ``Projector.basis`` still returns the dense B.
 
 Builders return a :class:`Projector`; use :func:`apply_projector` to act on
 fields, optionally with a constant shift of the wavevector grid (Bloch
@@ -88,8 +95,27 @@ class Projector:
         """Evaluate at a single wavevector -> (c, c)."""
         return self.symbols(np.asarray(k, dtype=float)[None, :])[0]
 
+    def _on(self, K):
+        """The basis at wavevectors K as the products a solve takes from it
+        (:class:`_DenseBasis` here, :class:`_PairBasis` for a pair family)."""
+        return _DenseBasis(self._fn(K))
+
     def __repr__(self):
         return f"Projector({self.name!r}, ncomp={self.ncomp})"
+
+
+class _PairProjector(Projector):
+    """A projector whose basis is kron(h, I_m) for the scalar pair
+    h(k) = (ik, 1) / sqrt(1 + |k|^2), with its rows taken to the layout's
+    component order by ``order`` (row a m + j of the Kronecker product is
+    component ``order[a m + j]``; None keeps it).  Its kept basis is h."""
+
+    def __init__(self, name, layout, m, order=None):
+        super().__init__(name, layout, lambda K: self._on(K).rows())
+        self.m, self.order = m, order
+
+    def _on(self, K):
+        return _PairBasis(_scalar_pair(K), self.m, self.order)
 
 
 class DOperator:
@@ -264,30 +290,27 @@ def _range_projector(name, dop):
     return Projector(name, dop.layout, lambda K: np.linalg.qr(dop.matrices(K))[0])
 
 
-def _scaled_projector(name, dop):
-    """The projector whose basis is D(ik) / sqrt(1 + |k|^2), for a D built
-    from scalar-gradient pairs (ik c, c), one per column on disjoint rows:
-    then D^H D = (1 + |k|^2) I, so the scaled D is already orthonormal and
-    spans range(D(ik)) with no factorization."""
-
-    def fn(K):
-        D = dop.matrices(K)
-        D *= (1.0 / np.sqrt(1.0 + np.einsum("pi,pi->p", K, K)))[:, None, None]
-        return D
-
-    return Projector(name, dop.layout, fn)
+def _scalar_pair(K):
+    """h(k) = (ik, 1) / sqrt(1 + |k|^2) at wavevectors K (npts, d) ->
+    (npts, d + 1): the orthonormal basis of :func:`helmholtz_D`'s range,
+    whose Gram matrix is 1 + |k|^2, so it needs no factorization."""
+    h = np.empty((len(K), K.shape[1] + 1), dtype=np.complex128)
+    h[:, :-1] = 1j * K
+    h[:, -1] = 1.0
+    h *= (1.0 / np.sqrt(1.0 + np.einsum("pi,pi->p", K, K)))[:, None]
+    return h
 
 
 def gamma_helmholtz(d):
     """Projector fixing scalar-gradient pairs (ik c, c) on a
     (vector(d), scalar) layout; at k = 0 only the scalar slot survives."""
-    return _scaled_projector("helmholtz", helmholtz_D(d))
+    return _PairProjector("helmholtz", helmholtz_D(d).layout, 1)
 
 
 def gamma_schrodinger(ndim):
     """Scalar-gradient-pair projector over an ndim-coordinate grid
     (multi-particle configuration spaces use ndim = particles * space dims)."""
-    return _scaled_projector("schrodinger", helmholtz_D(ndim))
+    return _PairProjector("schrodinger", helmholtz_D(ndim).layout, 1)
 
 
 def gamma_elastic(d):
@@ -295,7 +318,7 @@ def gamma_elastic(d):
     (matrix(d), vector(d)) layout.  It acts on each column c separately, as
     the scalar-gradient projector on matrix components (i, c) and vector
     component c."""
-    return _scaled_projector("elastic", gradient_D(d))
+    return _PairProjector("elastic", gradient_D(d).layout, d)
 
 
 def gamma_maxwell():
@@ -315,8 +338,11 @@ def gamma_brinkman(d=3):
 def gamma_thermoacoustic():
     """Block-diagonal projector for coupled mechanical/thermal pairs:
     vector-gradient pairs on (matrix(3), vector(3)) plus scalar-gradient
-    pairs on (vector(3), scalar); 16 components total."""
-    return _scaled_projector("thermoacoustic", thermoacoustic_D())
+    pairs on (vector(3), scalar); 16 components total.  Its basis is
+    kron(h, I_4) with row a 4 + j moved to mechanical row 3 a + j (j < 3)
+    or thermal row 12 + a (j = 3)."""
+    order = np.array([12 + a if j == 3 else 3 * a + j for a in range(4) for j in range(4)])
+    return _PairProjector("thermoacoustic", thermoacoustic_D().layout, 4, order)
 
 
 def gamma_surface(k1=0.0, base=None):
@@ -329,7 +355,7 @@ def gamma_surface(k1=0.0, base=None):
     embedded 3-vector (k1, 0, k3).
     """
     if base is None:
-        return _scaled_projector("surface", helmholtz_D(1))
+        return _PairProjector("surface", helmholtz_D(1).layout, 1)
 
     def fn(K):
         npts = K.shape[0]
@@ -366,13 +392,184 @@ FAMILIES = {
 
 
 # ---------------------------------------------------------------------------
+# Per-mode bases: the products a solve takes from B
+# ---------------------------------------------------------------------------
+
+# Products with a dense basis, and the pair Gram, are formed this many modes
+# at a time, so that no temporary of the basis's size is made.
+_MODES = 4096
+
+
+def _by_block(fn, *arrays):
+    """fn(*arrays) for per-mode arrays, evaluated _MODES modes at a time
+    into one array."""
+    n = len(arrays[0])
+    if n <= _MODES:
+        return fn(*arrays)
+    first = fn(*(x[:_MODES] for x in arrays))
+    out = np.empty((n,) + first.shape[1:], dtype=first.dtype)
+    out[:_MODES] = first
+    for i in range(_MODES, n, _MODES):
+        out[i:i + _MODES] = fn(*(x[i:i + _MODES] for x in arrays))
+    return out
+
+
+def _adjoint_rows(B):
+    """The stacked B^H of a block of bases (nb, c, r), as (nb r, c) rows."""
+    out = np.empty((B.shape[0], B.shape[2], B.shape[1]), dtype=np.complex128)
+    np.conjugate(np.swapaxes(B, 1, 2), out=out)
+    return out.reshape(-1, B.shape[1])
+
+
+class _DenseBasis:
+    """A per-mode basis stored as its (npts, c, r) array B.
+
+    These are the products a solve takes from a basis, each written into
+    its final array a block of modes at a time, so none makes a copy of B
+    or of B^H.  Q and P are constant (c, k) matrices, X per-mode (r, q)
+    matrices and v, phi per-mode vectors."""
+
+    def __init__(self, B):
+        self.B = B
+        self.shape = B.shape
+
+    def adjoint(self, v):
+        """B^H v for v (npts, c) -> (npts, r)."""
+        # B^H v is the conjugate of B^T conj(v): no conjugate of B is made
+        return _by_block(lambda B, v: np.einsum("pcr,pc->pr", B, v.conj()).conj(),
+                         self.B, v)
+
+    def apply(self, phi):
+        """B phi for phi (npts, r) -> (npts, c), or B X for X (npts, r, q)."""
+        return _pointwise(self.B, phi) if phi.ndim == 2 else self.B @ phi
+
+    def gram(self, L):
+        """B^H L B for a constant (c, c) matrix L -> (npts, r, r), or B^H B
+        for L None."""
+        _, c, r = self.shape
+
+        def block(B):
+            rows = _adjoint_rows(B)
+            return (rows if L is None else rows @ L).reshape(len(B), r, c) @ B
+
+        return _by_block(block, self.B)
+
+    def left(self, Q):
+        """B^H Q -> (npts, r, k), or B^H for Q None."""
+        r = self.shape[2]
+
+        def block(B):
+            rows = _adjoint_rows(B)
+            return (rows if Q is None else rows @ Q).reshape(len(B), r, -1)
+
+        return _by_block(block, self.B)
+
+    def right(self, P, X):
+        """P^H B X -> (npts, k, q), or B X for P None."""
+        if P is None:
+            return self.apply(X)
+        _, c, r = self.shape
+        Pc = P.conj()
+
+        def block(B, X):
+            PB = (np.swapaxes(B, 1, 2).reshape(-1, c) @ Pc).reshape(len(B), r, -1)
+            return np.swapaxes(PB, 1, 2) @ X
+
+        return _by_block(block, self.B, X)
+
+    def rows(self, modes=slice(None)):
+        """The dense basis at ``modes`` -> (nmodes, c, r)."""
+        return self.B[modes]
+
+
+class _PairBasis:
+    """The basis kron(h, I_m) of a scalar pair h (npts, n), with row a m + j
+    stored as component ``order[a m + j]`` (None: in place), kept as h.
+
+    Every product is a broadcast over (npts, n, m) views of the fields or
+    one matrix product of h, or of conj(h) (x) h, with a constant matrix.
+    The operations are those of :class:`_DenseBasis`."""
+
+    def __init__(self, h, m, order=None):
+        self.h, self.m, self.order = h, m, order
+        self.shape = (len(h), h.shape[1] * m, m)
+
+    def _pairs(self, Q):
+        """The rows of a constant (c, k) matrix in Kronecker order, as
+        (n, m, k)."""
+        Q = Q if self.order is None else Q[self.order]
+        return Q.reshape(self.h.shape[1], self.m, -1)
+
+    def adjoint(self, v):
+        v = v if self.order is None else v[:, self.order]
+        return np.einsum("pa,paj->pj", self.h.conj(), v.reshape(len(v), -1, self.m))
+
+    def apply(self, phi):
+        h = self.h.reshape(self.h.shape + (1,) * (phi.ndim - 1))
+        out = (h * phi[:, None]).reshape(len(phi), -1, *phi.shape[2:])
+        if self.order is None:
+            return out
+        ordered = np.empty_like(out)
+        ordered[:, self.order] = out
+        return ordered
+
+    def gram(self, L):
+        n, m = self.h.shape[1], self.m
+        if L is None:  # |h|^2 I
+            return np.einsum("pa,pa->p", self.h.conj(), self.h)[:, None, None] * np.eye(m)
+        # (B^H L B)_ij = sum_ab conj(h_a) h_b L[(a, i), (b, j)]
+        L = L if self.order is None else L[np.ix_(self.order, self.order)]
+        W = L.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
+
+        def block(h):
+            return (h.conj()[:, :, None] * h[:, None, :]).reshape(len(h), -1) @ W
+
+        return _by_block(block, self.h).reshape(-1, m, m)
+
+    def left(self, Q):
+        if Q is None:
+            return self._dense(self.h.conj(), transpose=True)
+        W = self._pairs(Q)
+        return (self.h.conj() @ W.reshape(len(W), -1)).reshape(len(self.h), self.m, -1)
+
+    def right(self, P, X):
+        if P is None:
+            return self.apply(X)
+        W = self._pairs(P).conj().transpose(0, 2, 1)
+        W = W.reshape(len(W), -1)
+        return _by_block(lambda h, X: (h @ W).reshape(len(h), -1, self.m) @ X, self.h, X)
+
+    def rows(self, modes=slice(None)):
+        return self._dense(self.h[modes])
+
+    def _dense(self, h, transpose=False):
+        """kron(h, I_m) per mode in component order, (len(h), c, m), or with
+        ``transpose`` its transpose (len(h), m, c)."""
+        n, m = h.shape[1], self.m
+        B = np.zeros((len(h), m, n, m) if transpose else (len(h), n, m, m),
+                     dtype=np.complex128)
+        for j in range(m):
+            if transpose:
+                B[:, j, :, j] = h
+            else:
+                B[:, :, j, j] = h
+        B = B.reshape(len(h), m, -1) if transpose else B.reshape(len(h), -1, m)
+        if self.order is None:
+            return B
+        ordered = np.empty_like(B)
+        ordered[(slice(None),) * (2 if transpose else 1) + (self.order,)] = B
+        return ordered
+
+
+# ---------------------------------------------------------------------------
 # Application to fields
 # ---------------------------------------------------------------------------
 
 
 def _basis_on(projector, grid, shift=None, keep=True):
     """Basis of ``projector`` on the grid's wavevectors (plus optional
-    constant shift), shape (npts, c, r).
+    constant shift), as the products a solve takes from it
+    (:class:`_DenseBasis` or :class:`_PairBasis`).
 
     The projector keeps the basis of its last (grid, shift), so repeated
     solves with one projector build it once.  With ``keep=False`` a kept
@@ -387,17 +584,17 @@ def _basis_on(projector, grid, shift=None, keep=True):
         if len(shift_key) != grid.ndim:
             raise ValueError("shift must have one entry per grid axis")
         K = K + np.asarray(shift_key)
-    B = projector.basis(K)
+    basis = projector._on(K)
     if keep:
-        projector._grid_basis = (key, B)
-    return B
+        projector._grid_basis = (key, basis)
+    return basis
 
 
 def projector_symbols(projector, grid, shift=None):
     """Dense symbols B B^H of ``projector`` on the grid's wavevectors (plus
     optional constant shift), shape (npts, c, c), formed on demand from the
     basis the projector keeps for its last (grid, shift)."""
-    B = _basis_on(projector, grid, shift)
+    B = _basis_on(projector, grid, shift).rows()
     return B @ np.conj(np.swapaxes(B, -1, -2))
 
 
@@ -415,9 +612,8 @@ def apply_projector(field, projector, shift=None, which=1):
         )
     hat = field.to_fourier()
     # A one-off application does not pin the basis to the projector.
-    B = _basis_on(projector, field.grid, shift, keep=False)
-    # B^H v is the conjugate of B^T conj(v): a transposed view, not a copy of B.
-    vals = _pointwise(B, _pointwise(np.swapaxes(B, -1, -2), hat.values.conj()).conj())
+    basis = _basis_on(projector, field.grid, shift, keep=False)
+    vals = basis.apply(basis.adjoint(hat.values))
     if which == 2:
         vals = hat.values - vals
     out = Field(field.grid, field.layout, vals, "fourier")

@@ -91,7 +91,7 @@ def _source_gram_root(grid, gamma, k0, modulation):
     alone for a constant profile, where G = npts Gamma(k0)."""
     w = np.abs(transform(_profile(grid, modulation)[:, None], grid)[:, 0]) ** 2
     k = np.flatnonzero(w)
-    B = _basis_on(gamma, grid, np.asarray(k0, dtype=float))[k]
+    B = _basis_on(gamma, grid, np.asarray(k0, dtype=float)).rows(k)
     G = np.einsum("k,kcr,kdr->cd", w[k], B, B.conj())
     lam, U = np.linalg.eigh(G)
     return np.sqrt(np.clip(lam, 0.0, None))[:, None] * U.conj().T

@@ -20,8 +20,18 @@ an isometry there, so the iteration runs on the coefficients a = B^H y in
 C^(npts r): right-hand side B^H s, operator K: a -> B^H F L F^-1 (B M^+ a),
 and E_hat = B (M^+ a).  Since b - A P y = b - A x for x = P y, the
 residual in potentials is the residual |Gamma1 (L E - s)| of E, so
-``tol`` means the same for both methods.  When M's reference L0 is
-Hermitian, so is M, and M^+ comes from an ``eigh`` rather than an SVD.
+``tol`` means the same for both methods.  M^+ is a batched inverse at
+every mode where |M|_F |M^-1|_F <= 1e-2 / PINV_CUTOFF, where it equals
+the pseudo-inverse under the cutoff; the other modes take that
+pseudo-inverse (:func:`_inverse`), from an ``eigh`` when L0 is Hermitian
+and from an SVD otherwise.
+
+The solve reads B only through the products its basis object gives
+(``projectors._basis_on``): B^H v, B phi, M = B^H L0 B and the two factors
+below.  A scalar-gradient-pair family keeps only its pair h, and a
+product with B is then a broadcast over h or one matrix product of h with
+a constant matrix; a dense basis forms each product a block of modes at a
+time.  So no set-up step holds a second array of the basis's size.
 
 K transforms only what it must.  With a reference L_ref, either 0 or L0,
 and the contrast Delta = L - L_ref,
@@ -370,6 +380,11 @@ def _deflate(V, H, rhs, k, block=1024):
     return True
 
 
+def _positive_integer(n):
+    """Whether n is an integer of at least 1 (a bool is not one)."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+
+
 def _norm(v):
     """2-norm of a flat complex vector as a float (np.linalg.norm costs a
     few microseconds more per call)."""
@@ -441,18 +456,18 @@ def _contrast_matvec(grid, left, apply, right, modes, D, a):
 
 
 def _potentials(problem):
-    """The canonical material Lc, the projector's per-mode basis B and
-    Bh = B^H, and the source's potential coefficients b = B^H s_hat (flat):
-    everything a solve needs besides its reference medium."""
+    """The canonical material Lc, the projector's per-mode basis B (as
+    the products :func:`projectors._basis_on` provides) and the source's
+    potential coefficients b = B^H s_hat (flat): everything a solve needs
+    besides its reference medium."""
     Lc = canonical_material(problem.L)
     if Lc.ncomp != problem.gamma.ncomp:
         raise ValueError("material and projector component counts differ")
     B = _basis_on(problem.gamma, problem.grid, problem.shift)
-    Bh = np.ascontiguousarray(np.conj(np.swapaxes(B, -1, -2)))
     s = problem.source
     if s.layout.ncomp != Lc.ncomp:
         raise ValueError("source layout does not match material")
-    return Lc, B, Bh, _pointwise(Bh, s.to_fourier().values).ravel()
+    return Lc, B, B.adjoint(s.to_fourier().values).ravel()
 
 
 def _zero_result(problem, method):
@@ -467,16 +482,14 @@ def _result(problem, Lc, B, e_hat, b, iterations, method, history, stop_reason):
     application serves J and the residual).  The residual
     |Gamma1 (L E - s)| / |Gamma1 s| is measured in potentials as
     |B^H F (L E) - b| / |b|, equal since B is a partial isometry, for every
-    method, reference and guess; B^H is read as the conjugate of a
-    transposed view of B, so no second basis-sized array is made.
-    ``stop_reason`` applies only when the residual misses the tolerance;
-    a method that stopped as converged then reports ``"stalled"``."""
+    method, reference and guess.  ``stop_reason`` applies only when the
+    residual misses the tolerance; a method that stopped as converged then
+    reports ``"stalled"``."""
     grid, layout = problem.grid, problem.L.layout
     E = Field(grid, layout, e_hat, "fourier").to_real()
     LE = Lc.apply(E.values)
     J = Field(grid, layout, LE - problem.source.to_real().values)
-    flux = transform(LE, grid).conj()
-    r = _pointwise(np.swapaxes(B, -1, -2), flux).conj().ravel() - b
+    r = B.adjoint(transform(LE, grid)).ravel() - b
     residual = float(np.linalg.norm(r) / np.linalg.norm(b))
     converged = residual <= problem.tol
     if converged:
@@ -499,10 +512,10 @@ def solve(problem):
     residual is below 1, the iteration starts from a0 = M B^H x0_hat, for
     which B M^+ a0 = Gamma1 x0_hat, and else from zero.
     """
-    if not (isinstance(problem.max_iter, numbers.Integral) and problem.max_iter >= 1):
+    if not _positive_integer(problem.max_iter):
         raise ValueError(f"max_iter must be a positive integer, got {problem.max_iter!r}")
     restart = problem.restart
-    if restart is not None and not (isinstance(restart, numbers.Integral) and restart >= 1):
+    if restart is not None and not _positive_integer(restart):
         raise ValueError(f"restart must be a positive integer or None, got {restart!r}")
     if not problem.tol > 0:  # also a NaN
         raise ValueError(f"tol must be a positive number, got {problem.tol!r}")
@@ -515,13 +528,13 @@ def solve(problem):
     if x0 is not None and not (isinstance(x0, Field) and x0.grid == problem.source.grid
                                and x0.layout == problem.source.layout):
         raise ValueError("x0 must be a Field on the source's grid and layout")
-    Lc, B, Bh, b = _potentials(problem)
+    Lc, B, b = _potentials(problem)
     if not b.any():
         return _zero_result(problem, problem.method)
     p0 = None
     if x0 is not None:
-        p0 = _pointwise(Bh, x0.to_fourier().values)  # B^H x0_hat
-        guess = _result(problem, Lc, B, _pointwise(B, p0), b, 0, problem.method, (),
+        p0 = B.adjoint(x0.to_fourier().values)
+        guess = _result(problem, Lc, B, B.apply(p0), b, 0, problem.method, (),
                         "converged")
         if guess.residual <= 0.25 * problem.tol:
             return guess
@@ -545,13 +558,13 @@ def solve(problem):
     # stress, which the mean medium annihilates, and the zero directions of
     # a partial-isometry basis.
     hermitian = np.abs(L0 - L0.conj().T).max() <= 1e-14 * np.abs(L0).max()
-    M = Bh @ L0 @ B
-    Minv = _pinv(M, hermitian)
+    M = B.gram(L0)
+    Minv = _inverse(M, hermitian)
     a0 = None if p0 is None else _pointwise(M, p0).ravel()  # B M^+ a0 = B p0
     # The reference is L0 when the contrast L - L0 has the narrower joint
     # range and the split is faithful, else 0; the width test comes first,
     # so a tie never scans M^+.
-    npts, r = Bh.shape[:2]  # left as one flat BLAS product
+    r = M.shape[-1]
     ref = modes = D = None
     if (_width(Lc.ncomp, contrast_bases) < _width(Lc.ncomp, bases)
             and _SPLIT_ROUNDING * np.abs(L0).max() * np.abs(Minv).max() <= 0.25 * problem.tol):
@@ -560,20 +573,16 @@ def solve(problem):
         # range(B^H) that M annihilates: at a mode it is either rounding, at
         # most about eps / PINV_CUTOFF, or has a diagonal entry of at least
         # 1 / r.
-        D = M @ Minv - Bh @ B
+        D = M @ Minv - B.gram(None)
         modes = np.flatnonzero(np.abs(D).max(axis=(-2, -1)) > 0.5 / r)
         D = D[modes]
     del M
     Qc, Lt, Pr = _joint_range(Lc, ref, bases)
     # L - L_ref = Qc Lt Pr^H, and the constant Qc and Pr commute with F, so
     # B^H F (L - L_ref) F^-1 (B M^+ a) = left F Lt F^-1 (right a) with the
-    # c'-wide factors left = (Qc^H B)^H and right = Pr^H B M^+; each is B^H
-    # or B M^+ when nothing drops on its side.  The solve then holds B, M^+
-    # and the two factors: B^H goes before right is made, and M^+ is
-    # applied to Pr^H B in place.
-    left = Bh if Qc is None else (Bh.reshape(npts * r, -1) @ Qc).reshape(npts, r, -1)
-    del Bh
-    right = B @ Minv if Pr is None else _matmul_in_place(Pr.conj().T @ B, Minv)
+    # c'-wide factors left = B^H Qc and right = Pr^H B M^+; each is B^H or
+    # B M^+ when nothing drops on its side.
+    left, right = B.left(Qc), B.right(Pr, Minv)
     matvec = functools.partial(_contrast_matvec, problem.grid, left, Lt.apply, right, modes, D)
     if problem.method == "krylov":
         a, history, stop_reason = _krylov(matvec, b, problem.tol, problem.max_iter,
@@ -581,19 +590,10 @@ def solve(problem):
     else:
         a, history, stop_reason = _richardson(matvec, b, problem.tol, problem.max_iter,
                                               a0)
-    e_hat = _pointwise(B, _pointwise(Minv, a.reshape(problem.grid.npoints, -1)))
+    del matvec, left, right  # the result needs neither factor
+    e_hat = B.apply(_pointwise(Minv, a.reshape(problem.grid.npoints, -1)))
     return _result(problem, Lc, B, e_hat, b, len(history), problem.method, history,
                    stop_reason)
-
-
-def _matmul_in_place(X, M, block=4096):
-    """X @ M for stacks X (n, p, q) and square M (n, q, q), written over X
-    a block of matrices at a time, so that the set-up of a solve holds no
-    second array of X's size (14 MiB for elastic 32^3), which would set
-    its peak memory."""
-    for i in range(0, len(X), block):
-        X[i:i + block] = X[i:i + block] @ M[i:i + block]
-    return X
 
 
 def _joint_range(L, L0=None, bases=None):
@@ -682,6 +682,26 @@ def _width(c, bases):
     return sum(c if V is None else V.shape[1] for V in bases)
 
 
+def _inverse(M, hermitian=False):
+    """M^+ of a stack of per-mode matrices as :func:`_pinv` defines it, by a
+    batched inverse wherever that equals it: at a mode with
+    |M|_F |M^-1|_F <= 1e-2 / PINV_CUTOFF, an upper bound on its condition
+    number, the cutoff keeps every singular value.  The other modes, or the
+    whole stack when the inverse fails at an exactly singular mode
+    (Brinkman's k = 0), take :func:`_pinv`'s value."""
+    if M.shape[-2:] == (1, 1):
+        return _pinv(M)
+    try:
+        X = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        return _pinv(M, hermitian)
+    bad = ~(np.linalg.norm(M, axis=(-2, -1)) * np.linalg.norm(X, axis=(-2, -1))
+            <= 1e-2 / PINV_CUTOFF)  # also a non-finite inverse
+    if bad.any():
+        X[bad] = _pinv(M[bad], hermitian)
+    return X
+
+
 def _pinv(M, hermitian=False):
     """Pseudo-inverses of a stack of per-mode matrices under the relative
     cutoff PINV_CUTOFF.  A 1 x 1 matrix m has the singular value |m|, which
@@ -701,33 +721,34 @@ def dense_operator(problem, limit=4096):
     Fourier basis, one column per unit vector e: with Gamma1 = B B^H,
     A e = B B^H F L F^-1 B B^H e + (e - B B^H e).  A brute-force oracle
     for small grids, and the only full-space operator in the package."""
-    Lc, B, Bh, _ = _potentials(problem)
-    return _dense_matrix(problem.grid, Lc, B, Bh, limit)
+    Lc, B, _ = _potentials(problem)
+    return _dense_matrix(problem.grid, Lc, B, limit)
 
 
-def _dense_matrix(grid, Lc, B, Bh, limit):
+def _dense_matrix(grid, Lc, B, limit):
     n = grid.npoints * Lc.ncomp
     if n > limit:
         raise ValueError(f"dense assembly of size {n} exceeds limit {limit}")
     A = np.zeros((n, n), dtype=np.complex128)
     e = np.zeros((grid.npoints, Lc.ncomp), dtype=np.complex128)
+    Bh, Bd = B.left(None), B.rows()
     for j in range(n):
         e.flat[j] = 1.0
-        a = _pointwise(Bh, e)
-        Ka = _potential_matvec(grid, Bh, Lc.apply, B, a.ravel()).reshape(a.shape)
-        A[:, j] = (_pointwise(B, Ka - a) + e).ravel()
+        a = B.adjoint(e)
+        Ka = _potential_matvec(grid, Bh, Lc.apply, Bd, a.ravel()).reshape(a.shape)
+        A[:, j] = (B.apply(Ka - a) + e).ravel()
         e.flat[j] = 0.0
     return A
 
 
 def solve_dense(problem, limit=4096):
     """Direct dense solve of the canonical problem (oracle for small grids)."""
-    Lc, B, Bh, b = _potentials(problem)
-    A = _dense_matrix(problem.grid, Lc, B, Bh, limit)
+    Lc, B, b = _potentials(problem)
+    A = _dense_matrix(problem.grid, Lc, B, limit)
     if not b.any():
         return _zero_result(problem, "dense")
-    x = np.linalg.solve(A, _pointwise(B, b.reshape(problem.grid.npoints, -1)).ravel())
-    e_hat = _pointwise(B, _pointwise(Bh, x.reshape(problem.grid.npoints, -1)))
+    x = np.linalg.solve(A, B.apply(b.reshape(problem.grid.npoints, -1)).ravel())
+    e_hat = B.apply(B.adjoint(x.reshape(problem.grid.npoints, -1)))
     return _result(problem, Lc, B, e_hat, b, 1, "dense", (), "stalled")
 
 

@@ -191,6 +191,30 @@ def test_lfield_apply_and_adjoint():
     assert abs(lhs - rhs) < 1e-12
 
 
+def test_material_forms_agree_on_real_input():
+    # A real field through a complex phase table kept only its real part
+    # (with a ComplexWarning): the Maxwell 8^3 checkerboard was off by 0.13.
+    import warnings
+
+    grid = Grid((8, 8, 8), (2.0 * np.pi,) * 3)
+    L = build_maxwell(grid, 1.1, Checkerboard((1.0, 4.0 + 0.1j)), 1.0)
+    assert L.index is not None and L.values.shape == (2, 6, 6)
+    per_point = LField(L.layout, L.values[L.index])
+    const = LField(L.layout, L.values[1])
+    one_phase = LField(L.layout, L.values[1:], index=np.zeros(grid.npoints, dtype=int))
+    v = np.random.default_rng(5).standard_normal((grid.npoints, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in ("apply", "apply_adjoint"):
+            want = getattr(per_point, name)(v.astype(complex))
+            assert_allclose(getattr(L, name)(v), want, rtol=1e-15, atol=0)
+            assert_allclose(getattr(per_point, name)(v), want, rtol=1e-15, atol=0)
+            want = getattr(const, name)(v.astype(complex))
+            assert np.abs(want.imag).max() > 0
+            assert_allclose(getattr(const, name)(v), want, rtol=1e-15, atol=0)
+            assert_allclose(getattr(one_phase, name)(v), want, rtol=1e-15, atol=0)
+
+
 def test_invert_blockwise_and_canonical():
     lay = BlockLayout((Block("scalar"), Block("scalar")))
     M = np.diag([2.0, -4.0]).astype(complex)

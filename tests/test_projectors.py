@@ -353,7 +353,7 @@ def _closed_form_case(name, shifted):
 @pytest.mark.parametrize("name", CLOSED_FORM)
 def test_closed_form_basis_is_orthonormal_and_spans_the_qr_range(name, shifted, no_qr):
     proj, grid, shift = _closed_form_case(name, shifted)
-    B = projectors._basis_on(proj, grid, shift)
+    B = projectors._basis_on(proj, grid, shift).rows()
     K = grid.wavevectors() + (0.0 if shift is None else shift)
     Q = _NUMPY_QR(FAMILY_D[name](grid.ndim).matrices(K))[0]
     Bh = np.conj(np.swapaxes(B, -1, -2))
@@ -376,3 +376,71 @@ def test_closed_form_apply_matches_the_dense_symbols(name, shifted, no_qr):
         out = apply_projector(hat, proj, shift=shift, which=which)
         assert out.representation == "fourier"
         assert np.max(np.abs(out.values - expected)) <= 1e-14
+
+
+# Each scalar-pair family on a small grid, unshifted and Bloch-shifted: the
+# projector keeps only h, and a hand-made Projector over its dense basis
+# takes the dense path.
+PAIR_CASES = [("helmholtz", 2), ("helmholtz", 3), ("schrodinger", 2), ("surface", 1),
+              ("elastic", 3), ("thermoacoustic", 3)]
+
+
+def _pair_and_dense(name, d, shifted):
+    grid = Grid((8,) * d, (2.0 * np.pi,) * d)
+    shift = np.array([0.3, -0.2, 0.1][:d]) if shifted else None
+    pair = projectors.FAMILIES[name](d)
+    dense = Projector(name, pair.layout, pair.basis)
+    return grid, shift, pair, dense
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["unshifted", "k0"])
+@pytest.mark.parametrize("name,d", PAIR_CASES, ids=[f"{n}{d}d" for n, d in PAIR_CASES])
+def test_pair_basis_products_equal_the_dense_basis_products(name, d, shifted):
+    grid, shift, pair, dense = _pair_and_dense(name, d, shifted)
+    P = projectors._basis_on(pair, grid, shift, keep=False)
+    D = projectors._basis_on(dense, grid, shift, keep=False)
+    assert isinstance(P, projectors._PairBasis) and isinstance(D, projectors._DenseBasis)
+    assert P.h.shape == (grid.npoints, d + 1)  # all a pair family keeps
+    assert P.shape == D.shape
+    npts, c, r = D.shape
+    rng = np.random.default_rng(11)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    v, phi, X, L = cplx(npts, c), cplx(npts, r), cplx(npts, r, 2), cplx(c, c)
+    Q, Pr = np.linalg.qr(cplx(c, 5))[0], np.linalg.qr(cplx(c, 4))[0]
+    modes = np.array([0, 3, npts - 1])
+    # Projector.basis is still D(ik) / sqrt(1 + |k|^2), to the bit
+    K = grid.wavevectors() + (0.0 if shift is None else shift)
+    scale = 1.0 / np.sqrt(1.0 + np.einsum("pi,pi->p", K, K))
+    scaled = FAMILY_D[name](d).matrices(K) * scale[:, None, None]
+    np.testing.assert_array_equal(pair.basis(K), scaled)
+    np.testing.assert_array_equal(P.rows(), scaled)
+    assert_allclose(P.rows(modes), D.B[modes], rtol=0, atol=0)
+    for got, want in [(P.adjoint(v), D.adjoint(v)), (P.apply(phi), D.apply(phi)),
+                      (P.apply(X), D.apply(X)), (P.gram(L), D.gram(L)),
+                      (P.gram(None), D.gram(None)),
+                      (P.left(Q), D.left(Q)), (P.left(None), D.left(None)),
+                      (P.right(Pr, X), D.right(Pr, X)), (P.right(None, X), D.right(None, X))]:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    B = D.B
+    Bh = np.conj(np.swapaxes(B, -1, -2))
+    assert_allclose(D.gram(L), Bh @ L @ B, rtol=0, atol=1e-13)
+    assert_allclose(D.gram(None), Bh @ B, rtol=0, atol=1e-14)
+    assert_allclose(D.left(Q), Bh @ Q, rtol=0, atol=1e-14)
+    assert_allclose(D.right(Pr, X), Pr.conj().T @ B @ X, rtol=0, atol=1e-13)
+    assert_allclose(D.apply(X), B @ X, rtol=0, atol=1e-14)
+    assert_allclose(D.adjoint(v), np.einsum("pcr,pc->pr", B.conj(), v), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["unshifted", "k0"])
+@pytest.mark.parametrize("name,d", PAIR_CASES, ids=[f"{n}{d}d" for n, d in PAIR_CASES])
+def test_pair_and_dense_bases_apply_the_same_projector(name, d, shifted):
+    grid, shift, pair, dense = _pair_and_dense(name, d, shifted)
+    field = random_field(grid, pair.layout, seed=4)
+    for which in (1, 2):
+        got = apply_projector(field, pair, shift, which).values
+        want = apply_projector(field, dense, shift, which).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
