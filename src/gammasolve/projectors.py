@@ -15,8 +15,8 @@ h, an (npts, d + 1) array (:class:`_PairBasis`).  Maxwell, Brinkman and
 any other projector keep the dense (npts, c, r) basis (:class:`_DenseBasis`;
 for Maxwell and Brinkman, whose Gram matrix is not diagonal, the reduced
 QR basis of D).  Either kind gives a solve the same few products: B^H v,
-B phi, B^H L B and the factors B^H Q and P^H B X, formed a block of modes
-at a time where they would otherwise need a basis-sized temporary.
+B phi, B^H L B and the factors B^H Q and P^H B X; a pair basis forms them
+from h without a dense temporary.
 Solvers apply Gamma as B (B^H v) without forming the dense (c, c) symbols,
 alternating it (mode by mode in Fourier space) with pointwise material
 maps in real space.  ``Projector.basis`` still returns the dense B.
@@ -395,8 +395,8 @@ FAMILIES = {
 # Per-mode bases: the products a solve takes from B
 # ---------------------------------------------------------------------------
 
-# Products with a dense basis, and the pair Gram, are formed this many modes
-# at a time, so that no temporary of the basis's size is made.
+# The pair Gram and the right factor are formed this many modes at a time,
+# so that no temporary of the (npts, (d+1)^2) pair products is made.
 _MODES = 4096
 
 
@@ -414,19 +414,11 @@ def _by_block(fn, *arrays):
     return out
 
 
-def _adjoint_rows(B):
-    """The stacked B^H of a block of bases (nb, c, r), as (nb r, c) rows."""
-    out = np.empty((B.shape[0], B.shape[2], B.shape[1]), dtype=np.complex128)
-    np.conjugate(np.swapaxes(B, 1, 2), out=out)
-    return out.reshape(-1, B.shape[1])
-
-
 class _DenseBasis:
     """A per-mode basis stored as its (npts, c, r) array B.
 
-    These are the products a solve takes from a basis, each written into
-    its final array a block of modes at a time, so none makes a copy of B
-    or of B^H.  Q and P are constant (c, k) matrices, X per-mode (r, q)
+    These are the products a solve takes from a basis, each one matrix
+    product of B.  Q and P are constant (c, k) matrices, X per-mode (r, q)
     matrices and v, phi per-mode vectors."""
 
     def __init__(self, B):
@@ -435,9 +427,8 @@ class _DenseBasis:
 
     def adjoint(self, v):
         """B^H v for v (npts, c) -> (npts, r)."""
-        # B^H v is the conjugate of B^T conj(v): no conjugate of B is made
-        return _by_block(lambda B, v: np.einsum("pcr,pc->pr", B, v.conj()).conj(),
-                         self.B, v)
+        # the conjugate of B^T conj(v): a transposed view, not a copy of B
+        return _pointwise(np.swapaxes(self.B, 1, 2), v.conj()).conj()
 
     def apply(self, phi):
         """B phi for phi (npts, r) -> (npts, c), or B X for X (npts, r, q)."""
@@ -446,36 +437,18 @@ class _DenseBasis:
     def gram(self, L):
         """B^H L B for a constant (c, c) matrix L -> (npts, r, r), or B^H B
         for L None."""
-        _, c, r = self.shape
-
-        def block(B):
-            rows = _adjoint_rows(B)
-            return (rows if L is None else rows @ L).reshape(len(B), r, c) @ B
-
-        return _by_block(block, self.B)
+        return self.left(L) @ self.B
 
     def left(self, Q):
         """B^H Q -> (npts, r, k), or B^H for Q None."""
-        r = self.shape[2]
-
-        def block(B):
-            rows = _adjoint_rows(B)
-            return (rows if Q is None else rows @ Q).reshape(len(B), r, -1)
-
-        return _by_block(block, self.B)
+        npts, c, r = self.shape
+        Bh = np.ascontiguousarray(np.conj(np.swapaxes(self.B, 1, 2)))
+        # one flat BLAS product
+        return Bh if Q is None else (Bh.reshape(npts * r, c) @ Q).reshape(npts, r, -1)
 
     def right(self, P, X):
         """P^H B X -> (npts, k, q), or B X for P None."""
-        if P is None:
-            return self.apply(X)
-        _, c, r = self.shape
-        Pc = P.conj()
-
-        def block(B, X):
-            PB = (np.swapaxes(B, 1, 2).reshape(-1, c) @ Pc).reshape(len(B), r, -1)
-            return np.swapaxes(PB, 1, 2) @ X
-
-        return _by_block(block, self.B, X)
+        return self.apply(X) if P is None else (P.conj().T @ self.B) @ X
 
     def rows(self, modes=slice(None)):
         """The dense basis at ``modes`` -> (nmodes, c, r)."""
@@ -546,14 +519,17 @@ class _PairBasis:
         """kron(h, I_m) per mode in component order, (len(h), c, m), or with
         ``transpose`` its transpose (len(h), m, c)."""
         n, m = h.shape[1], self.m
-        B = np.zeros((len(h), m, n, m) if transpose else (len(h), n, m, m),
-                     dtype=np.complex128)
-        for j in range(m):
-            if transpose:
-                B[:, j, :, j] = h
-            else:
-                B[:, :, j, j] = h
-        B = B.reshape(len(h), m, -1) if transpose else B.reshape(len(h), -1, m)
+        if m == 1:  # kron(h, I_1) is h
+            B = h[:, None, :] if transpose else h[:, :, None]
+        else:
+            B = np.zeros((len(h), m, n, m) if transpose else (len(h), n, m, m),
+                         dtype=np.complex128)
+            for j in range(m):
+                if transpose:
+                    B[:, j, :, j] = h
+                else:
+                    B[:, :, j, j] = h
+            B = B.reshape(len(h), m, -1) if transpose else B.reshape(len(h), -1, m)
         if self.order is None:
             return B
         ordered = np.empty_like(B)

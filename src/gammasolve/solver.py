@@ -30,8 +30,8 @@ The solve reads B only through the products its basis object gives
 (``projectors._basis_on``): B^H v, B phi, M = B^H L0 B and the two factors
 below.  A scalar-gradient-pair family keeps only its pair h, and a
 product with B is then a broadcast over h or one matrix product of h with
-a constant matrix; a dense basis forms each product a block of modes at a
-time.  So no set-up step holds a second array of the basis's size.
+a constant matrix, so its set-up holds no array of the dense basis's size;
+a dense basis forms each product as one matrix product of B.
 
 K transforms only what it must.  With a reference L_ref, either 0 or L0,
 and the contrast Delta = L - L_ref,

@@ -393,9 +393,13 @@ def _pair_and_dense(name, d, shifted):
     return grid, shift, pair, dense
 
 
+@pytest.mark.parametrize("modes", [None, 7], ids=["one_block", "blocks_of_7"])
 @pytest.mark.parametrize("shifted", [False, True], ids=["unshifted", "k0"])
 @pytest.mark.parametrize("name,d", PAIR_CASES, ids=[f"{n}{d}d" for n, d in PAIR_CASES])
-def test_pair_basis_products_equal_the_dense_basis_products(name, d, shifted):
+def test_pair_basis_products_equal_the_dense_basis_products(monkeypatch, name, d, shifted,
+                                                            modes):
+    if modes is not None:  # the pair Gram and right factor across block boundaries
+        monkeypatch.setattr(projectors, "_MODES", modes)
     grid, shift, pair, dense = _pair_and_dense(name, d, shifted)
     P = projectors._basis_on(pair, grid, shift, keep=False)
     D = projectors._basis_on(dense, grid, shift, keep=False)
