@@ -43,7 +43,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import Block, BlockLayout, Field, _pointwise, gradient, scalar_layout
+from .fields import Field, _pointwise, gradient, scalar_layout
 from . import projectors as proj
 
 __all__ = [
@@ -410,7 +410,8 @@ class LField:
         return self.values.ndim == 2
 
     def apply(self, values):
-        """Pointwise matrix action on component vectors (npoints, c)."""
+        """Pointwise matrix action on component vectors (npoints, c); a
+        phase table takes exactly one vector per indexed point."""
         return self._apply(self.values, values)
 
     def apply_adjoint(self, values):
@@ -419,6 +420,9 @@ class LField:
     def _apply(self, matrices, values):
         if self.index is None:
             return _pointwise(matrices, values)
+        if len(values) != len(self.index):
+            raise ValueError(f"a phase table on {len(self.index)} points cannot apply "
+                             f"to {len(values)} points")
         out = np.empty((len(values), matrices.shape[-2]), np.result_type(values, matrices))
         for M, points in zip(matrices, self._points()):
             out[points] = values.take(points, axis=0) @ M.T
@@ -556,7 +560,7 @@ def build_acoustics(grid, omega, kappa, rho, scale_by_omega=False):
     second-order potential form); this variant requires scalar rho.
     """
     d = grid.ndim
-    layout = BlockLayout((Block("vector", d), Block("scalar")))
+    layout = proj.helmholtz_D(d).layout
     rho_shapes = ((),) if scale_by_omega else ((d, d), ())
     index, p = _phases(grid, kappa=(kappa,), rho=(rho, *rho_shapes))
     kap = _coef(p["kappa"])
@@ -588,7 +592,7 @@ def build_elastodynamics(
     responds to velocity and momentum to strain).
     """
     d = grid.ndim
-    layout = BlockLayout((Block("matrix", d), Block("vector", d)))
+    layout = proj.gradient_D(d).layout
     params = {"rho": (rho, (d, d), ())}
     if stiffness is None:
         if bulk is None or shear is None:
@@ -621,7 +625,7 @@ def build_maxwell(grid, omega, epsilon, mu):
     """
     if grid.ndim != 3:
         raise ValueError("electromagnetic build requires a 3-D grid")
-    layout = BlockLayout((Block("vector", 3), Block("vector", 3)))
+    layout = proj.maxwell_D().layout
     index, p = _phases(grid, epsilon=(epsilon, (3, 3), ()), mu=(mu, (3, 3), ()))
     vals = _assemble(layout, {
         (0, 0): omega * _matrix(p["epsilon"], 3),
@@ -651,7 +655,7 @@ def build_brinkman(
     if grid.ndim != 3:
         raise ValueError("viscous-flow build requires a 3-D grid")
     d = 3
-    layout = BlockLayout((Block("sym", d), Block("vector", d)))
+    layout = proj.stress_D(d).layout
     params = {"rho": (rho, (d, d), ()), "eta": (eta,),
               "permeability": (permeability, (d, d), ())}
     if viscosity_matrix is None:
@@ -701,7 +705,7 @@ def build_oseen_inverse(
     the family is conventionally written via its inverse (hence the name).
     """
     d = grid.ndim
-    layout = BlockLayout((Block("matrix", d), Block("vector", d)))
+    layout = proj.gradient_D(d).layout
     index, p = _phases(grid, kappa=(kappa,), eta_bulk=(eta_bulk,), eta=(eta,),
                        velocity=(velocity, (d,)), rho=(rho, (d, d), ()))
     kap, eb, e = (_coef(p[k]) for k in ("kappa", "eta_bulk", "eta"))
@@ -739,7 +743,7 @@ def build_ns_perturbation(
     point (see :class:`LField`).
     """
     d = grid.ndim
-    layout = BlockLayout((Block("matrix", d), Block("vector", d)))
+    layout = proj.gradient_D(d).layout
     velocity = _read("background_velocity", resolve_parameter, background_velocity,
                      grid, (d,))
     v = np.broadcast_to(velocity, (grid.npoints, d))
@@ -783,9 +787,7 @@ def build_thermoacoustic(
     if grid.ndim != 3:
         raise ValueError("thermoacoustic build requires a 3-D grid")
     d = 3
-    layout = BlockLayout(
-        (Block("matrix", d), Block("vector", d), Block("vector", d), Block("scalar"))
-    )
+    layout = proj.thermoacoustic_D().layout
     index, p = _phases(grid, rho0=(rho0,), eta=(eta,), eta_bulk=(eta_bulk,),
                        conductivity=(conductivity,), T0=(T0,), alpha0=(alpha0,),
                        beta_T=(beta_T,), cp=(cp,))
@@ -817,7 +819,7 @@ def build_love(grid, omega, k1, mu, rho):
     """
     if grid.ndim != 1:
         raise ValueError("layered shear build requires a 1-D grid")
-    layout = BlockLayout((Block("vector", 1), Block("scalar")))
+    layout = proj.helmholtz_D(1).layout
     index, p = _phases(grid, mu=(mu,), rho=(rho,))
     m = _coef(p["mu"])
     vals = _assemble(layout, {(0, 0): m,
@@ -831,7 +833,7 @@ def build_schrodinger(grid, energy, kinetic, potential):
     coordinate grid; A is the kinetic coefficient (scalar or matrix), V the
     potential, E the energy."""
     nd = grid.ndim
-    layout = BlockLayout((Block("vector", nd), Block("scalar")))
+    layout = proj.helmholtz_D(nd).layout
     index, p = _phases(grid, kinetic=(kinetic, (nd, nd), ()), potential=(potential,))
     vals = _assemble(layout, {(0, 0): -_matrix(p["kinetic"], nd),
                               (1, 1): energy - _coef(p["potential"])})

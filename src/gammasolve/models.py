@@ -13,8 +13,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .fields import Field, Grid
-from .materials import build_love
-from .projectors import gamma_surface
+from .materials import build_love, default_projector
 from .solver import Problem, solve
 
 __all__ = [
@@ -67,6 +66,14 @@ def resonator_density(omega, m0, springs, cell_volume):
 # Guided shear waves in a soft layer
 # ---------------------------------------------------------------------------
 
+# love_dispersion brackets roots on this many evenly spaced wavenumbers.
+_DISPERSION_SAMPLES = 2000
+# love_resonance_scan's depth cell length, the loss on its shear moduli and
+# the width of its Gaussian source.
+_CELL_LENGTH = 12.0
+_LOSS = 1e-6
+_SOURCE_WIDTH = _CELL_LENGTH / 64.0
+
 
 def _love_function(k1, omega, mu1, rho1, h, mu2, rho2):
     q1 = np.sqrt(omega**2 * rho1 / mu1 - k1**2)
@@ -75,22 +82,24 @@ def _love_function(k1, omega, mu1, rho1, h, mu2, rho2):
 
 
 def love_dispersion(omega, layer_mu, layer_rho, half_thickness, substrate_mu,
-                    substrate_rho, samples=2000):
+                    substrate_rho):
     """Guided-mode wavenumbers of a layer of half-thickness h embedded in
     (or equivalently, by midplane symmetry, sitting with a free surface on)
     a faster substrate.
 
     Roots k1 of mu1*q1*sin(q1*h) = mu2*q2hat*cos(q1*h) with
     q1 = sqrt(omega^2 rho1/mu1 - k1^2), q2hat = sqrt(k1^2 - omega^2 rho2/mu2),
-    bracketed between the substrate and layer wavenumbers.  Returns the
-    roots in increasing order (the fundamental mode is the largest).
+    bracketed between the substrate and layer wavenumbers: a sign change
+    between neighbours of 2000 evenly spaced wavenumbers brackets a root.
+    Returns the roots in increasing order (the fundamental mode is the
+    largest).
     """
     lo = omega * np.sqrt(substrate_rho / substrate_mu)
     hi = omega * np.sqrt(layer_rho / layer_mu)
     if hi <= lo:
         raise ValueError("layer must be slower than the substrate for guiding")
     eps = 1e-9 * (hi - lo)
-    ks = np.linspace(lo + eps, hi - eps, samples)
+    ks = np.linspace(lo + eps, hi - eps, _DISPERSION_SAMPLES)
     vals = _love_function(
         ks, omega, layer_mu, layer_rho, half_thickness, substrate_mu, substrate_rho
     )
@@ -117,20 +126,19 @@ def love_resonance_scan(
     substrate_mu,
     substrate_rho,
     points=192,
-    domain_length=12.0,
-    loss=1e-6,
-    source_width=None,
     tol=1e-6,
     max_iter=6000,
 ):
     """Response amplitude of the embedded layer versus propagation
     wavenumber.
 
-    A 1-D periodic depth cell holds the layer (thickness 2h, centered) in
-    substrate material; a fixed Gaussian displacement source at the layer
-    center drives the canonical solve at each k1, and the recorded response
-    |E|/|s| peaks where k1 crosses a guided-mode wavenumber.  A small loss
-    (1 - i*loss) on the shear moduli keeps the resonance finite.
+    A 1-D periodic depth cell of length 12, sampled at ``points`` points,
+    holds the layer (thickness 2h, centered) in substrate material; a fixed
+    Gaussian displacement source of width 12/64 at the layer center drives
+    the canonical solve at each k1, on the projector ``PHYSICS["love"]``
+    names, and the recorded response |E|/|s| peaks where k1 crosses a
+    guided-mode wavenumber.  A small loss (a factor 1 - 1e-6 i on the shear
+    moduli) keeps the resonance finite.
 
     Each solve starts from its neighbours: the fields of the last three
     solves (in the order of ``k1_values``, which need not be sorted or
@@ -141,17 +149,15 @@ def love_resonance_scan(
     is that of a solve to ``tol`` and moves by about ``tol`` against a scan
     that starts every solve from zero.
     """
-    grid = Grid((points,), (domain_length,))
+    grid = Grid((points,), (_CELL_LENGTH,))
     x = grid.coordinates()[:, 0]
-    center = domain_length / 2.0
+    center = _CELL_LENGTH / 2.0
     in_layer = np.abs(x - center) < half_thickness
-    damp = 1.0 - 1j * loss
+    damp = 1.0 - 1j * _LOSS
     mu = np.where(in_layer, layer_mu, substrate_mu) * damp
     rho = np.where(in_layer, layer_rho, substrate_rho).astype(np.complex128)
-    if source_width is None:
-        source_width = domain_length / 64.0
-    bump = np.exp(-((x - center) ** 2) / (2.0 * source_width**2))
-    gamma = gamma_surface(0.0)
+    bump = np.exp(-((x - center) ** 2) / (2.0 * _SOURCE_WIDTH**2))
+    gamma = default_projector("love", grid)
     responses = np.zeros(len(k1_values))
     solved = []  # (k1, E values) of the last three solves, at distinct k1
     for idx, k1 in enumerate(k1_values):

@@ -3,23 +3,26 @@
 Each family is declared once, as a potential symbol D(ik) (a
 :class:`DOperator`, the ``*_D`` functions) mapping potentials to the
 admissible pairs: a gradient, curl or divergence paired with the potential
-(or stress) itself.  Every D contains an identity block, so it has full
-column rank at every wavevector k.  A projector is given by its per-mode
-basis B, orthonormal columns spanning range(D(ik)), so Gamma(k) = B B^H is
-the orthogonal projector onto it.  The five families built from
-scalar-gradient pairs (Helmholtz, Schrodinger, surface, elastic,
-thermoacoustic) have D = kron(h', I_m) up to a fixed order of its rows,
-for the scalar pair h'(k) = (ik, 1) and m potentials, so
-B = D / sqrt(1 + |k|^2) = kron(h, I_m) with h = h' / |h'|; they keep only
-h, an (npts, d + 1) array (:class:`_PairBasis`).  Maxwell, Brinkman and
-any other projector keep the dense (npts, c, r) basis (:class:`_DenseBasis`;
-for Maxwell and Brinkman, whose Gram matrix is not diagonal, the reduced
-QR basis of D).  Either kind gives a solve the same few products: B^H v,
-B phi, B^H L B and the factors B^H Q and P^H B X; a pair basis forms them
-from h without a dense temporary.
-Solvers apply Gamma as B (B^H v) without forming the dense (c, c) symbols,
-alternating it (mode by mode in Fourier space) with pointwise material
-maps in real space.  ``Projector.basis`` still returns the dense B.
+(or stress) itself.  D owns the family's block layout: its projector and
+the material builders of its physics (``materials``) read the layout from
+it.  Every D contains an identity block, so it has full column rank at
+every wavevector k.  A projector is given by its per-mode basis B,
+orthonormal columns spanning range(D(ik)), so Gamma(k) = B B^H is the
+orthogonal projector onto it.  The five families built from scalar-gradient
+pairs (Helmholtz, Schrodinger, surface, elastic, thermoacoustic) have
+D = kron(h', I_m) up to a fixed order of its rows, for the scalar pair
+h'(k) = (ik, 1) and m potentials, so B = D / sqrt(1 + |k|^2) = kron(h, I_m)
+with h = h' / |h'|; they keep only h, an (npts, d + 1) array
+(:class:`_PairBasis`).  Maxwell, Brinkman and any other projector keep the
+dense (npts, c, r) basis (:class:`_DenseBasis`; for Maxwell and Brinkman,
+whose Gram matrix is not diagonal, the reduced QR basis of D).  Either kind
+gives a solve the same few products: B^H v, B phi, B^H L B and the factors
+B^H Q and P^H B X; a pair basis forms them from h without a dense
+temporary.  Solvers apply Gamma as B (B^H v) without forming the dense
+(c, c) symbols, alternating it (mode by mode in Fourier space) with
+pointwise material maps in real space.  ``Projector.basis`` returns the
+dense B of either kind, as that basis object's rows, and
+``Projector.symbols`` and :func:`projector_symbols` form B B^H from it.
 
 Builders return a :class:`Projector`; use :func:`apply_projector` to act on
 fields, optionally with a constant shift of the wavevector grid (Bloch
@@ -62,7 +65,8 @@ class Projector:
     """Hermitian idempotent symbol Gamma(k) = B B^H, stored as its basis.
 
     ``fn(K)`` returns B, shape (npts, c, r), with orthonormal columns or any
-    partial isometry: a projector's own symbols qualify (G G^H = G).
+    partial isometry: a projector's own symbols qualify (G G^H = G).  A
+    pair family (:class:`_PairProjector`) has no ``fn``.
 
     Attributes
     ----------
@@ -83,13 +87,11 @@ class Projector:
 
     def basis(self, K):
         """Per-mode basis at wavevectors K of shape (npts, D) -> (npts, c, r)."""
-        K = np.atleast_2d(np.asarray(K, dtype=float))
-        return self._fn(K)
+        return self._on(np.atleast_2d(np.asarray(K, dtype=float))).rows()
 
     def symbols(self, K):
         """Dense symbols B B^H at wavevectors K -> (npts, c, c)."""
-        B = self.basis(K)
-        return B @ np.conj(np.swapaxes(B, -1, -2))
+        return _outer(self.basis(K))
 
     def symbol(self, k):
         """Evaluate at a single wavevector -> (c, c)."""
@@ -111,7 +113,7 @@ class _PairProjector(Projector):
     component ``order[a m + j]``; None keeps it).  Its kept basis is h."""
 
     def __init__(self, name, layout, m, order=None):
-        super().__init__(name, layout, lambda K: self._on(K).rows())
+        super().__init__(name, layout, None)
         self.m, self.order = m, order
 
     def _on(self, K):
@@ -140,22 +142,19 @@ class DOperator:
         K = np.atleast_2d(np.asarray(K, dtype=float))
         return self._fn(K)
 
-    def matrix(self, k):
-        return self.matrices(np.asarray(k, dtype=float)[None, :])[0]
-
 
 PINV_CUTOFF = 1e-12
 
 
-def gamma_from_D(dop, cutoff=PINV_CUTOFF):
+def gamma_from_D(dop):
     """Orthogonal projector onto range(D(ik)), via SVD with a relative
     singular-value cutoff: its basis is the left singular vectors, with the
-    columns below cutoff * sigma_max set to zero."""
+    columns below PINV_CUTOFF * sigma_max set to zero."""
 
     def fn(K):
         U, S, _ = np.linalg.svd(dop.matrices(K), full_matrices=False)
         smax = S[:, :1]
-        keep = S > cutoff * np.where(smax > 0, smax, 1.0)
+        keep = S > PINV_CUTOFF * np.where(smax > 0, smax, 1.0)
         return U * keep[:, None, :]
 
     return Projector(f"from_D[{dop.name}]", dop.layout, fn)
@@ -566,12 +565,16 @@ def _basis_on(projector, grid, shift=None, keep=True):
     return basis
 
 
+def _outer(B):
+    """B B^H per mode for a basis stack B (npts, c, r) -> (npts, c, c)."""
+    return B @ np.conj(np.swapaxes(B, -1, -2))
+
+
 def projector_symbols(projector, grid, shift=None):
     """Dense symbols B B^H of ``projector`` on the grid's wavevectors (plus
     optional constant shift), shape (npts, c, c), formed on demand from the
     basis the projector keeps for its last (grid, shift)."""
-    B = _basis_on(projector, grid, shift).rows()
-    return B @ np.conj(np.swapaxes(B, -1, -2))
+    return _outer(_basis_on(projector, grid, shift).rows())
 
 
 def apply_projector(field, projector, shift=None, which=1):

@@ -97,17 +97,6 @@ def _source_gram_root(grid, gamma, k0, modulation):
     return np.sqrt(np.clip(lam, 0.0, None))[:, None] * U.conj().T
 
 
-def _combine(out, weights, arrays, block=1024):
-    """out = sum_i weights[i] arrays[i] for (npts, c) arrays, ``block``
-    rows at a time, so that no temporary of out's size is made."""
-    for lo in range(0, len(out), block):
-        part = out[lo:lo + block]
-        np.multiply(arrays[0][lo:lo + block], weights[0], out=part)
-        for w, a in zip(weights[1:], arrays[1:]):
-            part += w * a[lo:lo + block]
-    return out
-
-
 def effective_tensors(grid, L, gamma, k0, modulation=None, tol=1e-12, max_iter=4000):
     """Mean-response tensors at Bloch wavevector k0.
 
@@ -135,7 +124,7 @@ def effective_tensors(grid, L, gamma, k0, modulation=None, tol=1e-12, max_iter=4
     TJ = np.zeros((c, c), dtype=np.complex128)
     fe = fj = 0.0
     results = []
-    R = seed = None
+    R = None
     for j in range(c):
         amp = np.zeros(c, dtype=np.complex128)
         amp[j] = 1.0
@@ -143,11 +132,10 @@ def effective_tensors(grid, L, gamma, k0, modulation=None, tol=1e-12, max_iter=4
         if j:
             if R is None:  # after the first solve, which keeps the basis
                 R = _source_gram_root(grid, gamma, k0, modulation)
-                seed = np.empty((grid.npoints, c), dtype=np.complex128)
                 noise = PINV_CUTOFF * np.linalg.norm(R, axis=0).max()
             g = np.linalg.lstsq(R[:, :j], R[:, j], rcond=PINV_CUTOFF)[0]
             if np.linalg.norm(R[:, :j] @ g) > noise:
-                x0 = Field(grid, L.layout, _combine(seed, g, [r.E.values for r in results]))
+                x0 = Field(grid, L.layout, sum(w * r.E.values for w, r in zip(g, results)))
         res = solve_quasiperiodic(
             grid, L, gamma, QuasiSource(k0, amp, modulation),
             tol=tol, max_iter=max_iter, x0=x0,

@@ -91,7 +91,7 @@ import numpy as np
 from . import fields
 from .fields import Block, BlockLayout, Field, _pointwise, scalar_layout, transform
 from .materials import LField, canonical_material
-from .projectors import PINV_CUTOFF, _basis_on, gamma_helmholtz
+from .projectors import PINV_CUTOFF, _basis_on, gamma_helmholtz, helmholtz_D
 
 __all__ = [
     "Problem",
@@ -127,6 +127,10 @@ _SPLIT_ROUNDING = 1e-15
 # Per-point materials are scanned and restricted this many matrices at a
 # time, so that no copy of the whole material is made.
 _BLOCK = 512
+
+# The dense oracle assembles at most this many unknowns (npts c), a
+# (4096, 4096) complex matrix of 256 MiB.
+_DENSE_LIMIT = 4096
 
 
 class ResonanceError(RuntimeError):
@@ -459,14 +463,21 @@ def _potentials(problem):
     """The canonical material Lc, the projector's per-mode basis B (as
     the products :func:`projectors._basis_on` provides) and the source's
     potential coefficients b = B^H s_hat (flat): everything a solve needs
-    besides its reference medium."""
+    besides its reference medium.  Raises ValueError when the material,
+    projector and source differ in component count, or when the source or
+    a varying material lives on another grid than the problem's."""
     Lc = canonical_material(problem.L)
     if Lc.ncomp != problem.gamma.ncomp:
         raise ValueError("material and projector component counts differ")
-    B = _basis_on(problem.gamma, problem.grid, problem.shift)
     s = problem.source
     if s.layout.ncomp != Lc.ncomp:
         raise ValueError("source layout does not match material")
+    if s.grid != problem.grid:
+        raise ValueError("source and problem grids differ")
+    npoints = len(Lc.values if Lc.index is None else Lc.index)
+    if not Lc.is_constant and npoints != problem.grid.npoints:
+        raise ValueError(f"material on {npoints} points, grid of {problem.grid.npoints}")
+    B = _basis_on(problem.gamma, problem.grid, problem.shift)
     return Lc, B, B.adjoint(s.to_fourier().values).ravel()
 
 
@@ -606,26 +617,22 @@ def _joint_range(L, L0=None, bases=None):
     sides are found apart (:func:`_range_bases`, unless ``bases`` gives
     them): a velocity coupling (Oseen, ``ns_perturbation``) reads the whole
     field gradient but still returns a symmetric stress.  Lt shares L's
-    per-phase point lists, and per-point matrices are restricted _BLOCK at
-    a time, so L - L0 is never formed."""
+    per-phase point lists, and L's matrices (one, one per phase or one per
+    point) are restricted _BLOCK at a time, so L - L0 is never formed."""
     Qt, Pr = _range_bases(L, L0) if bases is None else bases
     if Qt is None and Pr is None and L0 is None:
         return None, L, None
 
-    def restrict(part):
+    mats = L.values.reshape(-1, L.ncomp, L.ncomp)
+    kc, kr = (L.ncomp if V is None else V.shape[1] for V in (Qt, Pr))
+    values = np.empty((len(mats), kc, kr), dtype=np.complex128)
+    for i in range(0, len(mats), _BLOCK):
+        part = mats[i:i + _BLOCK]
         part = part if L0 is None else part - L0
         part = part if Pr is None else part @ Pr
-        return part if Qt is None else Qt.T @ part  # Qc^H = Qt^T
-
-    if L.values.ndim == 2:
-        values = restrict(L.values)
-    else:
-        kc, kr = (L.ncomp if V is None else V.shape[1] for V in (Qt, Pr))
-        values = np.empty((len(L.values), kc, kr), dtype=np.complex128)
-        for i in range(0, len(values), _BLOCK):
-            values[i:i + _BLOCK] = restrict(L.values[i:i + _BLOCK])
-    width = values.shape[-1]
-    layout = BlockLayout((Block("vector", width),) if width else ())
+        values[i:i + _BLOCK] = part if Qt is None else Qt.T @ part  # Qc^H = Qt^T
+    values = values.reshape(L.values.shape[:-2] + (kc, kr))
+    layout = BlockLayout((Block("vector", kr),) if kr else ())
     return None if Qt is None else Qt.conj(), L.with_matrices(layout, values), Pr
 
 
@@ -716,19 +723,20 @@ def _pinv(M, hermitian=False):
     return out
 
 
-def dense_operator(problem, limit=4096):
+def dense_operator(problem):
     """Assemble A = Gamma1 L Gamma1 + Gamma2 as a dense matrix in the
     Fourier basis, one column per unit vector e: with Gamma1 = B B^H,
     A e = B B^H F L F^-1 B B^H e + (e - B B^H e).  A brute-force oracle
-    for small grids, and the only full-space operator in the package."""
+    for small grids of at most _DENSE_LIMIT unknowns (npts c), and the
+    only full-space operator in the package."""
     Lc, B, _ = _potentials(problem)
-    return _dense_matrix(problem.grid, Lc, B, limit)
+    return _dense_matrix(problem.grid, Lc, B)
 
 
-def _dense_matrix(grid, Lc, B, limit):
+def _dense_matrix(grid, Lc, B):
     n = grid.npoints * Lc.ncomp
-    if n > limit:
-        raise ValueError(f"dense assembly of size {n} exceeds limit {limit}")
+    if n > _DENSE_LIMIT:
+        raise ValueError(f"dense assembly of size {n} exceeds limit {_DENSE_LIMIT}")
     A = np.zeros((n, n), dtype=np.complex128)
     e = np.zeros((grid.npoints, Lc.ncomp), dtype=np.complex128)
     Bh, Bd = B.left(None), B.rows()
@@ -741,10 +749,11 @@ def _dense_matrix(grid, Lc, B, limit):
     return A
 
 
-def solve_dense(problem, limit=4096):
-    """Direct dense solve of the canonical problem (oracle for small grids)."""
+def solve_dense(problem):
+    """Direct dense solve of the canonical problem (oracle for small grids,
+    as :func:`dense_operator`)."""
     Lc, B, b = _potentials(problem)
-    A = _dense_matrix(problem.grid, Lc, B, limit)
+    A = _dense_matrix(problem.grid, Lc, B)
     if not b.any():
         return _zero_result(problem, "dense")
     x = np.linalg.solve(A, B.apply(b.reshape(problem.grid.npoints, -1)).ravel())
@@ -775,7 +784,7 @@ def solve_resolvent(grid, z, B, f, tol=1e-10, max_iter=2000):
     nd = grid.ndim
     if f.layout != scalar_layout():
         raise ValueError("resolvent source must be a single scalar block")
-    if B.layout != BlockLayout((Block("vector", nd), Block("scalar"))):
+    if B.layout != helmholtz_D(nd).layout:
         raise ValueError("B must live on a (vector(ndim), scalar) layout")
     values = B.values.copy()  # one matrix per phase in a phase table
     values[..., nd, nd] -= z

@@ -436,6 +436,16 @@ def test_builders_broadcast_over_the_parameters_leading_shape(physics):
         assert info.value.name in keys, keys
 
 
+@pytest.mark.parametrize("physics", sorted(PHYSICS))
+def test_builder_layout_is_its_projector_layout(physics):
+    # a family's D symbol owns its block layout, so the material and the
+    # paired projector agree on the blocks, not only on their count
+    dims, omega, params = BROADCAST_CASES[physics]
+    grid = Grid(dims, (2.0 * np.pi,) * len(dims))
+    L = build_material(MaterialSpec(physics, omega, params), grid)
+    assert L.layout == default_projector(physics, grid).layout
+
+
 # Every form a two-phase parameter can take: the phase pattern it puts on the
 # grid (True where the second value applies) and the parameter built from
 # the two values.

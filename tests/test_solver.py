@@ -865,7 +865,7 @@ def test_dense_operator_limit():
     s = random_field(grid, L.layout, seed=0)
     prob = Problem(grid=grid, L=L, gamma=gamma_helmholtz(2), source=s)
     with pytest.raises(ValueError):
-        dense_operator(prob, limit=4096)
+        dense_operator(prob)
 
 
 # ---------------------------------------------------------------------------
@@ -1640,3 +1640,35 @@ def test_a_guess_must_live_on_the_source_grid_and_layout():
     for x0 in bad:
         with pytest.raises(ValueError, match="x0"):
             solve(Problem(**dict(vars(problem), x0=x0)))
+
+
+def test_a_material_on_another_grid_is_rejected():
+    # an 8^3 checkerboard is a phase table indexing 512 points, which must
+    # not be applied to the 4096 points of a 16^3 grid
+    coarse, fine = Grid((8, 8, 8), (1.0,) * 3), Grid((16, 16, 16), (1.0,) * 3)
+    table = build_maxwell(coarse, 1.0, Checkerboard((1.0, 4.0)), 1.0)
+    assert table.index is not None and len(table.index) == coarse.npoints
+    v = np.ones((fine.npoints, table.ncomp), dtype=complex)
+    for apply in (table.apply, table.apply_adjoint):
+        with pytest.raises(ValueError, match="512 points"):
+            apply(v)
+    per_point = build_maxwell(coarse, 1.0, lambda x: 1.0 + x[:, 0], 1.0)
+    assert per_point.index is None and len(per_point.values) == coarse.npoints
+    s = random_field(fine, table.layout, seed=0)
+    for L in (table, per_point):
+        with pytest.raises(ValueError, match="material on 512 points, grid of 4096"):
+            solve(Problem(grid=fine, L=L, gamma=gamma_maxwell(), source=s))
+
+
+def test_a_source_on_another_grid_is_rejected():
+    coarse, fine = Grid((4, 4, 4), (1.0,) * 3), Grid((8, 8, 8), (1.0,) * 3)
+    L = build_maxwell(fine, 1.0, 2.0, 1.0)
+    s = random_field(coarse, L.layout, seed=0)
+    for problem in (Problem(grid=fine, L=L, gamma=gamma_maxwell(), source=s),
+                    Problem(grid=fine, L=L, gamma=gamma_maxwell(), source=s,
+                            method="fixed_point")):
+        with pytest.raises(ValueError, match="source and problem grids differ"):
+            solve(problem)
+    with pytest.raises(ValueError, match="source and problem grids differ"):
+        solve_dense(Problem(grid=coarse, L=L, gamma=gamma_maxwell(),
+                            source=random_field(fine, L.layout, seed=0)))
