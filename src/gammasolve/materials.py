@@ -409,6 +409,14 @@ class LField:
     def is_constant(self):
         return self.values.ndim == 2
 
+    @property
+    def npoints(self):
+        """The number of grid points the material covers (None when it is
+        constant)."""
+        if self.is_constant:
+            return None
+        return len(self.values) if self.index is None else len(self.index)
+
     def apply(self, values):
         """Pointwise matrix action on component vectors (npoints, c); a
         phase table takes exactly one vector per indexed point."""
@@ -420,8 +428,8 @@ class LField:
     def _apply(self, matrices, values):
         if self.index is None:
             return _pointwise(matrices, values)
-        if len(values) != len(self.index):
-            raise ValueError(f"a phase table on {len(self.index)} points cannot apply "
+        if len(values) != self.npoints:
+            raise ValueError(f"a phase table on {self.npoints} points cannot apply "
                              f"to {len(values)} points")
         out = np.empty((len(values), matrices.shape[-2]), np.result_type(values, matrices))
         for M, points in zip(matrices, self._points()):

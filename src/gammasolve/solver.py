@@ -474,9 +474,8 @@ def _potentials(problem):
         raise ValueError("source layout does not match material")
     if s.grid != problem.grid:
         raise ValueError("source and problem grids differ")
-    npoints = len(Lc.values if Lc.index is None else Lc.index)
-    if not Lc.is_constant and npoints != problem.grid.npoints:
-        raise ValueError(f"material on {npoints} points, grid of {problem.grid.npoints}")
+    if Lc.npoints not in (None, problem.grid.npoints):
+        raise ValueError(f"material on {Lc.npoints} points, grid of {problem.grid.npoints}")
     B = _basis_on(problem.gamma, problem.grid, problem.shift)
     return Lc, B, B.adjoint(s.to_fourier().values).ravel()
 

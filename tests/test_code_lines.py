@@ -37,6 +37,6 @@ def test_counts_only_code_lines():
 def test_prints_each_module_and_the_total(tmp_path, capsys):
     (tmp_path / "a.py").write_text(SOURCE)
     (tmp_path / "b.py").write_text("x = 1\n\n# done\n")
-    code_lines.main([str(tmp_path), "--markdown"])
+    code_lines.main([str(tmp_path)])
     rows = capsys.readouterr().out.splitlines()
     assert rows[2:] == ["| a.py | 7 |", "| b.py | 1 |", "| total | 8 |"]

@@ -4,10 +4,10 @@ A code line is a line that is not blank, is not a comment and does not lie
 inside a module, class or function docstring.  Run from the root of a
 source checkout:
 
-    python3 tools/code_lines.py [--markdown] [DIR]
+    python3 tools/code_lines.py [DIR]
 
-DIR defaults to ``src/gammasolve``; ``--markdown`` prints the table as a
-Markdown table (for a CI job summary) instead of aligned text.
+DIR defaults to ``src/gammasolve``.  The counts print as a Markdown table,
+which a CI job can append to its summary.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ def code_lines(source):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("directory", nargs="?", default="src/gammasolve")
-    parser.add_argument("--markdown", action="store_true",
-                        help="print a Markdown table")
     args = parser.parse_args(argv)
     root = pathlib.Path(args.directory)
     modules = sorted(root.rglob("*.py"))
@@ -53,14 +51,9 @@ def main(argv=None):
     counts = [(path.relative_to(root).as_posix(), code_lines(path.read_text(encoding="utf-8")))
               for path in modules]
     counts.append(("total", sum(n for _, n in counts)))
-    if args.markdown:
-        print(f"| {root.as_posix()} module | code lines |\n|---|---:|")
-        for name, n in counts:
-            print(f"| {name} | {n:,} |")
-    else:
-        width = max(len(name) for name, _ in counts)
-        for name, n in counts:
-            print(f"{name:<{width}}  {n:>6,}")
+    print(f"| {root.as_posix()} module | code lines |\n|---|---:|")
+    for name, n in counts:
+        print(f"| {name} | {n:,} |")
 
 
 if __name__ == "__main__":
