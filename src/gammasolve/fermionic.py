@@ -53,6 +53,9 @@ __all__ = [
 
 # ground_state assembles the dense npoints x npoints Hamiltonian.
 GROUND_STATE_MAX_POINTS = 2048
+# Values count as odd under a swap when swapped + original is at most this
+# share of their largest magnitude (rounding).
+_ANTISYMMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -183,15 +186,16 @@ def antisymmetrize_vector(values, megrid):
                 / math.factorial(N))
 
 
-def _odd_under_swaps(vals, megrid, pairs, vector=False, tol=1e-10):
+def _odd_under_swaps(vals, megrid, pairs, vector=False):
     """Whether swapping each particle pair (i, j) of ``pairs`` flips the
-    sign of ``vals``, to ``tol`` relative to their largest magnitude."""
+    sign of ``vals``, to :data:`_ANTISYMMETRY_TOL` relative to their largest
+    magnitude."""
     scale = float(np.max(np.abs(vals))) or 1.0
     for i, j in pairs:
         tau = list(range(megrid.n_electrons))
         tau[i], tau[j] = j, i
         swapped = _permute(vals, megrid, tau, vector)
-        if float(np.max(np.abs(swapped + vals))) > tol * scale:
+        if float(np.max(np.abs(swapped + vals))) > _ANTISYMMETRY_TOL * scale:
             return False
     return True
 
@@ -241,10 +245,10 @@ def lambda_A(values, megrid):
     return antisymmetrize_vector(values, megrid)
 
 
-def is_antisymmetric(values, megrid, vector=False, tol=1e-10):
+def is_antisymmetric(values, megrid, vector=False):
     """Check oddness under every particle transposition."""
     pairs = itertools.combinations(range(megrid.n_electrons), 2)
-    return _odd_under_swaps(_values(values)[0], megrid, pairs, vector, tol)
+    return _odd_under_swaps(_values(values)[0], megrid, pairs, vector)
 
 
 def symmetrized_apply(material, values, megrid):
@@ -301,7 +305,8 @@ def ground_state(grid, kinetic, potential, nstates=1):
     assembly (desk scales only; the Hamiltonian matrix is npoints^2).
 
     The kinetic matrix A must be Hermitian and the potential V real: a
-    :class:`ParameterError` names the one that is not, above rounding.  Returns (energies, states):
+    :class:`ParameterError` names the one that is not, above rounding, or
+    that cannot be read on the grid.  Returns (energies, states):
     ndarray (nstates,) and a list of unit-norm scalar Fields with fixed
     phase.
     """
@@ -318,7 +323,7 @@ def ground_state(grid, kinetic, potential, nstates=1):
     asym = float(np.max(np.abs(A - np.conj(A.T))))
     if asym > 1e-12 * float(np.max(np.abs(A))):
         raise ParameterError("kinetic", f"must be Hermitian, got |A - A^H| up to {asym:.3g}")
-    V = np.broadcast_to(resolve_parameter(potential, grid, ()), (npts,))
+    V = np.broadcast_to(_read("potential", resolve_parameter, potential, grid), (npts,))
     _require_real(V, "potential")
     K = grid.wavevectors()
     quad = np.einsum("pi,ij,pj->p", K, A, K)
@@ -347,18 +352,23 @@ def _require_real(values, name):
     return values
 
 
-def _real_perturbation(vprime):
-    """V' (a Field, per-point array or constant) as real-space values."""
-    vp = vprime.to_real().values[:, 0] if isinstance(vprime, Field) else np.asarray(vprime)
-    return _require_real(vp, "vprime")
+def _real_perturbation(vprime, grid):
+    """V' read on ``grid`` by :func:`materials.resolve_parameter` (a
+    constant or one real-space value per point), checked to be real."""
+    return _require_real(_read("vprime", resolve_parameter, vprime, grid), "vprime")
 
 
 def perturbation_energy(psi, vprime):
     """First-order energy shift <psi, V' psi> for a unit-norm state,
-    returned as a real number.  V' must be real: a :class:`ParameterError`
-    (a ValueError) names ``vprime`` when its imaginary part is above
-    rounding."""
-    return _shift(psi.to_real().values[:, 0], _real_perturbation(vprime), psi.grid)
+    returned as a real number.
+
+    V' is read on the state's grid by :func:`materials.resolve_parameter`:
+    a number, a flat or grid-shaped array, a callable of the coordinates, a
+    descriptor or a one-component field on that grid.  It must be real.  A
+    :class:`ParameterError` (a ValueError) names ``vprime`` when it cannot
+    be read, as for a field on another grid or of several components, or
+    when its imaginary part is above rounding."""
+    return _shift(psi.to_real().values[:, 0], _real_perturbation(vprime, psi.grid), psi.grid)
 
 
 def _shift(psi_r, vp, grid):
@@ -382,7 +392,7 @@ def perturbation_solve(material, psi, vprime, tol=1e-10, max_iter=2000):
     (E, psi) and the perturbing potential V', solves the deflated
     first-order equation for the state corrector psi' with the gauge
     <psi, psi'> = 0, and returns it with the energy shift
-    E' = <psi, V' psi>.  V' must be real, as for
+    E' = <psi, V' psi>.  V' is read and must be real as for
     :func:`perturbation_energy`.
 
     The corrector equation is the canonical projected problem with source
@@ -393,7 +403,7 @@ def perturbation_solve(material, psi, vprime, tol=1e-10, max_iter=2000):
     """
     grid = psi.grid
     nd = grid.ndim
-    vp = _real_perturbation(vprime)
+    vp = _real_perturbation(vprime, grid)
     psi_r = psi.to_real().values[:, 0]
     e_prime = _shift(psi_r, vp, grid)
 

@@ -254,13 +254,9 @@ class Field:
         self.representation = representation
 
     @classmethod
-    def zeros(cls, grid, layout, representation="real"):
-        return cls(
-            grid,
-            layout,
-            np.zeros((grid.npoints, layout.ncomp), dtype=np.complex128),
-            representation,
-        )
+    def zeros(cls, grid, layout):
+        """The zero field in real space."""
+        return cls(grid, layout, np.zeros((grid.npoints, layout.ncomp), dtype=np.complex128))
 
     def copy(self):
         return Field(self.grid, self.layout, self.values.copy(), self.representation)

@@ -12,17 +12,19 @@ with an orientation flag:
   (some families are naturally written that way round); problem assembly
   inverts blockwise before solving.
 
-Material parameters may be scalars, per-point arrays, small constant
-matrices, callables of the point coordinates, or the descriptor classes
-(:class:`Constant`, :class:`Layered`, :class:`Checkerboard`, :class:`Voxel`).
+Material parameters and forces are read by one reader,
+:func:`resolve_parameter`: scalars, small constant matrices, per-point or
+grid-shaped arrays, callables of the point coordinates, real-space fields on
+the same grid, or the descriptor classes (:class:`Constant`,
+:class:`Layered`, :class:`Checkerboard`, :class:`Voxel`).
 
 Shape rule: a composite is a few phases with L constant on each, so a
 material is stored per phase.  Each parameter resolves to a constant or to
 a table of values with a per-point index into it: :class:`Layered` and
-:class:`Checkerboard` supply their phases directly, while per-point arrays,
-:class:`Voxel` data and callables get theirs from the distinct values of
-each component.  A builder's phases are the distinct combinations of its
-parameters' indices (one ``np.unique`` over a mixed-radix code), and the
+:class:`Checkerboard` supply their phases directly, while every other
+per-point value gets its phases from the distinct values of each component.
+A builder's phases are the distinct combinations of its parameters'
+indices (one ``np.unique`` over a mixed-radix code), and the
 builder is written once, as numpy broadcasting over a parameter's leading
 shape: a scalar parameter enters as ``(1, 1)`` or ``(nphase, 1, 1)``, a
 matrix one as ``(d, d)`` or ``(nphase, d, d)``, and the assembled table
@@ -39,6 +41,7 @@ declared.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -106,7 +109,8 @@ class Layered:
 
     ``values[i]`` applies where breakpoints[i-1] <= coordinate < breakpoints[i]
     (with implicit boundaries at 0 and the axis length), so there is one more
-    value than breakpoints.
+    value than breakpoints.  The breakpoints must be finite and
+    non-decreasing; two equal ones leave an empty layer.
     """
 
     axis: int
@@ -122,6 +126,9 @@ class Layered:
         bp = np.asarray(self.breakpoints, dtype=float)
         if len(self.values) != len(bp) + 1:
             raise ValueError("layered profile needs len(values) == len(breakpoints)+1")
+        if not (np.isfinite(bp).all() and (np.diff(bp) >= 0).all()):
+            raise ValueError(f"layered breakpoints must be finite and non-decreasing, "
+                             f"got {self.breakpoints!r}")
         region = np.searchsorted(bp, grid.axis_coordinates(self.axis), side="right")
         return np.asarray(self.values), np.broadcast_to(region, grid.dims).ravel()
 
@@ -144,60 +151,63 @@ class Checkerboard:
 
 @dataclass(frozen=True)
 class Voxel:
-    """Explicit per-point values, flat (npoints, ...) or grid-shaped."""
+    """Explicit values, read by the same rules as an array parameter (see
+    :func:`resolve_parameter`): one constant value, one value per point
+    (flat ``(npoints, ...)``) or grid-shaped."""
 
     values: object
 
-    def evaluate(self, grid):
-        v = np.asarray(self.values)
-        if v.shape[: grid.ndim] == grid.dims:
-            v = v.reshape((grid.npoints,) + v.shape[grid.ndim :])
-        if v.shape[0] != grid.npoints:
-            raise ValueError(
-                f"voxel data has leading shape {v.shape}, expected {grid.npoints} points"
-            )
-        return v
 
+def resolve_parameter(value, grid, shape=()):
+    """Read a value given on ``grid`` as a constant of shape ``shape`` or a
+    per-point array of shape ``(npoints,) + shape``.
 
-def _evaluate(value, grid):
-    """A descriptor or callable evaluated on the grid; other values as given."""
+    The one reader of every value a caller gives on a grid: material
+    parameters, potentials, forces, Bloch modulations and V'.  It accepts a number; an
+    array that is constant (shape ``shape``), flat per point or grid-shaped
+    (``grid.dims + shape``); a callable of the (npoints, ndim) coordinate
+    array that returns one of those; the descriptors :class:`Constant`,
+    :class:`Layered`, :class:`Checkerboard` and :class:`Voxel`; and a
+    :class:`Field` on ``grid`` with one component per entry of ``shape``
+    (read in real space).  Anything else raises ValueError, among them a
+    field on another grid and an array whose shape fits none of these, such
+    as a one-entry array for a per-point value.  A scalar constant comes
+    back as a Python ``complex``, anything else as an ndarray.
+    """
     if isinstance(value, Constant):
         value = value.value
     if isinstance(value, (Layered, Checkerboard)):
         table, index = value.phases(grid)
-        return table[index]
-    if isinstance(value, Voxel):
-        return value.evaluate(grid)
-    if callable(value):
-        return value(grid.coordinates())
-    return value
-
-
-def resolve_parameter(value, grid, shape=()):
-    """Resolve a parameter to a constant of shape ``shape`` or a per-point
-    array of shape ``(npoints,) + shape``.
-
-    Accepts scalars, arrays (constant, flat per-point, or grid-shaped),
-    callables of the (npoints, ndim) coordinate array, and descriptors.  A
-    scalar constant comes back as a Python ``complex``, anything else as an
-    ndarray.
-    """
-    out = np.asarray(_evaluate(value, grid))
+        value = table[index]
+    elif isinstance(value, Voxel):
+        value = value.values
+    elif isinstance(value, Field):
+        if value.grid != grid or value.layout.ncomp != math.prod(shape):
+            raise ValueError(f"cannot read a {value.layout.ncomp}-component field on "
+                             f"{value.grid} as {_kind(shape)} on {grid}")
+        value = value.to_real().values.reshape((grid.npoints,) + shape)
+    elif callable(value):
+        value = value(grid.coordinates())
+    out = np.asarray(value)
     if out.shape == shape:
         return out if shape else complex(out)
     if out.shape[: grid.ndim] == grid.dims and out.shape[grid.ndim :] == shape:
         return out.reshape((grid.npoints,) + shape)
     if out.shape == (grid.npoints,) + shape:
         return out
-    raise ValueError(
-        f"cannot interpret parameter of shape {out.shape} as a field of "
-        f"shape {shape} on {grid.npoints} points"
-    )
+    raise ValueError(f"cannot read values of shape {out.shape} as {_kind(shape)}, "
+                     f"constant or one per point of {grid.npoints}")
+
+
+def _kind(shape):
+    """Values of ``shape`` as an error message names them."""
+    return f"{math.prod(shape)} components of shape {shape}" if shape else "scalars"
 
 
 class ParameterError(ValueError):
-    """A material parameter that cannot be read: ``name`` is its keyword
-    argument and ``reason`` what is wrong with it."""
+    """A parameter (of a material, or a modulation or V') that cannot be
+    read: ``name`` is its keyword argument and ``reason`` what is wrong
+    with it."""
 
     def __init__(self, name, reason):
         super().__init__(f"parameter {name!r}: {reason}")
@@ -234,20 +244,21 @@ def _parameter(value, grid, *shapes):
     scalar) it fits: a constant of that shape with index None, or a table
     ``(n,) + shape`` and each point's row in it.
 
-    :class:`Layered` and :class:`Checkerboard` supply their phases directly;
-    per-point arrays, :class:`Voxel` data and callables (evaluated once) get
-    theirs from their distinct values (:func:`_point_phases`).
+    Each shape is tried with :func:`resolve_parameter`, after a callable is
+    evaluated once.  :class:`Layered` and :class:`Checkerboard` supply their
+    phases directly, which costs less than finding them again; every other
+    per-point value gets its phases from its distinct values
+    (:func:`_point_phases`).
     """
     shapes = shapes or ((),)
-    if isinstance(value, Constant):
-        value = value.value
     if isinstance(value, (Layered, Checkerboard)):
         table, index = value.phases(grid)
         if table.shape[1:] not in shapes:
-            raise ValueError(f"cannot interpret phase values of shape "
+            raise ValueError(f"cannot read phase values of shape "
                              f"{table.shape[1:]} as values of shape {shapes[0]}")
         return table, index
-    value = _evaluate(value, grid)
+    if callable(value):
+        value = value(grid.coordinates())
     for shape in shapes:
         try:
             out = resolve_parameter(value, grid, shape)
@@ -864,24 +875,12 @@ class MaterialSpec:
     options: dict = dc_field(default_factory=dict)
 
 
-def _block_values(values, size):
-    """Values for a block of ``size`` components, (npoints, size) or (size,).
-
-    Broadcasting over points is allowed; broadcasting a shorter vector over
-    the block's components is not, so a misfit force is an error.
-    """
-    values = np.asarray(values, dtype=np.complex128)
-    if values.shape[-1:] != (size,):
-        raise ValueError(f"expected {size} components per point, got values "
-                         f"of shape {values.shape}")
-    return values
-
-
-def block_source(grid, layout, block_index, values, representation="real"):
-    """Source field with one populated block (values: (npoints, bc) or (bc,))."""
-    f = Field.zeros(grid, layout, representation)
-    sl = layout.block_slice(block_index)
-    f.values[:, sl] = _block_values(values, layout.blocks[block_index].ncomp)
+def block_source(grid, layout, block_index, values):
+    """Source field with one populated block: ``values`` of the block's
+    components, read by :func:`resolve_parameter`."""
+    f = Field.zeros(grid, layout)
+    size = layout.blocks[block_index].ncomp
+    f.values[:, layout.block_slice(block_index)] = resolve_parameter(values, grid, (size,))
     return f
 
 
@@ -890,7 +889,7 @@ def acoustic_source(L, force, grid):
     the canonical matrix applied pointwise to (f, 0)."""
     d = grid.ndim
     fvals = np.zeros((grid.npoints, d + 1), dtype=np.complex128)
-    fvals[:, :d] = _block_values(force, d)
+    fvals[:, :d] = resolve_parameter(force, grid, (d,))
     return Field(grid, L.layout, canonical_material(L).apply(fvals), "real")
 
 
@@ -899,7 +898,7 @@ def brinkman_source(L, force, grid):
     minus the canonical matrix applied pointwise to (0, f)."""
     d = grid.ndim
     fvals = np.zeros((grid.npoints, L.layout.ncomp), dtype=np.complex128)
-    fvals[:, -d:] = _block_values(force, d)
+    fvals[:, -d:] = resolve_parameter(force, grid, (d,))
     return Field(grid, L.layout, -canonical_material(L).apply(fvals), "real")
 
 
@@ -922,7 +921,8 @@ class Physics:
         Key of :data:`projectors.FAMILIES` naming the paired projector.
     force_source : callable
         ``force_source(L, force, grid) -> Field``: the canonical source of
-        a body force density of shape (npoints, nforce).
+        a body force density of ``nforce`` components, constant or per
+        point, read by :func:`resolve_parameter`.
     """
 
     builder: object
@@ -977,7 +977,15 @@ class PassivityReport:
         return self.ok
 
 
-def passivity_check(L, tol=1e-10):
+# An eigenvalue of the anti-Hermitian part down to -_PASSIVITY_TOL counts
+# as nonnegative (rounding); find_rotation scans angles _ROTATION_STEP apart
+# and needs the smallest eigenvalue above _ROTATION_TOL.
+_PASSIVITY_TOL = 1e-10
+_ROTATION_STEP = 1e-3
+_ROTATION_TOL = 0.0
+
+
+def passivity_check(L):
     """Check positive semidefiniteness of the anti-Hermitian part
     (L - L^dagger)/(2i) at every point (once per phase); reports the minimum
     eigenvalue and the flat index of the worst point."""
@@ -987,7 +995,7 @@ def passivity_check(L, tol=1e-10):
     mins = eigs[:, 0] if L.index is None else eigs[L.index, 0]
     worst = int(np.argmin(mins))
     mn = float(mins[worst])
-    return PassivityReport(mn >= -tol, mn, worst)
+    return PassivityReport(mn >= -_PASSIVITY_TOL, mn, worst)
 
 
 def gibiansky_rotation(L, theta):
@@ -1001,18 +1009,18 @@ def gibiansky_rotation(L, theta):
                   L.physics, L.index)
 
 
-def find_rotation(L, step=1e-3, tol=0.0):
+def find_rotation(L):
     """Scan theta in (0, pi) for angles where the anti-Hermitian part of
     exp(i*theta) L is positive definite everywhere (checked once per
     phase); returns the midpoint of the widest contiguous passing run.
     Raises ValueError if no angle passes."""
     M = L.values.reshape(-1, L.ncomp, L.ncomp)
     Mh = np.conj(np.swapaxes(M, -1, -2))
-    thetas = np.arange(step, np.pi, step)
+    thetas = np.arange(_ROTATION_STEP, np.pi, _ROTATION_STEP)
     ok = np.zeros(len(thetas), dtype=bool)
     for idx, th in enumerate(thetas):
         A = (np.exp(1j * th) * M - np.exp(-1j * th) * Mh) / 2j
-        ok[idx] = np.min(np.linalg.eigvalsh(A)) > tol
+        ok[idx] = np.min(np.linalg.eigvalsh(A)) > _ROTATION_TOL
     if not ok.any():
         raise ValueError("no rotation angle makes the material dissipative-definite")
     best_len, best_start, cur_len, cur_start = 0, 0, 0, 0

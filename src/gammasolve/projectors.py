@@ -128,10 +128,9 @@ class DOperator:
     range(D(ik)).
     """
 
-    def __init__(self, name, layout, npot, fn):
+    def __init__(self, name, layout, fn):
         self.name = name
         self.layout = layout
-        self.npot = npot
         self._fn = fn
 
     @property
@@ -176,7 +175,7 @@ def helmholtz_D(d):
         D[:, d, 0] = 1.0
         return D
 
-    return DOperator("helmholtz_D", layout, 1, fn)
+    return DOperator("helmholtz_D", layout, fn)
 
 
 def gradient_D(d):
@@ -190,7 +189,7 @@ def gradient_D(d):
         # row r*d + j, column j holds row r of the scalar pair
         return np.kron(scalar.matrices(K), np.eye(d))
 
-    return DOperator("gradient_D", layout, d, fn)
+    return DOperator("gradient_D", layout, fn)
 
 
 def sym_gradient_D(d=3):
@@ -209,7 +208,7 @@ def sym_gradient_D(d=3):
             D[:, d + row, i] += 1j * K[:, j] / np.sqrt(2.0)
         return D
 
-    return DOperator("sym_gradient_D", layout, d, fn)
+    return DOperator("sym_gradient_D", layout, fn)
 
 
 def stress_D(d=3):
@@ -227,7 +226,7 @@ def stress_D(d=3):
         D[:, nsym:] = -np.conj(np.swapaxes(dsym.matrices(K), -1, -2))
         return D
 
-    return DOperator("stress_D", layout, nsym, fn)
+    return DOperator("stress_D", layout, fn)
 
 
 def _cross_matrices(K):
@@ -253,7 +252,7 @@ def maxwell_D():
         D[:, 3:, :] = 1j * _cross_matrices(K)
         return D
 
-    return DOperator("maxwell_D", layout, 3, fn)
+    return DOperator("maxwell_D", layout, fn)
 
 
 def thermoacoustic_D():
@@ -269,7 +268,7 @@ def thermoacoustic_D():
         D[:, 12:, 3:] = heat.matrices(K)
         return D
 
-    return DOperator("thermoacoustic_D", layout, 4, fn)
+    return DOperator("thermoacoustic_D", layout, fn)
 
 
 # ---------------------------------------------------------------------------

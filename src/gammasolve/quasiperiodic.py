@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import Field, transform
+from .materials import _read, resolve_parameter
 from .projectors import PINV_CUTOFF, _basis_on
 from .solver import Problem, solve
 
@@ -24,7 +25,10 @@ __all__ = ["QuasiSource", "EffectiveTensors", "solve_quasiperiodic", "effective_
 class QuasiSource:
     """Quasiperiodic source: amplitude vector over components, constant
     wavevector k0, and an optional scalar periodic modulation profile
-    alpha(x); the periodic source part is amplitude * (1 + alpha(x))."""
+    alpha(x); the periodic source part is amplitude * (1 + alpha(x)).
+    ``modulation`` is read by :func:`materials.resolve_parameter` as one
+    value per point (a number, array, callable, descriptor or one-component
+    field on the solve's grid)."""
 
     k0: object
     amplitude: object
@@ -42,13 +46,13 @@ class EffectiveTensors:
 
 
 def _profile(grid, modulation):
-    """The source's periodic profile 1 + alpha(x) on the grid points."""
+    """The source's periodic profile 1 + alpha(x) on the grid points; a
+    modulation that cannot be read raises :class:`ParameterError` naming
+    ``modulation``."""
     profile = np.ones(grid.npoints, dtype=np.complex128)
-    if modulation is not None:
-        if isinstance(modulation, Field):
-            modulation = modulation.to_real().values[:, 0]
-        profile = profile + np.asarray(modulation)
-    return profile
+    if modulation is None:
+        return profile
+    return profile + _read("modulation", resolve_parameter, modulation, grid)
 
 
 def _source_field(grid, layout, qsource):
@@ -101,7 +105,11 @@ def effective_tensors(grid, L, gamma, k0, modulation=None, tol=1e-12, max_iter=4
     """Mean-response tensors at Bloch wavevector k0.
 
     Column j of ``tensor_e`` (``tensor_j``) is the cell average of the
-    periodic part of E (J) for a unit constant source in component j.  The
+    periodic part of E (J) for a unit constant source in component j,
+    modulated by 1 + alpha(x) when a ``modulation`` alpha is given (see
+    :class:`QuasiSource`; one that cannot be read on ``grid``, such as a
+    field on another grid, a one-entry array or a field of several
+    components, raises :class:`ParameterError` before any solve).  The
     recorded fluctuation norms are the largest relative size of the
     zero-mean fluctuating parts across the solves — zero for homogeneous
     media, growing with heterogeneity.

@@ -128,6 +128,9 @@ _SPLIT_ROUNDING = 1e-15
 # time, so that no copy of the whole material is made.
 _BLOCK = 512
 
+# A deflated restart rewrites the Krylov basis this many columns at a time.
+_DEFLATE_BLOCK = 1024
+
 # The dense oracle assembles at most this many unknowns (npts c), a
 # (4096, 4096) complex matrix of 256 MiB.
 _DENSE_LIMIT = 4096
@@ -337,7 +340,7 @@ def _krylov(matvec, b, tol, max_iter, restart=None, x0=None):
     return x, history, "max_iter"
 
 
-def _deflate(V, H, rhs, k, block=1024):
+def _deflate(V, H, rhs, k):
     """The deflated restart of GMRES-DR (Morgan 2002) after a full cycle
     with K V[:m] = V H that started from the residual V rhs.
 
@@ -352,7 +355,7 @@ def _deflate(V, H, rhs, k, block=1024):
     padded with a zero, and s, the Arnoldi relation
     K (P^T V)[:k] = (P^T V)[:k + 1] (P^H H P[:m, :k]) holds again.
 
-    Writes the new basis V[:k + 1] = P^T V (``block`` columns at a time,
+    Writes the new basis V[:k + 1] = P^T V (_DEFLATE_BLOCK columns at a time,
     so no (k + 1, n) array is made), its (k + 1) x k matrix H and the
     residual's coordinates rhs = P^H s in place and returns True.  Returns
     False and changes nothing when H_m is singular or the pairs are not
@@ -375,8 +378,8 @@ def _deflate(V, H, rhs, k, block=1024):
     W[:, k] = s
     P = np.linalg.qr(W)[0]
     Hk = P.conj().T @ H @ P[:m, :k]
-    for i in range(0, V.shape[1], block):
-        V[: k + 1, i:i + block] = P.T @ V[:, i:i + block]
+    for i in range(0, V.shape[1], _DEFLATE_BLOCK):
+        V[: k + 1, i:i + _DEFLATE_BLOCK] = P.T @ V[:, i:i + _DEFLATE_BLOCK]
     H[:] = 0.0
     H[: k + 1, :k] = Hk
     rhs[:] = 0.0

@@ -20,6 +20,7 @@ from gammasolve.materials import (
     acoustic_source,
     brinkman_source,
     build_material,
+    resolve_parameter,
 )
 
 
@@ -267,7 +268,7 @@ def test_voxel_file_of_booleans_reads_as_zeros_and_ones(tmp_path):
     np.save(tmp_path / "mask.npy", np.arange(16) % 3 == 0)
     param = cli._parse_param({"type": "voxel", "path": str(tmp_path / "mask.npy")},
                              "material.params.kappa", 2)
-    assert_allclose(param.evaluate(Grid((4, 4), (1.0, 1.0))), np.arange(16) % 3 == 0)
+    assert_allclose(resolve_parameter(param, Grid((4, 4), (1.0, 1.0))), np.arange(16) % 3 == 0)
 
 
 EFFECTIVE_CFG = {"grid": {"dims": [4, 4]},

@@ -240,7 +240,7 @@ def test_gamma_from_D_cutoff_drops_rank_deficiency():
         D[:, 0, 0] = 1.0
         return D
 
-    dop = DOperator("degenerate", layout, 2, fn)
+    dop = DOperator("degenerate", layout, fn)
     G = gamma_from_D(dop).symbols(np.zeros((3, 2)))
     expected = np.zeros((2, 2))
     expected[0, 0] = 1.0
