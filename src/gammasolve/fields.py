@@ -11,6 +11,7 @@ weighted inner product takes the same form in both representations.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -155,6 +156,8 @@ class Grid:
     lengths: tuple
 
     def __post_init__(self):
+        if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in self.dims):
+            raise ValueError(f"grid dims must be integers, got {self.dims!r}")
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
         object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
         if len(self.dims) != len(self.lengths):

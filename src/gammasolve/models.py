@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 
 from .fields import Field, Grid
 from .materials import build_love, default_projector
+from .projectors import apply_projector
 from .solver import Problem, solve
 
 __all__ = [
@@ -134,21 +135,28 @@ def love_resonance_scan(
 
     A 1-D periodic depth cell of length 12, sampled at ``points`` points,
     holds the layer (thickness 2h, centered) in substrate material; a fixed
-    Gaussian displacement source of width 12/64 at the layer center drives
-    the canonical solve at each k1, on the projector ``PHYSICS["love"]``
-    names, and the recorded response |E|/|s| peaks where k1 crosses a
-    guided-mode wavenumber.  A small loss (a factor 1 - 1e-6 i on the shear
-    moduli) keeps the resonance finite.
+    Gaussian displacement source of width 12/64 at the layer center, scaled
+    to a largest sample of 1, drives the canonical solve at each k1 of
+    ``k1_values`` (a 1-D array of finite real numbers, in any order,
+    repeats allowed), on the projector ``PHYSICS["love"]`` names, and the
+    recorded response |E|/|s| peaks where k1 crosses a guided-mode
+    wavenumber.  A small loss (a factor 1 - 1e-6 i on the shear moduli)
+    keeps the resonance finite.
 
-    Each solve starts from its neighbours: the fields of the last three
-    solves (in the order of ``k1_values``, which need not be sorted or
-    evenly spaced) are extrapolated to the next k1 by the Lagrange
-    polynomial through their wavenumbers, and a repeated k1 reuses the
-    field solved there.  :func:`~gammasolve.solver.solve` measures that
-    guess and falls back to a zero start when it is worse, so each response
-    is that of a solve to ``tol`` and moves by about ``tol`` against a scan
-    that starts every solve from zero.
+    Each solve after the first that iterates starts from the combination of
+    the fields solved so far with the least residual at its k1
+    (:class:`_ScanSeed`).  :func:`~gammasolve.solver.solve` measures that
+    guess: one within 0.25 tol is returned with 0 iterations, any other is
+    iterated from.  So each response comes from a solve to ``tol`` in
+    residual and moves by about ``tol`` against a scan that starts every
+    solve from zero.  Near a sharp resonance a field can be further from
+    the solution than its residual says, and the response error can then
+    exceed ``tol``.
     """
+    k1s = np.asarray(k1_values)
+    if k1s.ndim != 1 or k1s.dtype.kind not in "iuf" or not np.isfinite(k1s).all():
+        raise ValueError(f"k1_values must be a 1-D array of finite real numbers, "
+                         f"got {k1_values!r}")
     grid = Grid((points,), (_CELL_LENGTH,))
     x = grid.coordinates()[:, 0]
     center = _CELL_LENGTH / 2.0
@@ -157,38 +165,71 @@ def love_resonance_scan(
     mu = np.where(in_layer, layer_mu, substrate_mu) * damp
     rho = np.where(in_layer, layer_rho, substrate_rho).astype(np.complex128)
     bump = np.exp(-((x - center) ** 2) / (2.0 * _SOURCE_WIDTH**2))
+    bump /= bump.max()  # |s| stays a normal number on a coarse grid
     gamma = default_projector("love", grid)
-    responses = np.zeros(len(k1_values))
-    solved = []  # (k1, E values) of the last three solves, at distinct k1
-    for idx, k1 in enumerate(k1_values):
+    responses = np.zeros(len(k1s))
+    seed = None  # made after the first solve that iterates
+    for idx, k1 in enumerate(k1s):
         k1 = float(k1)
         L = build_love(grid, omega, k1, mu, rho)
         svals = np.zeros((grid.npoints, 2), dtype=np.complex128)
         svals[:, 1] = bump
         source = Field(grid, L.layout, svals)
-        guess = _extrapolate(solved, k1)
         res = solve(
             Problem(grid=grid, L=L, gamma=gamma, source=source, tol=tol,
-                    max_iter=max_iter,
-                    x0=None if guess is None else Field(grid, L.layout, guess))
+                    max_iter=max_iter, x0=None if seed is None else seed.guess(k1))
         )
         snorm = float(np.linalg.norm(source.values))
         responses[idx] = float(np.linalg.norm(res.E.values)) / snorm
-        solved = [s for s in solved if s[0] != k1][-2:] + [(k1, res.E.values)]
+        if res.iterations:
+            if seed is None:
+                seed = _ScanSeed(grid, gamma, build_love(grid, omega, 0.0, mu, rho),
+                                 build_love(grid, omega, 1.0, mu, rho), source)
+            seed.add(res.E)
     return responses
 
 
-def _extrapolate(solved, k1):
-    """Value at k1 of the Lagrange polynomial through the (k, E) pairs in
-    ``solved``, whose k are distinct: E itself when k1 is one of them, and
-    None when ``solved`` is empty."""
-    ks = [k for k, _ in solved]
-    if k1 in ks:
-        return solved[ks.index(k1)][1]
-    if not solved:
-        return None
-    return sum(np.prod([(k1 - ki) / (kj - ki) for ki in ks if ki != kj]) * E
-               for kj, E in solved)
+class _ScanSeed:
+    """Minimum-residual guesses from the fields a Love scan has solved
+    (a parametric form of projection onto previous solutions: Fischer,
+    Comput. Methods Appl. Mech. Engrg. 163, 1998).
+
+    The material is L(k1) = La + k1^2 Lb, so the residual Gamma1 F(L(k1) E
+    - s) of E = sum_j c_j E_j is sum_j c_j (Pa_j + k1^2 Pb_j) - g, with the
+    fixed vectors Pa_j = Gamma1 F(La E_j), Pb_j = Gamma1 F(Lb E_j) and
+    g = Gamma1 F s.  With the columns Pa_1, Pb_1, Pa_2, ... factored as
+    Q R (Householder, so Q stays orthonormal however nearly dependent the
+    fields are), minimizing that residual over c is the least-squares
+    problem of the 2N x N matrix R_a + k1^2 R_b (the even and odd columns
+    of R) and the right-hand side Q^H g.
+    """
+
+    def __init__(self, grid, gamma, La, L1, source):
+        self.grid, self.gamma, self.layout = grid, gamma, source.layout
+        self.La, self.L1 = La, L1  # Lb = L1 - La
+        self.g = self._project(source.values)
+        self.E = np.empty((0,) + source.values.shape, dtype=np.complex128)
+        self.P = np.empty((self.g.size, 0), dtype=np.complex128)
+
+    def _project(self, values):
+        """Gamma1 F(values), flat."""
+        field = Field(self.grid, self.layout, values).to_fourier()
+        return apply_projector(field, self.gamma).values.ravel()
+
+    def add(self, E):
+        """Take a solved field E into the span and refactor the columns."""
+        LaE = self.La.apply(E.values)
+        pair = [self._project(LaE), self._project(self.L1.apply(E.values) - LaE)]
+        self.P = np.column_stack([self.P] + pair)
+        Q, self.R = np.linalg.qr(self.P)
+        self.d = Q.conj().T @ self.g
+        self.E = np.concatenate([self.E, E.values[None]])
+
+    def guess(self, k1):
+        """The field sum_j c_j E_j of least residual at k1."""
+        A = self.R[:, 0::2] + k1**2 * self.R[:, 1::2]
+        c = np.linalg.lstsq(A, self.d, rcond=None)[0]
+        return Field(self.grid, self.layout, np.tensordot(c, self.E, axes=1))
 
 
 def peak_estimate(k1_values, responses):

@@ -127,6 +127,8 @@ def effective_tensors(grid, L, gamma, k0, modulation=None, tol=1e-12, max_iter=4
     no seed is built only for the solve to reject it.  ``results`` holds
     one SolveResult per column.
     """
+    if modulation is not None:  # read once: the columns and the Gram root take its values
+        modulation = _read("modulation", resolve_parameter, modulation, grid)
     c = L.layout.ncomp
     TE = np.zeros((c, c), dtype=np.complex128)
     TJ = np.zeros((c, c), dtype=np.complex128)

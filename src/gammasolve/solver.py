@@ -490,20 +490,23 @@ def _zero_result(problem, method):
     return SolveResult(Field.zeros(grid, layout), J, 0.0, 0, True, method)
 
 
-def _result(problem, Lc, B, e_hat, b, iterations, method, history, stop_reason):
-    """SolveResult for a Fourier-space solution e_hat (one material
-    application serves J and the residual).  The residual
-    |Gamma1 (L E - s)| / |Gamma1 s| is measured in potentials as
-    |B^H F (L E) - b| / |b|, equal since B is a partial isometry, for every
-    method, reference and guess.  ``stop_reason`` applies only when the
-    residual misses the tolerance; a method that stopped as converged then
-    reports ``"stalled"``."""
+def _result(problem, Lc, B, e_hat, b, scale, iterations, method, history, stop_reason):
+    """SolveResult for a Fourier-space solution e_hat of the problem whose
+    source is scaled by ``scale`` (one material application serves J and
+    the residual).  The residual |Gamma1 (L E - s)| / |Gamma1 s| is
+    measured in potentials as |B^H F (L E) - b| / |b|, equal since B is a
+    partial isometry, for every method, reference and guess, before E and
+    L E are scaled back.  ``stop_reason`` applies only when the residual
+    misses the tolerance; a method that stopped as converged then reports
+    ``"stalled"``."""
     grid, layout = problem.grid, problem.L.layout
     E = Field(grid, layout, e_hat, "fourier").to_real()
     LE = Lc.apply(E.values)
-    J = Field(grid, layout, LE - problem.source.to_real().values)
     r = B.adjoint(transform(LE, grid)).ravel() - b
     residual = float(np.linalg.norm(r) / np.linalg.norm(b))
+    E.values /= scale
+    LE /= scale
+    J = Field(grid, layout, LE - problem.source.to_real().values)
     converged = residual <= problem.tol
     if converged:
         stop_reason = "converged"
@@ -523,7 +526,9 @@ def solve(problem):
     Gamma1 x0 meets 0.25 tol it is returned with 0 iterations, before M^+,
     the joint range or the factors are built.  Otherwise, when its relative
     residual is below 1, the iteration starts from a0 = M B^H x0_hat, for
-    which B M^+ a0 = Gamma1 x0_hat, and else from zero.
+    which B M^+ a0 = Gamma1 x0_hat, and else from zero.  The result does not
+    depend on the source's scale: a source 2^k s gives 2^k E and 2^k J with
+    the same iterations and residuals, bitwise.
     """
     if not _positive_integer(problem.max_iter):
         raise ValueError(f"max_iter must be a positive integer, got {problem.max_iter!r}")
@@ -544,10 +549,16 @@ def solve(problem):
     Lc, B, b = _potentials(problem)
     if not b.any():
         return _zero_result(problem, problem.method)
+    # The solve runs on the source scaled by a power of two to a largest
+    # potential in [0.5, 1), so that no norm under- or overflows; the
+    # scaling is exact, and _result undoes it.
+    scale = math.ldexp(1.0, -max(int(np.frexp(np.abs(b).max())[1]), -1022))
+    b *= scale
     p0 = None
     if x0 is not None:
         p0 = B.adjoint(x0.to_fourier().values)
-        guess = _result(problem, Lc, B, B.apply(p0), b, 0, problem.method, (),
+        p0 *= scale
+        guess = _result(problem, Lc, B, B.apply(p0), b, scale, 0, problem.method, (),
                         "converged")
         if guess.residual <= 0.25 * problem.tol:
             return guess
@@ -605,7 +616,7 @@ def solve(problem):
                                               a0)
     del matvec, left, right  # the result needs neither factor
     e_hat = B.apply(_pointwise(Minv, a.reshape(problem.grid.npoints, -1)))
-    return _result(problem, Lc, B, e_hat, b, len(history), problem.method, history,
+    return _result(problem, Lc, B, e_hat, b, scale, len(history), problem.method, history,
                    stop_reason)
 
 
@@ -760,7 +771,7 @@ def solve_dense(problem):
         return _zero_result(problem, "dense")
     x = np.linalg.solve(A, B.apply(b.reshape(problem.grid.npoints, -1)).ravel())
     e_hat = B.apply(B.adjoint(x.reshape(problem.grid.npoints, -1)))
-    return _result(problem, Lc, B, e_hat, b, 1, "dense", (), "stalled")
+    return _result(problem, Lc, B, e_hat, b, 1.0, 1, "dense", (), "stalled")
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,16 @@ def test_grid_rejects_lengths_that_are_not_finite_and_positive(length):
         Grid((4, 4), (1.0, length))
 
 
+@pytest.mark.parametrize("dims", [(3.5,), (True, 4), (np.bool_(False), 4), ("4",), (4.0,)])
+def test_grid_rejects_dims_that_are_not_integers(dims):
+    with pytest.raises(ValueError, match="integers"):
+        Grid(dims, (1.0,) * len(dims))
+
+
+def test_grid_takes_numpy_integer_dims():
+    assert Grid((np.int64(4), np.uint8(2)), (1.0, 1.0)).dims == (4, 2)
+
+
 def test_grid_basic_properties():
     assert GRID.ndim == 3
     assert GRID.npoints == 8 * 6 * 4

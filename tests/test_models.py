@@ -138,7 +138,7 @@ def test_love_scan_seeds_match_zero_starts_in_fewer_iterations(monkeypatch):
     warm, warm_iterations = _scan(monkeypatch, k1s)
     assert_allclose(warm, cold, rtol=1e-6)
     assert len(warm_iterations) == 25
-    assert sum(warm_iterations) < sum(cold_iterations)  # 325 against 367
+    assert sum(warm_iterations) < sum(cold_iterations) / 2  # 93 against 367
 
 
 def test_love_scan_order_and_repeats_keep_each_response(monkeypatch):
@@ -151,3 +151,56 @@ def test_love_scan_order_and_repeats_keep_each_response(monkeypatch):
         shuffled, iterations = _scan(monkeypatch, k1s[order])
     assert iterations[5] == 0 and iterations[-1] == 0  # the same E, met at once
     assert_allclose(shuffled, _scan(monkeypatch, k1s)[0][order], rtol=1e-6)
+
+
+def test_love_scan_returns_only_seeds_within_a_quarter_tol(monkeypatch):
+    results = []
+    solve = models.solve
+
+    def spy(problem):
+        results.append(solve(problem))
+        return results[-1]
+
+    monkeypatch.setattr(models, "solve", spy)
+    love_resonance_scan(5.0, np.linspace(4.4, 5.0, 25), points=96, tol=1e-6, **LOVE)
+    returned = [r for r in results if r.iterations == 0]
+    assert returned and all(r.residual <= 0.25e-6 for r in returned)
+
+
+def test_love_scan_builds_one_material_before_an_unseeded_first_solve(monkeypatch):
+    builds, first = [], []
+    build_love, solve = models.build_love, models.solve
+
+    def build_spy(*args):
+        builds.append(args[2])
+        return build_love(*args)
+
+    def solve_spy(problem):
+        if not first:
+            first.append((problem.x0, list(builds)))
+        return solve(problem)
+
+    monkeypatch.setattr(models, "build_love", build_spy)
+    monkeypatch.setattr(models, "solve", solve_spy)
+    love_resonance_scan(5.0, [4.6, 4.7], points=96, **LOVE)
+    assert first == [(None, [4.6])]
+
+
+@pytest.mark.parametrize("k1s", [[np.nan], [4.5, np.inf], [[4.5, 4.6]], [4.5 + 0.1j],
+                                 [True, False], "4.5"])
+def test_love_scan_rejects_k1_values_before_any_solve(monkeypatch, k1s):
+    monkeypatch.setattr(models, "solve", lambda problem: pytest.fail("solved"))
+    with pytest.raises(ValueError, match="k1_values"):
+        love_resonance_scan(5.0, k1s, points=96, **LOVE)
+
+
+def test_love_scan_rejects_a_fractional_point_count():
+    with pytest.raises(ValueError, match="integers"):
+        love_resonance_scan(5.0, [4.5], points=3.5, **LOVE)
+
+
+def test_love_scan_on_one_point_gives_a_finite_response():
+    # The unit-peak source keeps |s| normal where the Gaussian's only sample
+    # is about 4e-223.
+    response = love_resonance_scan(5.0, [4.5], points=1, **LOVE)
+    assert np.isfinite(response).all() and response[0] > 0

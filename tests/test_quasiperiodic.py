@@ -118,6 +118,22 @@ def test_modulate_roundtrip_and_representation():
     assert_allclose(out.to_real().values, modulate(f, k0).values, atol=1e-13)
 
 
+def test_effective_tensors_read_a_callable_modulation_once():
+    grid, L, gamma, k0, _ = _elastic_bloch_cell()
+    calls = []
+
+    def alpha(x):
+        calls.append(len(x))
+        return 0.3 * np.cos(x[:, 0])
+
+    eff = effective_tensors(grid, L, gamma, k0, modulation=alpha)
+    assert calls == [grid.npoints]
+    values = alpha(grid.coordinates())
+    again = effective_tensors(grid, L, gamma, k0, modulation=values)
+    assert np.array_equal(eff.tensor_e, again.tensor_e)
+    assert np.array_equal(eff.tensor_j, again.tensor_j)
+
+
 def test_amplitude_length_validated():
     grid = Grid((4, 4), (2.0 * np.pi,) * 2)
     L = build_acoustics(grid, 1.0, 1.0, 1.0)

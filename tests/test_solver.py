@@ -85,6 +85,48 @@ def test_zero_source_short_circuit():
     assert np.max(np.abs(res.J.values)) == 0.0
 
 
+def _checkerboard_acoustics():
+    grid = Grid((8, 8), (2.0 * np.pi,) * 2)
+    return grid, build_acoustics(grid, 1.1, 1.0, Checkerboard((1.0, 3.0)))
+
+
+@pytest.mark.parametrize("power", [-700, -530, -1, 0, 3, 515])
+@pytest.mark.parametrize("method", ["krylov", "fixed_point"])
+def test_solve_is_exactly_scale_invariant_in_its_source(power, method):
+    # 2^-700 and 2^-530 made |Gamma1 s|^2 underflow, and 2^515 overflow: the
+    # solve reported a zero residual or raised.  A power of two scales
+    # exactly, so E, J and every residual match the unit-scale solve bitwise.
+    grid, L = _checkerboard_acoustics()
+    s = random_field(grid, L.layout, seed=1)
+    x0 = random_field(grid, L.layout, seed=2)
+    scale = 2.0**power
+
+    def run(f):
+        return solve(Problem(grid=grid, L=L, gamma=gamma_helmholtz(2),
+                             source=Field(grid, L.layout, f * s.values), tol=1e-8,
+                             method=method, reference=4.0, max_iter=200,
+                             x0=Field(grid, L.layout, f * x0.values)))
+
+    unit, scaled = run(1.0), run(scale)
+    assert scaled.iterations == unit.iterations and scaled.residual == unit.residual
+    assert scaled.residual_history == unit.residual_history
+    assert np.array_equal(scaled.E.values, scale * unit.E.values)
+    assert np.array_equal(scaled.J.values, scale * unit.J.values)
+
+
+@pytest.mark.parametrize("factor", [1e-160, 1e-200, 1e155])
+def test_solve_converges_on_a_tiny_or_huge_source(factor):
+    grid, L = _checkerboard_acoustics()
+    s = random_field(grid, L.layout, seed=1)
+    problem = Problem(grid=grid, L=L, gamma=gamma_helmholtz(2), source=s, tol=1e-8)
+    unit = solve(problem)
+    problem.source = Field(grid, L.layout, factor * s.values)
+    res = solve(problem)
+    assert res.converged and res.iterations == unit.iterations
+    assert res.residual == pytest.approx(unit.residual, rel=1e-3)
+    assert_allclose(res.E.values / factor, unit.E.values, rtol=0, atol=1e-12)
+
+
 DENSE_CASES = [
     ("acoustics", (6, 6), dict(kappa=Checkerboard((1.0, 2.0 + 0.5j)), rho=1.2), {}),
     ("elastodynamics", (6, 6), dict(rho=1.3, bulk=Checkerboard((1.0, 1.5)), shear=0.7), {}),
