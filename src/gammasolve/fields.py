@@ -14,7 +14,7 @@ import math
 import numbers
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
@@ -117,16 +117,15 @@ class BlockLayout:
     """Ordered collection of blocks; defines the component axis of a field."""
 
     blocks: tuple
+    # The total component count, summed once: every Field reads it.
+    ncomp: int = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
         for b in self.blocks:
             if not isinstance(b, Block):
                 raise TypeError("BlockLayout takes Block instances")
-
-    @property
-    def ncomp(self):
-        return sum(b.ncomp for b in self.blocks)
+        object.__setattr__(self, "ncomp", sum(b.ncomp for b in self.blocks))
 
     def slices(self):
         """Component slice for each block, in order."""

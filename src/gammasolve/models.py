@@ -10,10 +10,11 @@ soft layer embedded in a stiffer medium.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import zgelsy, zgelsy_lwork, zgeqrf, zunmqr
 from scipy.optimize import brentq
 
 from .fields import Field, Grid
-from .materials import build_love, default_projector
+from .materials import LField, build_love, default_projector
 from .projectors import apply_projector
 from .solver import Problem, solve
 
@@ -143,15 +144,21 @@ def love_resonance_scan(
     wavenumber.  A small loss (a factor 1 - 1e-6 i on the shear moduli)
     keeps the resonance finite.
 
+    The material is affine in k1^2, so only the first k1's is built in
+    full: after that solve one more :func:`build_love` at k1 = 0 gives La,
+    and each later k1's material is La with k1^2 mu added to its (1, 1)
+    entry, bitwise equal to ``build_love`` at that k1.
+
     Each solve after the first that iterates starts from the combination of
     the fields solved so far with the least residual at its k1
-    (:class:`_ScanSeed`).  :func:`~gammasolve.solver.solve` measures that
-    guess: one within 0.25 tol is returned with 0 iterations, any other is
-    iterated from.  So each response comes from a solve to ``tol`` in
-    residual and moves by about ``tol`` against a scan that starts every
-    solve from zero.  Near a sharp resonance a field can be further from
-    the solution than its residual says, and the response error can then
-    exceed ``tol``.
+    (:class:`_ScanSeed`: an extended Householder factor of their projected
+    columns and one ``zgelsy`` fit per k1).
+    :func:`~gammasolve.solver.solve` measures that guess: one within
+    0.25 tol is returned with 0 iterations, any other is iterated from.  So
+    each response comes from a solve to ``tol`` in residual and moves by
+    about ``tol`` against a scan that starts every solve from zero.  Near a
+    sharp resonance a field can be further from the solution than its
+    residual says, and the response error can then exceed ``tol``.
     """
     k1s = np.asarray(k1_values)
     if k1s.ndim != 1 or k1s.dtype.kind not in "iuf" or not np.isfinite(k1s).all():
@@ -167,26 +174,35 @@ def love_resonance_scan(
     bump = np.exp(-((x - center) ** 2) / (2.0 * _SOURCE_WIDTH**2))
     bump /= bump.max()  # |s| stays a normal number on a coarse grid
     gamma = default_projector("love", grid)
+    svals = np.zeros((grid.npoints, 2), dtype=np.complex128)
+    svals[:, 1] = bump
+    source = Field(grid, gamma.layout, svals)
     responses = np.zeros(len(k1s))
-    seed = None  # made after the first solve that iterates
+    La = seed = None  # La is built after the first solve, seed after the first that iterates
     for idx, k1 in enumerate(k1s):
         k1 = float(k1)
-        L = build_love(grid, omega, k1, mu, rho)
-        svals = np.zeros((grid.npoints, 2), dtype=np.complex128)
-        svals[:, 1] = bump
-        source = Field(grid, L.layout, svals)
+        L = build_love(grid, omega, k1, mu, rho) if La is None else _love_at(La, k1)
         res = solve(
             Problem(grid=grid, L=L, gamma=gamma, source=source, tol=tol,
                     max_iter=max_iter, x0=None if seed is None else seed.guess(k1))
         )
-        snorm = float(np.linalg.norm(source.values))
-        responses[idx] = float(np.linalg.norm(res.E.values)) / snorm
+        responses[idx] = float(np.linalg.norm(res.E.values))
+        if La is None:
+            La = build_love(grid, omega, 0.0, mu, rho)
         if res.iterations:
             if seed is None:
-                seed = _ScanSeed(grid, gamma, build_love(grid, omega, 0.0, mu, rho),
-                                 build_love(grid, omega, 1.0, mu, rho), source)
+                seed = _ScanSeed(grid, gamma, La, source)
             seed.add(res.E)
-    return responses
+    return responses / float(np.linalg.norm(svals))
+
+
+def _love_at(La, k1):
+    """build_love's material at k1, from its material La at k1 = 0: the
+    (1, 1) entry k1^2 mu - omega^2 rho is La's plus k1^2 times the (0, 0)
+    entry mu, which rounds exactly as build_love does."""
+    vals = La.values.copy()
+    vals[..., 1, 1] += k1**2 * vals[..., 0, 0]
+    return LField(La.layout, vals, La.omega, La.orientation, La.physics, La.index)
 
 
 class _ScanSeed:
@@ -194,42 +210,96 @@ class _ScanSeed:
     (a parametric form of projection onto previous solutions: Fischer,
     Comput. Methods Appl. Mech. Engrg. 163, 1998).
 
-    The material is L(k1) = La + k1^2 Lb, so the residual Gamma1 F(L(k1) E
-    - s) of E = sum_j c_j E_j is sum_j c_j (Pa_j + k1^2 Pb_j) - g, with the
-    fixed vectors Pa_j = Gamma1 F(La E_j), Pb_j = Gamma1 F(Lb E_j) and
-    g = Gamma1 F s.  With the columns Pa_1, Pb_1, Pa_2, ... factored as
-    Q R (Householder, so Q stays orthonormal however nearly dependent the
-    fields are), minimizing that residual over c is the least-squares
-    problem of the 2N x N matrix R_a + k1^2 R_b (the even and odd columns
-    of R) and the right-hand side Q^H g.
+    The material is L(k1) = La + k1^2 Lb with Lb E = (0, mu E_2), so the
+    residual Gamma1 F(L(k1) E - s) of E = sum_j c_j E_j is
+    sum_j c_j (Pa_j + k1^2 Pb_j) - g, with the fixed vectors
+    Pa_j = Gamma1 F(La E_j), Pb_j = Gamma1 F(Lb E_j) and g = Gamma1 F s.
+    The columns Pa_1, Pb_1, Pa_2, ... are held as a Householder QR, so Q
+    stays orthonormal however nearly dependent the fields are.  Each field
+    that joins extends that factor (Golub & Van Loan, Matrix Computations,
+    sections 5.2 and 6.5): ``zunmqr`` applies the stored reflectors to its
+    two columns, ``zgeqrf`` factors what lies below the rows already
+    reduced, and the new reflectors update Q^H g, at O(M N) for M rows and
+    N fields.  Once 2N reaches M no reflector is added and R is
+    trapezoidal.  Minimizing the residual over c is then the least-squares
+    problem of the matrix R_a + k1^2 R_b (the even and odd columns of R)
+    and the right-hand side Q^H g, which ``zgelsy`` solves by a
+    rank-revealing QR (Quintana-Orti, Sun & Bischof, SIAM J. Sci. Comput.
+    19, 1998) at O(N^3) per guess.
     """
 
-    def __init__(self, grid, gamma, La, L1, source):
+    def __init__(self, grid, gamma, La, source):
         self.grid, self.gamma, self.layout = grid, gamma, source.layout
-        self.La, self.L1 = La, L1  # Lb = L1 - La
-        self.g = self._project(source.values)
-        self.E = np.empty((0,) + source.values.shape, dtype=np.complex128)
-        self.P = np.empty((self.g.size, 0), dtype=np.complex128)
+        Lb = np.zeros_like(La.values)
+        Lb[..., 1, 1] = La.values[..., 0, 0]  # mu
+        self.La, self.Lb = La, La.with_matrices(La.layout, Lb)
+        self.d = self._project(source.values)[:, None]  # Q^H g
+        self.n = 0  # fields joined
+        self._tau = np.zeros(len(self.d), dtype=np.complex128)
+        self._qr = np.empty((len(self.d), 0), dtype=np.complex128, order="F")
+        self._R = np.empty((0, 0), dtype=np.complex128)
+        self._E = np.empty((0,) + source.values.shape, dtype=np.complex128)
 
     def _project(self, values):
         """Gamma1 F(values), flat."""
         field = Field(self.grid, self.layout, values).to_fourier()
         return apply_projector(field, self.gamma).values.ravel()
 
+    @property
+    def R(self):
+        """R of the columns' QR: min(M, 2N) x 2N, upper trapezoidal."""
+        ncols = 2 * self.n
+        return self._R[:min(len(self.d), ncols), :ncols]
+
     def add(self, E):
-        """Take a solved field E into the span and refactor the columns."""
-        LaE = self.La.apply(E.values)
-        pair = [self._project(LaE), self._project(self.L1.apply(E.values) - LaE)]
-        self.P = np.column_stack([self.P] + pair)
-        Q, self.R = np.linalg.qr(self.P)
-        self.d = Q.conj().T @ self.g
-        self.E = np.concatenate([self.E, E.values[None]])
+        """Take a solved field E into the span and extend the factor."""
+        n, m = self.n, len(self.d)
+        if n == len(self._E):  # full: double the room
+            E_room = np.empty((2 * n or 8,) + self._E.shape[1:], dtype=np.complex128)
+            E_room[:n] = self._E
+            qr_room = np.empty((m, 2 * len(E_room)), dtype=np.complex128, order="F")
+            qr_room[:, :2 * n] = self._qr
+            R_room = np.zeros((min(m, 2 * len(E_room)), 2 * len(E_room)),
+                              dtype=np.complex128)
+            R_room[:len(self._R), :2 * n] = self._R
+            self._E, self._qr, self._R = E_room, qr_room, R_room
+        cols = np.empty((m, 2), dtype=np.complex128, order="F")
+        cols[:, 0] = self._project(self.La.apply(E.values))
+        cols[:, 1] = self._project(self.Lb.apply(E.values))
+        k = min(m, 2 * n)  # reflectors so far
+        if k:
+            cols = _lapack(zunmqr, "L", "C", self._qr[:, :k], self._tau[:k], cols, 2)[0]
+        if k < m:
+            lower, tau, _ = _lapack(zgeqrf, cols[k:])
+            cols[k:] = lower
+            self._tau[k:k + len(tau)] = tau
+            self.d[k:] = _lapack(zunmqr, "L", "C", lower, tau, self.d[k:], 1)[0]
+        self._qr[:, 2 * n:2 * n + 2] = cols
+        self._R[:, 2 * n:2 * n + 2] = np.triu(cols[:len(self._R)], -k)  # no reflectors
+        self._E[n] = E.values
+        self.n += 1
 
     def guess(self, k1):
         """The field sum_j c_j E_j of least residual at k1."""
-        A = self.R[:, 0::2] + k1**2 * self.R[:, 1::2]
-        c = np.linalg.lstsq(A, self.d, rcond=None)[0]
-        return Field(self.grid, self.layout, np.tensordot(c, self.E, axes=1))
+        R = self.R
+        A = R[:, 0::2] + k1**2 * R[:, 1::2]
+        rows, n = A.shape
+        b = np.zeros((max(rows, n), 1), dtype=np.complex128)
+        b[:rows] = self.d[:rows]
+        cond = max(rows, n) * np.finfo(float).eps  # numpy lstsq's rcond=None
+        work = _lapack(zgelsy_lwork, rows, n, 1, cond)[0]
+        c = _lapack(zgelsy, A, b, np.zeros(n, dtype=np.int32), cond, int(work.real))[1]
+        E = c[:n, 0] @ self._E[:n].reshape(n, -1)
+        return Field(self.grid, self.layout, E.reshape(self._E.shape[1:]))
+
+
+def _lapack(routine, *args):
+    """The outputs of a scipy.linalg.lapack routine but its last, ``info``;
+    a nonzero ``info`` raises LinAlgError."""
+    *out, info = routine(*args)
+    if info:
+        raise np.linalg.LinAlgError(f"{routine.__name__} returned info {info}")
+    return out
 
 
 def peak_estimate(k1_values, responses):

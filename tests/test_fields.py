@@ -45,6 +45,24 @@ def test_block_component_counts():
     assert LAYOUT.block_slice(1) == slice(3, 4)
 
 
+@pytest.mark.parametrize("kind,d,ncomp", [("scalar", 1, 1), ("vector", 2, 2),
+                                          ("matrix", 2, 4), ("sym", 3, 6)])
+def test_layout_component_count_of_every_block_kind(kind, d, ncomp):
+    assert BlockLayout((Block(kind, d),)).ncomp == ncomp
+    assert BlockLayout([Block(kind, d), Block("vector", 3)]).ncomp == ncomp + 3
+
+
+def test_layout_equality_and_hash_depend_on_blocks_only():
+    same = BlockLayout([Block("vector", 3), Block("scalar")])
+    assert same == LAYOUT and hash(same) == hash(LAYOUT)
+    assert hash(LAYOUT) == hash((LAYOUT.blocks,))  # the dataclass hash of its one field
+    assert repr(LAYOUT) == ("BlockLayout(blocks=(Block(kind='vector', d=3), "
+                            "Block(kind='scalar', d=1)))")
+    other = BlockLayout((Block("scalar"), Block("vector", 3)))
+    assert other != LAYOUT and other.ncomp == LAYOUT.ncomp
+    assert len({LAYOUT, same, other}) == 2
+
+
 def test_block_rejects_unknown_kind():
     with pytest.raises(ValueError):
         Block("spinor", 2)

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gammasolve import models
+from gammasolve.fields import Field
 from gammasolve.models import (
     effective_mass,
     love_dispersion,
@@ -16,6 +17,7 @@ from gammasolve.models import (
     resonance_frequency,
     resonator_density,
 )
+from gammasolve.projectors import apply_projector
 
 LOVE = dict(layer_mu=1.0, layer_rho=1.0, half_thickness=1.0,
             substrate_mu=4.0, substrate_rho=1.0)
@@ -204,3 +206,113 @@ def test_love_scan_on_one_point_gives_a_finite_response():
     # is about 4e-223.
     response = love_resonance_scan(5.0, [4.5], points=1, **LOVE)
     assert np.isfinite(response).all() and response[0] > 0
+
+
+def _recorded_scan(monkeypatch, k1s, points, seeded=True, **model):
+    """Scan through spies: each solve's Problem, each build_love call's
+    arguments, and the seed's state after each join ``(R, Q^H g, fields)``
+    and at each guess ``(k1, guess, fields)``; ``seeded=False`` drops every
+    guess after it is made."""
+    problems, builds, joins, guesses = [], [], [], []
+    build_love, solve = models.build_love, models.solve
+
+    class Seed(models._ScanSeed):
+        def add(self, E):
+            super().add(E)
+            R = self.R.copy()
+            joins.append((R, self.d[:len(R), 0].copy(), self._E[:self.n].copy()))
+
+        def guess(self, k1):
+            out = super().guess(k1)
+            guesses.append((k1, out.values, self._E[:self.n].copy()))
+            return out
+
+    def build_spy(*args):
+        builds.append(args)
+        return build_love(*args)
+
+    def solve_spy(problem):
+        problems.append(problem)
+        if not seeded:
+            problem.x0 = None
+        return solve(problem)
+
+    monkeypatch.setattr(models, "_ScanSeed", Seed)
+    monkeypatch.setattr(models, "build_love", build_spy)
+    monkeypatch.setattr(models, "solve", solve_spy)
+    love_resonance_scan(5.0, k1s, points=points, **(model or LOVE))
+    monkeypatch.undo()
+    return problems, builds, joins, guesses
+
+
+@pytest.mark.parametrize("points,model", [
+    (96, LOVE),
+    (96, dict(LOVE, substrate_mu=1.0)),  # uniform: a constant material
+    (1, LOVE),
+    (512, LOVE),  # two phases of 128 points or more: a phase table
+])
+def test_love_scan_solves_each_k1_on_build_loves_material(monkeypatch, points, model):
+    k1s = np.linspace(4.4, 5.0, 25)
+    problems, builds, _, _ = _recorded_scan(monkeypatch, k1s, points, **model)
+    assert len(builds) <= 2 and len(problems) == len(k1s)
+    grid, omega, _, mu, rho = builds[0]
+    for k1, problem in zip(k1s, problems):
+        L, want = problem.L, models.build_love(grid, omega, k1, mu, rho)
+        assert np.array_equal(L.values, want.values)
+        assert (L.index is None) == (want.index is None)
+        assert want.index is None or np.array_equal(L.index, want.index)
+        assert (L.omega, L.orientation, L.physics) == (want.omega, want.orientation,
+                                                        want.physics)
+
+
+@pytest.mark.parametrize("points,seeded", [(96, True), (16, False)])
+def test_love_scan_seed_factor_and_guesses_match_dense_least_squares(
+        monkeypatch, points, seeded):
+    """After each join the seed's R and Q^H g are those of np.linalg.qr of
+    its columns Gamma1 F(La E_j), Gamma1 F(Lb E_j), Lb E = (0, mu E_2); each
+    guess's residual is the least that np.linalg.lstsq finds over the same
+    fields, within 1e-10 of |g| (the residual of a zero start).  With every
+    guess dropped on 16 points, all 25 solves iterate and the 50 columns
+    outnumber the 32 rows."""
+    problems, builds, joins, guesses = _recorded_scan(
+        monkeypatch, np.linspace(4.4, 5.0, 25), points, seeded)
+    grid, omega, _, mu, rho = builds[0]
+    source, gamma = problems[0].source, problems[0].gamma
+
+    def project(values):
+        return apply_projector(Field(grid, source.layout, values).to_fourier(),
+                               gamma).values.ravel()
+
+    La = models.build_love(grid, omega, 0.0, mu, rho)
+
+    def columns(fields):
+        out = []
+        for E in fields:
+            LbE = np.zeros_like(E)
+            LbE[:, 1] = mu * E[:, 1]
+            out += [project(La.apply(E)), project(LbE)]
+        return np.column_stack(out)
+
+    g = project(source.values)
+    for R, Qg, fields in joins:
+        Q, R_dense = np.linalg.qr(columns(fields))
+        assert np.linalg.norm(R - R_dense) <= 1e-12 * np.linalg.norm(R_dense)
+        assert np.linalg.norm(Qg - Q.conj().T @ g) <= 1e-12 * np.linalg.norm(Qg)
+    assert len(guesses) == len(problems) - 1
+    assert (joins[-1][0].shape[1] > joins[-1][0].shape[0]) == (not seeded)
+    for k1, E, fields in guesses:
+        P = columns(fields)
+        A = P[:, 0::2] + k1**2 * P[:, 1::2]
+        least = np.linalg.norm(A @ np.linalg.lstsq(A, g, rcond=None)[0] - g)
+        L = models.build_love(grid, omega, k1, mu, rho)
+        residual = np.linalg.norm(project(L.apply(E) - source.values))
+        assert abs(residual - least) <= 1e-10 * np.linalg.norm(g)
+
+
+def test_a_lapack_call_with_nonzero_info_raises():
+    def zfake(a, info):
+        return a, 2 * a, info
+
+    assert models._lapack(zfake, 1, 0) == [1, 2]
+    with pytest.raises(np.linalg.LinAlgError, match="zfake returned info -3"):
+        models._lapack(zfake, 1, -3)
